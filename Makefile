@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: ci verify vet build test race race-obs race-obsplane race-ring race-batch race-ec race-autoscale race-tenant race-wire fuzz-wire smoke-obsplane smoke-tenancy bench bench-codec convergence scaleout batchflush eccost elastic tenancy
+.PHONY: ci verify vet build test race race-obs race-obsplane race-ring race-batch race-ec race-autoscale race-tenant race-wire fuzz-wire smoke-obsplane smoke-tenancy bench bench-codec bench-smoke perf perf-compare clean convergence scaleout batchflush eccost elastic tenancy
 
-ci: vet build race-obs race-obsplane race-ring race-batch race-ec race-autoscale race-tenant race-wire race fuzz-wire bench-codec smoke-obsplane smoke-tenancy
+ci: vet build bench-smoke race-obs race-obsplane race-ring race-batch race-ec race-autoscale race-tenant race-wire race fuzz-wire bench-codec smoke-obsplane smoke-tenancy
 
 # One-stop pre-commit check: static analysis, full build, race-checked tests.
-verify: vet build race-obs race-obsplane race-ring race-batch race-ec race-autoscale race-tenant race-wire race
+verify: vet build bench-smoke race-obs race-obsplane race-ring race-batch race-ec race-autoscale race-tenant race-wire race
 
 vet:
 	$(GO) vet ./...
@@ -93,6 +93,26 @@ fuzz-wire:
 # fails if gob ever beats the wire codec or the wire steady state allocates.
 bench-codec:
 	./scripts/bench_codec.sh
+
+# The benchmark (bench/) is a module of its own that builds against this
+# one, so `go vet ./...` and `go test ./...` here never compile it: this is
+# the gate that stops an API change from breaking the benchmark build.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The repository benchmark (BENCHMARK.json): four workloads untraced, then
+# their traced per-layer ladders; results land in .bench_build/results.
+perf:
+	bash bench/run.sh --seed 1 --seconds 15
+
+# Compare two result directories under the BENCHMARK.json bounds:
+#   make perf-compare A=/path/to/parent/results B=.bench_build/results
+perf-compare:
+	bash bench/run.sh compare $(A) $(B)
+
+# Remove what building and running the benchmark leave behind.
+clean:
+	rm -rf .bench_build/
 
 # End-to-end tenancy smoke: boots a daemon, starts a two-tenant instance,
 # and asserts disjoint keyspaces, fail-fast quota NACKs, tenant_* metrics,

@@ -62,7 +62,7 @@ func TestBlockingAcquireFIFO(t *testing.T) {
 	var order []int64
 	var wg sync.WaitGroup
 	sessions := []int64{s.CreateSession(longTTL), s.CreateSession(longTTL), s.CreateSession(longTTL)}
-	for _, id := range sessions {
+	for i, id := range sessions {
 		wg.Add(1)
 		go func(id int64) {
 			defer wg.Done()
@@ -77,7 +77,7 @@ func TestBlockingAcquireFIFO(t *testing.T) {
 			s.Release(id, "k")
 		}(id)
 		// Give each goroutine time to enqueue so FIFO order is deterministic.
-		waitForWaiterCount(t, s, "k", len(order)+1)
+		waitForWaiterCount(t, s, "k", i+1)
 	}
 	s.Release(holder, "k")
 	wg.Wait()

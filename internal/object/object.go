@@ -107,31 +107,52 @@ func Newer(a, b Meta) bool {
 // VersionedObject is the full record for one key: every retained version's
 // metadata. The object payload bytes themselves live in storage tiers; this
 // structure tracks which versions exist and their attributes.
+//
+// latest always points at the entry of versions with the highest version
+// number (nil when there is none). set and remove are the only writers of
+// versions, so every put, get and freshness check reads the newest version
+// as a field instead of scanning the key's history.
 type VersionedObject struct {
 	Key      string
-	Versions map[Version]*Meta
+	versions map[Version]*Meta
+	latest   *Meta
 }
 
 // NewVersionedObject returns an empty record for key.
 func NewVersionedObject(key string) *VersionedObject {
-	return &VersionedObject{Key: key, Versions: make(map[Version]*Meta)}
+	return &VersionedObject{Key: key, versions: make(map[Version]*Meta)}
 }
 
 // Latest returns the metadata of the highest version, or nil if none.
-func (v *VersionedObject) Latest() *Meta {
-	var best *Meta
-	for _, m := range v.Versions {
-		if best == nil || m.Version > best.Version {
-			best = m
+func (v *VersionedObject) Latest() *Meta { return v.latest }
+
+// set installs m under its version number, replacing any entry there.
+func (v *VersionedObject) set(m *Meta) {
+	v.versions[m.Version] = m
+	if v.latest == nil || m.Version >= v.latest.Version {
+		v.latest = m
+	}
+}
+
+// remove deletes version ver. Only removing the highest version costs a
+// scan of the remaining ones.
+func (v *VersionedObject) remove(ver Version) {
+	delete(v.versions, ver)
+	if v.latest == nil || v.latest.Version != ver {
+		return
+	}
+	v.latest = nil
+	for _, m := range v.versions {
+		if v.latest == nil || m.Version > v.latest.Version {
+			v.latest = m
 		}
 	}
-	return best
 }
 
 // VersionList returns all version numbers in ascending order.
 func (v *VersionedObject) VersionList() []Version {
-	out := make([]Version, 0, len(v.Versions))
-	for ver := range v.Versions {
+	out := make([]Version, 0, len(v.versions))
+	for ver := range v.versions {
 		out = append(out, ver)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -185,7 +206,7 @@ func (s *Store) Put(key string, size int64, tier, origin string, tags []string, 
 		CreatedAt: now, ModifiedAt: now, AccessedAt: now,
 		Tags: append([]string(nil), tags...),
 	}
-	vo.Versions[next] = m
+	vo.set(m)
 	return m.Clone()
 }
 
@@ -201,13 +222,13 @@ func (s *Store) Apply(m Meta) bool {
 		vo = NewVersionedObject(m.Key)
 		s.objects[m.Key] = vo
 	}
-	if existing, ok := vo.Versions[m.Version]; ok {
+	if existing, ok := vo.versions[m.Version]; ok {
 		if !Newer(m, *existing) {
 			return false
 		}
 	}
 	mc := m.Clone()
-	vo.Versions[m.Version] = &mc
+	vo.set(&mc)
 	return true
 }
 
@@ -226,6 +247,17 @@ func (s *Store) Latest(key string) (Meta, error) {
 	return l.Clone(), nil
 }
 
+// LatestVersion returns key's highest version number without copying its
+// metadata; ok is false when the key has no version.
+func (s *Store) LatestVersion(key string) (v Version, ok bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if vo := s.objects[key]; vo != nil && vo.latest != nil {
+		return vo.latest.Version, true
+	}
+	return 0, false
+}
+
 // GetVersion returns metadata for a specific version of key.
 func (s *Store) GetVersion(key string, v Version) (Meta, error) {
 	s.mu.RLock()
@@ -234,7 +266,7 @@ func (s *Store) GetVersion(key string, v Version) (Meta, error) {
 	if vo == nil {
 		return Meta{}, ErrNotFound{Key: key, Version: v}
 	}
-	m, ok := vo.Versions[v]
+	m, ok := vo.versions[v]
 	if !ok {
 		return Meta{}, ErrNotFound{Key: key, Version: v}
 	}
@@ -247,7 +279,7 @@ func (s *Store) VersionList(key string) ([]Version, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	vo := s.objects[key]
-	if vo == nil || len(vo.Versions) == 0 {
+	if vo == nil || len(vo.versions) == 0 {
 		return nil, ErrNotFound{Key: key}
 	}
 	return vo.VersionList(), nil
@@ -272,11 +304,11 @@ func (s *Store) RemoveVersion(key string, v Version) error {
 	if vo == nil {
 		return ErrNotFound{Key: key, Version: v}
 	}
-	if _, ok := vo.Versions[v]; !ok {
+	if _, ok := vo.versions[v]; !ok {
 		return ErrNotFound{Key: key, Version: v}
 	}
-	delete(vo.Versions, v)
-	if len(vo.Versions) == 0 {
+	vo.remove(v)
+	if len(vo.versions) == 0 {
 		delete(s.objects, key)
 	}
 	return nil
@@ -288,7 +320,7 @@ func (s *Store) Touch(key string, v Version, now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if vo := s.objects[key]; vo != nil {
-		if m, ok := vo.Versions[v]; ok {
+		if m, ok := vo.versions[v]; ok {
 			m.AccessCnt++
 			m.AccessedAt = now
 		}
@@ -303,7 +335,7 @@ func (s *Store) SetDirty(key string, v Version, dirty bool) error {
 	if vo == nil {
 		return ErrNotFound{Key: key, Version: v}
 	}
-	m, ok := vo.Versions[v]
+	m, ok := vo.versions[v]
 	if !ok {
 		return ErrNotFound{Key: key, Version: v}
 	}
@@ -319,7 +351,7 @@ func (s *Store) SetTransforms(key string, v Version, compressed, encrypted bool)
 	if vo == nil {
 		return ErrNotFound{Key: key, Version: v}
 	}
-	m, ok := vo.Versions[v]
+	m, ok := vo.versions[v]
 	if !ok {
 		return ErrNotFound{Key: key, Version: v}
 	}
@@ -336,7 +368,7 @@ func (s *Store) SetTier(key string, v Version, tier string) error {
 	if vo == nil {
 		return ErrNotFound{Key: key, Version: v}
 	}
-	m, ok := vo.Versions[v]
+	m, ok := vo.versions[v]
 	if !ok {
 		return ErrNotFound{Key: key, Version: v}
 	}
@@ -370,7 +402,7 @@ func (s *Store) Scan(fn func(Meta) bool) {
 	// Copy out under lock, call fn outside to keep fn free to call back in.
 	var metas []Meta
 	for _, vo := range s.objects {
-		for _, m := range vo.Versions {
+		for _, m := range vo.versions {
 			metas = append(metas, m.Clone())
 		}
 	}

@@ -3,6 +3,7 @@ package object
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -324,5 +325,92 @@ func TestVersionedObjectLatestEmpty(t *testing.T) {
 	vo := NewVersionedObject("k")
 	if vo.Latest() != nil {
 		t.Fatal("empty object Latest should be nil")
+	}
+}
+
+// TestLatestMatchesBruteForce mutates a few keys at random through every
+// path that changes a version map and checks, after every step, that Latest
+// and LatestVersion name the highest retained version (the last entry of
+// the sorted VersionList, which does not use the maintained pointer) and
+// return that version's current metadata.
+func TestLatestMatchesBruteForce(t *testing.T) {
+	keys := []string{"a", "b", "c"}
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewStore()
+		for step := 0; step < 3000; step++ {
+			key := keys[rng.Intn(len(keys))]
+			vs, _ := s.VersionList(key)
+			switch op := rng.Intn(10); {
+			case op < 3:
+				s.Put(key, int64(step), "mem", "local", nil, t0)
+			case op < 6:
+				// Replica updates arrive out of order, and under LWW those
+				// for a version already held win or lose on ModifiedAt.
+				s.Apply(Meta{
+					Key: key, Version: Version(1 + rng.Intn(12)), Size: int64(step),
+					Origin: "remote", ModifiedAt: t0.Add(time.Duration(rng.Intn(5)) * time.Second),
+				})
+			case op < 8 && len(vs) > 0:
+				// The highest version as often as any other.
+				v := vs[len(vs)-1]
+				if rng.Intn(2) == 0 {
+					v = vs[rng.Intn(len(vs))]
+				}
+				if err := s.RemoveVersion(key, v); err != nil {
+					t.Fatal(err)
+				}
+			case op == 8:
+				_ = s.RemoveVersion(key, Version(100)) // never present
+			case len(vs) > 0:
+				if err := s.Remove(key); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, k := range keys {
+				vs, _ := s.VersionList(k)
+				got, err := s.Latest(k)
+				v, ok := s.LatestVersion(k)
+				if len(vs) == 0 {
+					if err == nil || ok {
+						t.Fatalf("seed %d step %d: key %s has no versions, Latest = %+v, LatestVersion = %d", seed, step, k, got, v)
+					}
+					continue
+				}
+				want, _ := s.GetVersion(k, vs[len(vs)-1])
+				if err != nil || !ok || v != want.Version || got.Version != want.Version ||
+					got.Size != want.Size || got.Origin != want.Origin || !got.ModifiedAt.Equal(want.ModifiedAt) {
+					t.Fatalf("seed %d step %d: key %s: Latest = %+v (%v), LatestVersion = %d, want %+v", seed, step, k, got, err, v, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDeepKeyCostIndependentOfDepth is the quadratic-blow-up guard: 100 000
+// puts to one key, then 100 000 reads of its latest version. Walking the
+// version map on each needs 5e9 and 1e10 steps (tens of seconds); the
+// bounds are coarse enough that only that can miss them.
+func TestDeepKeyCostIndependentOfDepth(t *testing.T) {
+	const n = 100000
+	s := NewStore()
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		s.Put("k", 1, "mem", "o", nil, t0)
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("%d puts to one key took %v", n, el)
+	}
+	start = time.Now()
+	for i := 0; i < n; i++ {
+		if v, ok := s.LatestVersion("k"); !ok || v != n {
+			t.Fatalf("LatestVersion = %d, %v", v, ok)
+		}
+		if m, err := s.Latest("k"); err != nil || m.Version != n {
+			t.Fatalf("Latest = %+v, %v", m, err)
+		}
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("%d latest-version reads at depth %d took %v", n, n, el)
 	}
 }

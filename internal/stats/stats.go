@@ -190,12 +190,20 @@ type Point struct {
 	Value float64
 }
 
-// Series is an append-only time series, used for the timeline plots
-// (operation latency over time in Fig 7). Safe for concurrent use.
+// seriesCap is how many of its most recent points a Series keeps. The
+// timeline experiments (fig7, sloswitch) append a few thousand points; a
+// node serving puts at memory speed appends that many every second and
+// must not grow without bound.
+const seriesCap = 1 << 16
+
+// Series is a time series of the seriesCap most recently appended points,
+// used for the timeline plots (operation latency over time in Fig 7). Safe
+// for concurrent use.
 type Series struct {
 	mu     sync.Mutex
 	name   string
-	points []Point
+	points []Point // a ring once full: the oldest point is at head
+	head   int
 }
 
 // NewSeries returns an empty named series.
@@ -204,30 +212,35 @@ func NewSeries(name string) *Series { return &Series{name: name} }
 // Name returns the series name.
 func (s *Series) Name() string { return s.name }
 
-// Append records a point.
+// Append records a point, displacing the oldest once the series is full.
 func (s *Series) Append(at time.Time, v float64) {
 	s.mu.Lock()
-	s.points = append(s.points, Point{At: at, Value: v})
+	if len(s.points) < seriesCap {
+		s.points = append(s.points, Point{At: at, Value: v})
+	} else {
+		s.points[s.head] = Point{At: at, Value: v}
+		s.head = (s.head + 1) % seriesCap
+	}
 	s.mu.Unlock()
 }
 
-// Points returns a copy of the recorded points in append order.
+// Points returns a copy of the retained points in append order.
 func (s *Series) Points() []Point {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Point, len(s.points))
-	copy(out, s.points)
-	return out
+	out := make([]Point, 0, len(s.points))
+	out = append(out, s.points[s.head:]...)
+	return append(out, s.points[:s.head]...)
 }
 
-// Len returns the number of points.
+// Len returns the number of retained points.
 func (s *Series) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.points)
 }
 
-// MaxValue returns the maximum value in the series, or 0 if empty.
+// MaxValue returns the maximum retained value, or 0 if empty.
 func (s *Series) MaxValue() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -196,6 +196,33 @@ func TestSeries(t *testing.T) {
 	}
 }
 
+// TestSeriesKeepsMostRecent: past seriesCap points the series drops the
+// oldest, and Points still returns what is left in arrival order.
+func TestSeriesKeepsMostRecent(t *testing.T) {
+	s := NewSeries("x")
+	base := time.Unix(0, 0)
+	const extra = seriesCap/2 + 3
+	for i := 0; i < seriesCap+extra; i++ {
+		s.Append(base.Add(time.Duration(i)*time.Millisecond), float64(i))
+	}
+	if s.Len() != seriesCap {
+		t.Fatalf("Len = %d, want %d", s.Len(), seriesCap)
+	}
+	pts := s.Points()
+	if len(pts) != seriesCap {
+		t.Fatalf("len(Points) = %d, want %d", len(pts), seriesCap)
+	}
+	for i, p := range pts {
+		want := extra + i
+		if p.Value != float64(want) || !p.At.Equal(base.Add(time.Duration(want)*time.Millisecond)) {
+			t.Fatalf("Points[%d] = %+v, want point %d", i, p, want)
+		}
+	}
+	if got := s.MaxValue(); got != float64(seriesCap+extra-1) {
+		t.Fatalf("MaxValue = %v", got)
+	}
+}
+
 func TestSeriesEmptyMax(t *testing.T) {
 	if NewSeries("x").MaxValue() != 0 {
 		t.Fatal("empty series MaxValue != 0")

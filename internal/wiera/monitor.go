@@ -46,7 +46,9 @@ func (c *changeCapture) Assign(string, policy.Value) error { return nil }
 // strong consistency (paper Fig 7: the system returns to MultiPrimaries
 // only once no delay is observed for the period threshold). The window
 // also stretches any violation by up to its own width, so it should stay
-// well under the policy's period threshold (a third or less).
+// well under the policy's period threshold (a third or less). The window
+// is a latencyWindow: however many samples it holds, admitting one,
+// expiring one and reading the maximum each cost O(1) amortised.
 const DefaultMonitorWindow = 10 * time.Second
 
 // thresholdMonitor implements LatencyMonitoring (paper Sec 4.3): a
@@ -60,24 +62,38 @@ type thresholdMonitor struct {
 	n       *Node
 	monitor string // threshold.type this monitor feeds ("put")
 	window  time.Duration
+	// events are the node's threshold events of this monitor's type. The
+	// node's control events are fixed at creation, so a policy without one
+	// never reads the window and observe keeps none.
+	events []*policy.CompiledEvent
 
 	mu            sync.Mutex
-	samples       []latencySample
+	samples       latencyWindow
 	streakTarget  string
 	streakStart   time.Time
 	pendingChange bool
-}
-
-type latencySample struct {
-	at time.Time
-	d  time.Duration
 }
 
 func newThresholdMonitor(n *Node, monitor string, window time.Duration) *thresholdMonitor {
 	if window <= 0 {
 		window = DefaultMonitorWindow
 	}
-	return &thresholdMonitor{n: n, monitor: monitor, window: window, streakStart: n.clk.Now()}
+	return &thresholdMonitor{
+		n: n, monitor: monitor, window: window,
+		events:      thresholdEvents(n, monitor),
+		streakStart: n.clk.Now(),
+	}
+}
+
+// thresholdEvents returns the node's threshold events fed by monitor.
+func thresholdEvents(n *Node, monitor string) []*policy.CompiledEvent {
+	var out []*policy.CompiledEvent
+	for _, ev := range n.controlEvents {
+		if ev.Kind == policy.KindThreshold && ev.Monitor == monitor {
+			out = append(out, ev)
+		}
+	}
+	return out
 }
 
 // reset clears streak and pending state (called when a policy change
@@ -93,45 +109,116 @@ func (m *thresholdMonitor) reset() {
 // observe feeds one latency sample (an operation or a replication
 // fan-out) to every matching threshold event.
 func (m *thresholdMonitor) observe(latency time.Duration) {
+	if len(m.events) == 0 {
+		return
+	}
 	now := m.n.clk.Now()
 	m.mu.Lock()
-	m.samples = append(m.samples, latencySample{at: now, d: latency})
-	cut := now.Add(-m.window)
-	i := 0
-	for i < len(m.samples) && m.samples[i].at.Before(cut) {
-		i++
-	}
-	m.samples = append(m.samples[:0], m.samples[i:]...)
-	windowMax := windowMaxOf(m.samples)
+	m.samples.push(latencySample{at: now, d: latency})
+	m.samples.expire(now.Add(-m.window))
+	windowMax := m.samples.max()
 	m.mu.Unlock()
-	for _, ev := range m.n.controlEvents {
-		if ev.Kind != policy.KindThreshold || ev.Monitor != m.monitor {
-			continue
-		}
+	for _, ev := range m.events {
 		m.evaluate(ev, windowMax)
 	}
 }
 
-// windowMaxOf returns the representative maximum of a sample window: the
-// second-highest sample when three or more exist, otherwise the highest
-// (zero for an empty window). A genuine network delay slows every operation
-// and replication fan-out, while an isolated measurement spike (scheduling
-// noise) produces one outlier and must not register as a violation — hence
-// the second-max rule, which discards exactly one outlier once the window
-// holds enough samples to tell the difference.
-func windowMaxOf(samples []latencySample) time.Duration {
-	var max1, max2 time.Duration
-	for _, s := range samples {
-		if s.d > max1 {
-			max2, max1 = max1, s.d
-		} else if s.d > max2 {
-			max2 = s.d
+type latencySample struct {
+	at time.Time
+	d  time.Duration
+}
+
+// top2 summarises a set of latency samples: how many there are and the two
+// highest (zero where the set has fewer). Two summaries merge into the
+// summary of the union, in either order, which is what lets latencyWindow
+// keep one per stack instead of rescanning the samples.
+type top2 struct {
+	n          int
+	max1, max2 time.Duration
+}
+
+func (a top2) add(d time.Duration) top2 {
+	a.n++
+	if d > a.max1 {
+		a.max2, a.max1 = a.max1, d
+	} else if d > a.max2 {
+		a.max2 = d
+	}
+	return a
+}
+
+func (a top2) merge(b top2) top2 {
+	n := a.n + b.n
+	a = a.add(b.max1).add(b.max2)
+	a.n = n
+	return a
+}
+
+// max returns the representative maximum of the summarised samples: the
+// second-highest when three or more exist, otherwise the highest (zero for
+// none). A genuine network delay slows every operation and replication
+// fan-out, while an isolated measurement spike (scheduling noise) produces
+// one outlier and must not register as a violation — hence the second-max
+// rule, which discards exactly one outlier once there are enough samples to
+// tell the difference.
+func (a top2) max() time.Duration {
+	if a.n >= 3 {
+		return a.max2
+	}
+	return a.max1
+}
+
+// latencyWindow is the monitor's sliding sample window: a FIFO whose top2
+// summary is always at hand. It is the two-stack queue: samples are pushed
+// on back, whose running summary is backAgg; they leave from the end of
+// front, where each entry carries the summary of itself and every entry
+// before it in the slice (all the samples that arrived after it). When
+// front runs empty, back is poured into it newest first, so each sample is
+// moved once, and the summary of the whole window is front's last entry
+// merged with backAgg.
+type latencyWindow struct {
+	front   []windowEntry
+	back    []latencySample
+	backAgg top2
+}
+
+type windowEntry struct {
+	at  time.Time
+	agg top2
+}
+
+func (w *latencyWindow) push(s latencySample) {
+	w.back = append(w.back, s)
+	w.backAgg = w.backAgg.add(s.d)
+}
+
+// expire drops, in arrival order, every sample older than cut.
+func (w *latencyWindow) expire(cut time.Time) {
+	for {
+		if len(w.front) == 0 {
+			if len(w.back) == 0 || !w.back[0].at.Before(cut) {
+				return
+			}
+			var agg top2
+			for i := len(w.back) - 1; i >= 0; i-- {
+				agg = agg.add(w.back[i].d)
+				w.front = append(w.front, windowEntry{at: w.back[i].at, agg: agg})
+			}
+			w.back, w.backAgg = w.back[:0], top2{}
 		}
+		if !w.front[len(w.front)-1].at.Before(cut) {
+			return
+		}
+		w.front = w.front[:len(w.front)-1]
 	}
-	if len(samples) >= 3 {
-		return max2
+}
+
+func (w *latencyWindow) max() time.Duration {
+	agg := w.backAgg
+	if len(w.front) > 0 {
+		agg = agg.merge(w.front[len(w.front)-1].agg)
 	}
-	return max1
+	return agg.max()
 }
 
 func (m *thresholdMonitor) evaluate(ev *policy.CompiledEvent, latency time.Duration) {
@@ -196,24 +283,30 @@ func (m *thresholdMonitor) evaluate(ev *policy.CompiledEvent, latency time.Durat
 // the ChangePrimary policy moves the primary there.
 type requestsMonitor struct {
 	n *Node
+	// events are the node's "primary" threshold events; without one nothing
+	// reads the counts and the observe calls keep none (see thresholdMonitor).
+	events []*policy.CompiledEvent
 
 	mu            sync.Mutex
-	direct        []time.Time
-	forwarded     map[string][]time.Time
+	direct        timeFIFO
+	forwarded     map[string]*timeFIFO
 	streakSource  string
 	streakStart   time.Time
 	pendingChange bool
 }
 
 func newRequestsMonitor(n *Node) *requestsMonitor {
-	return &requestsMonitor{n: n, forwarded: make(map[string][]time.Time), streakStart: n.clk.Now()}
+	return &requestsMonitor{
+		n: n, events: thresholdEvents(n, "primary"),
+		forwarded: make(map[string]*timeFIFO), streakStart: n.clk.Now(),
+	}
 }
 
 // reset clears pending state (called when the primary changes).
 func (m *requestsMonitor) reset() {
 	m.mu.Lock()
-	m.direct = nil
-	m.forwarded = make(map[string][]time.Time)
+	m.direct = timeFIFO{}
+	m.forwarded = make(map[string]*timeFIFO)
 	m.streakSource = ""
 	m.streakStart = m.n.clk.Now()
 	m.pendingChange = false
@@ -221,78 +314,77 @@ func (m *requestsMonitor) reset() {
 }
 
 // observeDirect records a put received directly from an application.
-func (m *requestsMonitor) observeDirect() {
-	if !m.n.IsPrimary() {
-		return
-	}
-	now := m.n.clk.Now()
-	m.mu.Lock()
-	m.direct = append(m.direct, now)
-	m.pruneLocked(now)
-	m.mu.Unlock()
-	m.evaluate()
-}
+func (m *requestsMonitor) observeDirect() { m.observe("") }
 
 // observeForwarded records a put forwarded from another instance.
 func (m *requestsMonitor) observeForwarded(src string) {
-	if !m.n.IsPrimary() {
-		return
-	}
-	now := m.n.clk.Now()
-	m.mu.Lock()
 	if src == "" {
 		src = "unknown"
 	}
-	m.forwarded[src] = append(m.forwarded[src], now)
-	m.pruneLocked(now)
-	m.mu.Unlock()
-	m.evaluate()
+	m.observe(src)
 }
 
-func (m *requestsMonitor) pruneLocked(now time.Time) {
-	cut := now.Add(-monitorWindow)
-	trim := func(ts []time.Time) []time.Time {
-		i := 0
-		for i < len(ts) && ts[i].Before(cut) {
-			i++
-		}
-		return append(ts[:0], ts[i:]...)
+// observe records a put at the primary — forwarded by src, or direct when
+// src is empty — expires what left the window, and evaluates the policy
+// against the resulting counts: the largest single-source forwarded count,
+// that source, and the direct count.
+func (m *requestsMonitor) observe(src string) {
+	if len(m.events) == 0 || !m.n.IsPrimary() {
+		return
 	}
-	m.direct = trim(m.direct)
-	for src, ts := range m.forwarded {
-		m.forwarded[src] = trim(ts)
-		if len(m.forwarded[src]) == 0 {
-			delete(m.forwarded, src)
-		}
-	}
-}
-
-// counts returns the max single-source forwarded count, that source, and
-// the direct count within the window.
-func (m *requestsMonitor) counts() (maxForwarded int, maxSource string, direct int) {
 	now := m.n.clk.Now()
+	cut := now.Add(-monitorWindow)
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pruneLocked(now)
-	for src, ts := range m.forwarded {
-		if len(ts) > maxForwarded {
-			maxForwarded = len(ts)
-			maxSource = src
+	if src == "" {
+		m.direct.push(now)
+	} else {
+		q := m.forwarded[src]
+		if q == nil {
+			q = &timeFIFO{}
+			m.forwarded[src] = q
+		}
+		q.push(now)
+	}
+	m.direct.expire(cut)
+	maxF, maxSrc := 0, ""
+	for s, q := range m.forwarded {
+		q.expire(cut)
+		if q.len() == 0 {
+			delete(m.forwarded, s)
+		} else if q.len() > maxF {
+			maxF, maxSrc = q.len(), s
 		}
 	}
-	return maxForwarded, maxSource, len(m.direct)
-}
-
-func (m *requestsMonitor) evaluate() {
-	maxF, maxSrc, direct := m.counts()
+	direct := m.direct.len()
+	m.mu.Unlock()
 	if maxSrc == "" {
 		return
 	}
-	for _, ev := range m.n.controlEvents {
-		if ev.Kind != policy.KindThreshold || ev.Monitor != "primary" {
-			continue
-		}
+	for _, ev := range m.events {
 		m.evaluateEvent(ev, maxF, maxSrc, direct)
+	}
+}
+
+// timeFIFO is a queue of arrival times that expires from the front by
+// advancing a head index; the dead prefix is reclaimed once it outgrows the
+// live part, so a push plus the expiries it causes cost O(1) amortised.
+type timeFIFO struct {
+	ts   []time.Time
+	head int
+}
+
+func (q *timeFIFO) push(t time.Time) { q.ts = append(q.ts, t) }
+
+func (q *timeFIFO) len() int { return len(q.ts) - q.head }
+
+// expire drops every time older than cut.
+func (q *timeFIFO) expire(cut time.Time) {
+	for q.head < len(q.ts) && q.ts[q.head].Before(cut) {
+		q.head++
+	}
+	if q.head > q.len() {
+		q.ts = q.ts[:copy(q.ts, q.ts[q.head:])]
+		q.head = 0
 	}
 }
 

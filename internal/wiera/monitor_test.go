@@ -1,12 +1,36 @@
 package wiera
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/policy"
 )
+
+// windowMaxOf is the reference latencyWindow is tested against: the
+// representative maximum of a sample window by one scan — the
+// second-highest sample when three or more exist, otherwise the highest
+// (zero for an empty window).
+func windowMaxOf(samples []latencySample) time.Duration {
+	var max1, max2 time.Duration
+	for _, s := range samples {
+		if s.d > max1 {
+			max2, max1 = max1, s.d
+		} else if s.d > max2 {
+			max2 = s.d
+		}
+	}
+	if len(samples) >= 3 {
+		return max2
+	}
+	return max1
+}
+
+// held counts the samples in the window.
+func (w *latencyWindow) held() int { return len(w.front) + len(w.back) }
 
 func TestWindowMaxOf(t *testing.T) {
 	s := func(ds ...time.Duration) []latencySample {
@@ -46,7 +70,7 @@ func TestWindowMaxOf(t *testing.T) {
 // set to the policy the slow branch targets, so real evaluations early-return
 // (already on the requested policy) instead of issuing an RPC — the fixture
 // has no transport.
-func monitorFixture(t *testing.T, window time.Duration) (*thresholdMonitor, *clock.Sim) {
+func monitorFixture(t testing.TB, window time.Duration) (*thresholdMonitor, *clock.Sim) {
 	t.Helper()
 	spec, err := policy.Builtin("DynamicConsistency")
 	if err != nil {
@@ -165,5 +189,146 @@ func TestThresholdMonitorResetAfterSwitch(t *testing.T) {
 	}
 	if got := sim.Now().Sub(start); got != 0 {
 		t.Fatalf("post-reset streak age = %v, want 0", got)
+	}
+}
+
+// TestLatencyWindowMatchesScan drives a latencyWindow and a plain slice
+// with the same random (advance, latency) steps and requires the window's
+// maximum to equal windowMaxOf over the slice after every step.
+func TestLatencyWindowMatchesScan(t *testing.T) {
+	const window = 10 * time.Second
+	// Few distinct values, so ties, zeros and repeated maxima are common.
+	latencies := []time.Duration{0, 0, time.Millisecond, 5 * time.Millisecond,
+		5 * time.Millisecond, 900 * time.Millisecond, 2 * time.Second, 2 * time.Second}
+	// Zero advances pile samples on one instant; window and window/2 land
+	// samples exactly on a later cut (kept: only strictly older ones
+	// expire); 3*window empties the window whole.
+	advances := []time.Duration{0, 0, time.Millisecond, 100 * time.Millisecond,
+		time.Second, window / 2, window, window + time.Nanosecond, 3 * window}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sim := clock.NewSim(time.Time{})
+		var w latencyWindow
+		var ref []latencySample
+		for step := 0; step < 2000; step++ {
+			sim.Advance(advances[rng.Intn(len(advances))])
+			now := sim.Now()
+			s := latencySample{at: now, d: latencies[rng.Intn(len(latencies))]}
+			cut := now.Add(-window)
+			w.push(s)
+			w.expire(cut)
+			ref = append(ref, s)
+			for len(ref) > 0 && ref[0].at.Before(cut) {
+				ref = ref[1:]
+			}
+			if got, want := w.max(), windowMaxOf(ref); got != want {
+				t.Fatalf("seed %d step %d: window max = %v, scan of %d samples = %v",
+					seed, step, got, len(ref), want)
+			}
+			if got := w.held(); got != len(ref) {
+				t.Fatalf("seed %d step %d: window holds %d samples, want %d", seed, step, got, len(ref))
+			}
+		}
+	}
+}
+
+// TestTimeFIFOMatchesSlice checks the requests monitor's queue against a
+// plain slice under random pushes and expiries.
+func TestTimeFIFOMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	now := time.Unix(0, 0)
+	var q timeFIFO
+	var ref []time.Time
+	for step := 0; step < 5000; step++ {
+		now = now.Add(time.Duration(rng.Intn(3)) * time.Second)
+		q.push(now)
+		ref = append(ref, now)
+		cut := now.Add(-time.Duration(rng.Intn(40)) * time.Second)
+		q.expire(cut)
+		for len(ref) > 0 && ref[0].Before(cut) {
+			ref = ref[1:]
+		}
+		if q.len() != len(ref) {
+			t.Fatalf("step %d: len = %d, want %d", step, q.len(), len(ref))
+		}
+		if len(ref) > 0 && !q.ts[q.head].Equal(ref[0]) {
+			t.Fatalf("step %d: oldest = %v, want %v", step, q.ts[q.head], ref[0])
+		}
+		if len(q.ts) > 2*q.len()+1 {
+			t.Fatalf("step %d: %d slots kept for %d live times", step, len(q.ts), q.len())
+		}
+	}
+}
+
+// TestThresholdObserveCostIndependentOfWindow is the quadratic-blow-up
+// guard: 200 000 samples inside one window, with a threshold event
+// evaluated on each, and the last tenth must not cost much more than the
+// first. Rescanning the window per sample makes the last tenth (190 000+
+// samples held) some fifteen times dearer than the first (under 20 000);
+// comparing the two keeps the guard independent of the machine's speed and
+// of the race detector's.
+func TestThresholdObserveCostIndependentOfWindow(t *testing.T) {
+	const samples, tenth = 200000, 20000
+	m, sim := monitorFixture(t, 10*time.Second)
+	var first, last time.Duration
+	for i := 0; i < samples; i += tenth {
+		start := time.Now()
+		for j := 0; j < tenth; j++ {
+			m.observe(5 * time.Millisecond)
+			sim.Advance(40 * time.Microsecond) // 8 s in all: nothing expires
+		}
+		last = time.Since(start)
+		if i == 0 {
+			first = last
+		}
+	}
+	if got := m.samples.held(); got != samples {
+		t.Fatalf("window holds %d samples, want %d", got, samples)
+	}
+	if last > 4*first {
+		t.Fatalf("observe cost grows with the window: first %d took %v, last %d took %v",
+			tenth, first, tenth, last)
+	}
+}
+
+// TestThresholdObserveKeepsNothingWithoutEvent: a node whose policy has no
+// threshold event for the monitor must not collect samples nobody reads.
+func TestThresholdObserveKeepsNothingWithoutEvent(t *testing.T) {
+	sim := clock.NewSim(time.Time{})
+	m := newThresholdMonitor(&Node{clk: sim}, "put", 0)
+	for i := 0; i < 10; i++ {
+		m.observe(time.Second)
+	}
+	if got := m.samples.held(); got != 0 {
+		t.Fatalf("monitor without events kept %d samples", got)
+	}
+}
+
+// BenchmarkThresholdObserve: ns/op must not depend on how many samples
+// the window holds.
+func BenchmarkThresholdObserve(b *testing.B) {
+	for _, held := range []int{10, 10000} {
+		b.Run(fmt.Sprintf("window=%d", held), func(b *testing.B) {
+			const window = 10 * time.Second
+			m, sim := monitorFixture(b, window)
+			// A slow sample per step keeps the probed target equal to the
+			// fixture's current policy, so evaluation never issues a change
+			// request.
+			step := window / time.Duration(held)
+			for i := 0; i < 2*held; i++ {
+				m.observe(2 * time.Second)
+				sim.Advance(step)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.observe(2 * time.Second)
+				sim.Advance(step)
+			}
+			b.StopTimer()
+			if got := m.samples.held(); got < held || got > held+1 {
+				b.Fatalf("window holds %d samples, want about %d", got, held)
+			}
+		})
 	}
 }

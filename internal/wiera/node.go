@@ -417,6 +417,17 @@ func (n *Node) IsPrimary() bool {
 	return n.primary == n.name
 }
 
+// execState reads, under one lock acquisition, what an operation executes
+// against: the compiled policy program and whether this node is the
+// primary. Operations call it once, after the gate admits them — an
+// operation parked behind a policy change must run the program the change
+// installed — and pass the values down.
+func (n *Node) execState() (prog *policy.Program, isPrimary bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.prog, n.primary == n.name
+}
+
 // SetPeers installs the membership list (control plane).
 func (n *Node) SetPeers(peers []PeerInfo, primary string) {
 	n.mu.Lock()
@@ -456,10 +467,11 @@ func (n *Node) Put(ctx context.Context, key string, data []byte, tags []string) 
 }
 
 func (n *Node) put(ctx context.Context, key string, data []byte, tags []string, fromApp bool) (_ object.Meta, retErr error) {
+	policyName := n.PolicyName()
 	ctx, span := telemetry.StartSpan(ctx, "wiera.put")
 	span.SetAttr("node", n.name)
 	span.SetAttr("region", string(n.region))
-	span.SetAttr("policy", n.PolicyName())
+	span.SetAttr("policy", policyName)
 	defer span.End()
 
 	// Only application-initiated puts open a flight record; forwarded puts
@@ -467,7 +479,7 @@ func (n *Node) put(ctx context.Context, key string, data []byte, tags []string, 
 	var fa *flight.Active
 	tid := n.tenants.tenantOf(key)
 	if fromApp {
-		fa = n.flightRec.Begin("put", key, n.name, string(n.region), n.PolicyName())
+		fa = n.flightRec.Begin("put", key, n.name, string(n.region), policyName)
 		if sc := span.Context(); sc.Valid() {
 			fa.SetTraceID(sc.Trace.String())
 		}
@@ -526,14 +538,12 @@ func (n *Node) put(ctx context.Context, key string, data []byte, tags []string, 
 	// First write of a not-yet-migrated key during a rebalance: continue
 	// the previous owner's version history instead of restarting at v1.
 	n.shards.bootstrapKey(ctx, key)
-	n.mu.Lock()
-	prog := n.prog
-	n.mu.Unlock()
+	prog, isPrimary := n.execState()
 
 	op := &globalPutExec{ctx: ctx, n: n, key: key, data: data, tags: tags}
 	fired := false
 	for _, ev := range prog.ByKind(policy.KindInsert) {
-		env := n.putEnv(key, data)
+		env := putEnv(key, data, isPrimary)
 		f, err := ev.Fire(env, op)
 		if err != nil {
 			op.releaseLockIfHeld()
@@ -564,12 +574,12 @@ func (n *Node) put(ctx context.Context, key string, data []byte, tags []string, 
 	return *op.meta, nil
 }
 
-func (n *Node) putEnv(key string, data []byte) *policy.MapEnv {
+func putEnv(key string, data []byte, isPrimary bool) *policy.MapEnv {
 	env := policy.NewMapEnv()
 	env.Set("insert.key", policy.StringVal(key))
 	env.Set("insert.object", policy.IdentVal(key))
 	env.Set("insert.object.size", policy.SizeVal(int64(len(data))))
-	env.Set("local_instance.isPrimary", policy.BoolVal(n.IsPrimary()))
+	env.Set("local_instance.isPrimary", policy.BoolVal(isPrimary))
 	return env
 }
 
@@ -577,13 +587,14 @@ func (n *Node) putEnv(key string, data []byte) *policy.MapEnv {
 // (forwarding policies apply); on a local miss it falls back to the
 // nearest peer holding the data.
 func (n *Node) Get(ctx context.Context, key string) (retData []byte, _ object.Meta, retErr error) {
+	policyName := n.PolicyName()
 	ctx, span := telemetry.StartSpan(ctx, "wiera.get")
 	span.SetAttr("node", n.name)
 	span.SetAttr("region", string(n.region))
-	span.SetAttr("policy", n.PolicyName())
+	span.SetAttr("policy", policyName)
 	defer span.End()
 
-	fa := n.flightRec.Begin("get", key, n.name, string(n.region), n.PolicyName())
+	fa := n.flightRec.Begin("get", key, n.name, string(n.region), policyName)
 	if sc := span.Context(); sc.Valid() {
 		fa.SetTraceID(sc.Trace.String())
 	}
@@ -642,17 +653,14 @@ func (n *Node) Get(ctx context.Context, key string) (retData []byte, _ object.Me
 		return nil, object.Meta{}, err
 	}
 	n.heat.observe(key)
-
-	n.mu.Lock()
-	prog := n.prog
-	n.mu.Unlock()
+	prog, isPrimary := n.execState()
 
 	// Get-forwarding policies (Sec 5.4: all gets forwarded to the AWS
 	// memory instance).
 	for _, ev := range prog.ByKind(policy.KindGet) {
 		env := policy.NewMapEnv()
 		env.Set("get.key", policy.StringVal(key))
-		env.Set("local_instance.isPrimary", policy.BoolVal(n.IsPrimary()))
+		env.Set("local_instance.isPrimary", policy.BoolVal(isPrimary))
 		ge := &globalGetExec{ctx: ctx, n: n, key: key}
 		fired, err := ev.Fire(env, ge)
 		if err != nil {
@@ -715,13 +723,21 @@ func (n *Node) Get(ctx context.Context, key string) (retData []byte, _ object.Me
 // the read was stale — the read-repair trigger.
 func (n *Node) trackFreshness(meta object.Meta) bool {
 	latest := meta.Version
-	for _, p := range n.Peers() {
+	// SetPeers replaces the membership slice, never edits it, so the one
+	// read here is a stable snapshot.
+	n.mu.Lock()
+	members := n.peers
+	n.mu.Unlock()
+	for _, p := range members {
+		if p.Name == n.name {
+			continue
+		}
 		node := lookupNode(p.Name)
 		if node == nil {
 			continue
 		}
-		if m, err := node.local.Objects().Latest(meta.Key); err == nil && m.Version > latest {
-			latest = m.Version
+		if v, ok := node.local.Objects().LatestVersion(meta.Key); ok && v > latest {
+			latest = v
 		}
 	}
 	if latest > meta.Version {
