@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci verify vet build test race race-obs race-obsplane race-ring race-batch race-ec race-autoscale race-tenant race-wire fuzz-wire smoke-obsplane smoke-tenancy bench bench-codec bench-smoke perf perf-compare clean convergence scaleout batchflush eccost elastic tenancy
+.PHONY: ci verify vet build test race race-obs race-obsplane race-ring race-batch race-ec race-autoscale race-tenant race-wire fuzz-wire smoke-obsplane smoke-tenancy bench bench-smoke perf perf-compare clean convergence scaleout batchflush eccost elastic tenancy
 
-ci: vet build bench-smoke race-obs race-obsplane race-ring race-batch race-ec race-autoscale race-tenant race-wire race fuzz-wire bench-codec smoke-obsplane smoke-tenancy
+ci: vet build bench-smoke race-obs race-obsplane race-ring race-batch race-ec race-autoscale race-tenant race-wire race fuzz-wire smoke-obsplane smoke-tenancy
 
 # One-stop pre-commit check: static analysis, full build, race-checked tests.
 verify: vet build bench-smoke race-obs race-obsplane race-ring race-batch race-ec race-autoscale race-tenant race-wire race
@@ -77,22 +77,17 @@ race-tenant:
 	$(GO) test -race -run 'TestTenant|TestQuota|TestByteQuota' ./internal/wiera/
 
 # Focused race pass over the binary wire codec: the codec primitives and
-# frame tests, the transport codec dispatch (gob fallback, reply-codec
-# echo), and the mixed-codec cluster interop paths where an un-upgraded
-# gob peer talks to wire peers under concurrent traffic.
+# frame tests, the transport's encode/decode by message type, and reply
+# status codes crossing both transports and a forwarded hop.
 race-wire:
 	$(GO) test -race -count=2 ./internal/wire/
-	$(GO) test -race -run 'TestWire|TestMixedCodec|TestGobOnly|TestDecodeWireFrame' ./internal/transport/ ./internal/wiera/
+	$(GO) test -race -run 'TestWire|TestDecodeWireFrame|TestRetryClassification' ./internal/transport/ ./internal/wiera/
 
-# Fuzz smoke over the wire decoder: truncated/corrupt/mutated frames must
-# error (never panic) and accepted frames must re-encode byte-exact.
+# Fuzz smoke over the wire decoder: truncated/corrupt/mutated frames and
+# status details must error (never panic) and accepted ones must re-encode
+# byte-exact.
 fuzz-wire:
 	$(GO) test -fuzz=FuzzWireRoundTrip -fuzztime=10s -run FuzzWireRoundTrip ./internal/wiera/
-
-# Codec benchmark gate: runs the gob-vs-wire encode/decode benchmarks and
-# fails if gob ever beats the wire codec or the wire steady state allocates.
-bench-codec:
-	./scripts/bench_codec.sh
 
 # The benchmark (bench/) is a module of its own that builds against this
 # one, so `go vet ./...` and `go test ./...` here never compile it: this is

@@ -1,8 +1,6 @@
 package tenant
 
 import (
-	"errors"
-	"fmt"
 	"testing"
 	"time"
 )
@@ -143,25 +141,6 @@ func TestQualifySplitRoundTrip(t *testing.T) {
 	}
 	if got := Qualify("gold", "k1"); got != "tn:gold:k1" {
 		t.Fatalf("Qualify(gold,k1) = %q, want tn:gold:k1", got)
-	}
-}
-
-func TestQuotaExceededMarkerSurvivesFlattening(t *testing.T) {
-	orig := &ErrQuotaExceeded{Tenant: "noisy", Kind: "iops"}
-	// Simulate transport string-flattening plus re-wrapping.
-	flattened := fmt.Errorf("rpc failed: %w", errors.New(orig.Error()))
-	got := AsQuotaExceeded(flattened)
-	if got == nil {
-		t.Fatal("AsQuotaExceeded failed to recover flattened NACK")
-	}
-	if got.Tenant != "noisy" || got.Kind != "iops" {
-		t.Fatalf("recovered %+v, want tenant=noisy kind=iops", got)
-	}
-	if AsQuotaExceeded(errors.New("some other error")) != nil {
-		t.Fatal("false positive on unrelated error")
-	}
-	if AsQuotaExceeded(nil) != nil {
-		t.Fatal("AsQuotaExceeded(nil) must be nil")
 	}
 }
 

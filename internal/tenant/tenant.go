@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/wire"
 )
 
 // DefaultID is the implicit tenant for untenanted clients. It has unlimited
@@ -65,11 +67,6 @@ type Config struct {
 	Bytes  float64 // bytes/sec admission quota; <=0 unlimited
 }
 
-// quotaExceededMarker prefixes the flattened form of ErrQuotaExceeded so the
-// typed NACK survives transport string-flattening, same as the wiera
-// rebalance/wrong-shard markers.
-const quotaExceededMarker = "tenant: quota exceeded: "
-
 // ErrQuotaExceeded is the typed admission NACK. It is non-retryable from the
 // client's point of view: retrying immediately would burn the backoff budget
 // against a deterministic limiter.
@@ -79,28 +76,26 @@ type ErrQuotaExceeded struct {
 }
 
 func (e *ErrQuotaExceeded) Error() string {
-	return quotaExceededMarker + e.Tenant + " " + e.Kind
+	return "tenant: quota exceeded: " + e.Tenant + " " + e.Kind
 }
 
-// AsQuotaExceeded recovers an ErrQuotaExceeded from an error that may have
-// been flattened to a string (and possibly re-wrapped) by the transport.
+// WireStatus implements wire.Coded.
+func (e *ErrQuotaExceeded) WireStatus() (wire.Code, []byte) {
+	return wire.CodeQuotaExceeded, wire.AppendString(wire.AppendString(nil, e.Tenant), e.Kind)
+}
+
+// AsQuotaExceeded recovers an ErrQuotaExceeded from err's status code and
+// detail, whether err was raised in this process or crossed any number of
+// RPC hops. It returns nil when err is something else.
 func AsQuotaExceeded(err error) *ErrQuotaExceeded {
-	if err == nil {
+	code, detail := wire.CodeOf(err)
+	if code != wire.CodeQuotaExceeded {
 		return nil
 	}
-	msg := err.Error()
-	i := strings.Index(msg, quotaExceededMarker)
-	if i < 0 {
+	r := wire.NewReader(detail)
+	e := &ErrQuotaExceeded{Tenant: r.String(), Kind: r.String()}
+	if r.Close() != nil {
 		return nil
-	}
-	rest := msg[i+len(quotaExceededMarker):]
-	fields := strings.Fields(rest)
-	e := &ErrQuotaExceeded{}
-	if len(fields) > 0 {
-		e.Tenant = fields[0]
-	}
-	if len(fields) > 1 {
-		e.Kind = fields[1]
 	}
 	return e
 }

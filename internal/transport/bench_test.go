@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"testing"
 
 	"repro/internal/clock"
@@ -52,10 +50,9 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 }
 
 // benchMsg mirrors the shape of the hot put/get messages. The transport
-// package cannot import internal/wiera (cycle), so the codec comparison
-// here uses this local type implementing the wire interfaces the same way
-// wirecodec.go does; the real-message numbers live in internal/wiera's
-// BenchmarkEncode.
+// package cannot import internal/wiera (cycle), so it implements the wire
+// interfaces the same way wirecodec.go does; the real-message numbers live
+// in internal/wiera's BenchmarkEncode.
 type benchMsg struct {
 	Key  string
 	Data []byte
@@ -76,52 +73,18 @@ func (m *benchMsg) UnmarshalWire(body []byte) error {
 	return r.Close()
 }
 
-// BenchmarkEncode compares the two codecs side by side on the same
-// message shape — gob (pooled scratch buffers and a naive fresh-buffer
-// variant) against the hand-rolled binary wire codec (via Encode's
-// dispatch, and via AppendEncode into a reused buffer, the zero-alloc
-// steady state). Each iteration is one encode+decode round trip.
+// BenchmarkEncode times one encode+decode round trip of a wire message:
+// via Encode (one exact-size allocation) and via AppendEncode into a reused
+// buffer, the zero-alloc steady state.
 func BenchmarkEncode(b *testing.B) {
 	in := benchMsg{Key: "object-key", Data: make([]byte, 4096)}
-
-	b.Run("gob/pooled", func(b *testing.B) {
-		b.SetBytes(4096)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			raw, err := EncodeWith(CodecGob, in)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var out benchMsg
-			if err := Decode(raw, &out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("gob/unpooled", func(b *testing.B) {
-		b.SetBytes(4096)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-				b.Fatal(err)
-			}
-			raw := make([]byte, buf.Len())
-			copy(raw, buf.Bytes())
-			var out benchMsg
-			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 
 	b.Run("wire", func(b *testing.B) {
 		b.SetBytes(4096)
 		b.ReportAllocs()
 		var out benchMsg
 		for i := 0; i < b.N; i++ {
-			raw, err := Encode(in) // CodecAuto dispatches to the wire codec
+			raw, err := Encode(in)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -173,30 +136,4 @@ func BenchmarkTCPPipelined(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkGobEncodeDecode pins the gob-vs-wire comparison in one
-// benchmark with shared sub-benchmark names, so `benchstat` and
-// scripts/bench_codec.sh can diff the codecs from a single run.
-func BenchmarkGobEncodeDecode(b *testing.B) {
-	in := benchMsg{Key: "object-key", Data: make([]byte, 4096)}
-	for _, codec := range []struct {
-		name string
-		c    Codec
-	}{{"gob", CodecGob}, {"wire", CodecAuto}} {
-		b.Run(codec.name, func(b *testing.B) {
-			b.SetBytes(4096)
-			b.ReportAllocs()
-			var out benchMsg
-			for i := 0; i < b.N; i++ {
-				raw, err := EncodeWith(codec.c, in)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := Decode(raw, &out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

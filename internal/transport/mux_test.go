@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // TestTCPMuxNoCrossWiring storms one client with concurrent calls and
@@ -92,11 +94,16 @@ func TestTCPMuxSingleConnection(t *testing.T) {
 }
 
 // TestTCPMuxConnSurvivesRemoteError checks a handler error is delivered as
-// RemoteError without poisoning the shared connection for other callers.
+// RemoteError — also when its text is empty: the status code, not the text,
+// says the call failed — without poisoning the shared connection for other
+// callers.
 func TestTCPMuxConnSurvivesRemoteError(t *testing.T) {
 	srv, err := ListenTCP("127.0.0.1:0", func(_ context.Context, method string, _ []byte) ([]byte, error) {
-		if method == "fail" {
+		switch method {
+		case "fail":
 			return nil, errors.New("handler boom")
+		case "empty":
+			return nil, errors.New("")
 		}
 		return []byte("ok"), nil
 	})
@@ -115,6 +122,11 @@ func TestTCPMuxConnSurvivesRemoteError(t *testing.T) {
 		if !errors.As(err, &re) || re.Msg != "handler boom" {
 			t.Fatalf("err = %v", err)
 		}
+	}
+	resp, err := client.Call(context.Background(), "", "empty", nil)
+	var re RemoteError
+	if !errors.As(err, &re) || re.Code != wire.CodeError || re.Msg != "" {
+		t.Fatalf("empty-text handler error: resp=%q err=%#v, want RemoteError with CodeError", resp, err)
 	}
 	if resp, err := client.Call(context.Background(), "", "ok", nil); err != nil || string(resp) != "ok" {
 		t.Fatalf("call after RemoteError: resp=%q err=%v", resp, err)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // wireRequest/wireResponse are the gob frame types of the TCP transport.
@@ -27,10 +28,14 @@ type wireRequest struct {
 	Payload []byte
 }
 
+// A response with Code zero is a success carrying Payload; any other Code
+// is a failure carrying Err (text) and Detail, the fields of RemoteError.
 type wireResponse struct {
 	Seq     uint64
 	Payload []byte
 	Err     string
+	Code    wire.Code
+	Detail  []byte
 }
 
 // clientWindow bounds how many calls a client keeps in flight on one
@@ -166,7 +171,8 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			resp := wireResponse{Seq: req.Seq}
 			out, err := s.serve(req.Method, req.Payload)
 			if err != nil {
-				resp.Err = err.Error()
+				re := remoteError(err)
+				resp.Code, resp.Err, resp.Detail = re.Code, re.Msg, re.Detail
 			} else {
 				resp.Payload = out
 			}
@@ -264,7 +270,7 @@ type muxConn struct {
 
 	mu      sync.Mutex
 	nextSeq uint64
-	pending map[uint64]chan wireResponse
+	pending map[uint64]chan *wireResponse
 	dead    bool
 	err     error // why the conn died (set once, before channels close)
 }
@@ -293,8 +299,8 @@ func (c *TCPClient) Call(ctx context.Context, _ string, method string, payload [
 		c.discard(mc)
 		return nil, err
 	}
-	if resp.Err != "" {
-		return nil, RemoteError{Msg: resp.Err}
+	if resp.Code != wire.CodeOK {
+		return nil, RemoteError{Code: resp.Code, Msg: resp.Err, Detail: resp.Detail}
 	}
 	return resp.Payload, nil
 }
@@ -322,7 +328,7 @@ func (c *TCPClient) acquire() (*muxConn, error) {
 		window:  make(chan struct{}, clientWindow),
 		enc:     gob.NewEncoder(bw),
 		bw:      bw,
-		pending: make(map[uint64]chan wireResponse),
+		pending: make(map[uint64]chan *wireResponse),
 	}
 	dec := gob.NewDecoder(bufio.NewReader(conn))
 	go mc.demux(dec)
@@ -386,7 +392,7 @@ func (mc *muxConn) roundTrip(method string, payload []byte) (*wireResponse, erro
 	mc.window <- struct{}{}
 	defer func() { <-mc.window }()
 
-	ch := make(chan wireResponse, 1)
+	ch := make(chan *wireResponse, 1)
 	mc.mu.Lock()
 	if mc.dead {
 		err := mc.err
@@ -419,7 +425,7 @@ func (mc *muxConn) roundTrip(method string, payload []byte) (*wireResponse, erro
 		mc.mu.Unlock()
 		return nil, err
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // demux drains tagged responses off the connection and completes the
@@ -437,7 +443,7 @@ func (mc *muxConn) demux(dec *gob.Decoder) {
 		delete(mc.pending, resp.Seq)
 		mc.mu.Unlock()
 		if ch != nil {
-			ch <- resp
+			ch <- &resp
 		}
 	}
 }
@@ -460,7 +466,7 @@ func (mc *muxConn) fail(err error) {
 	mc.dead = true
 	mc.err = err
 	pending := mc.pending
-	mc.pending = make(map[uint64]chan wireResponse)
+	mc.pending = make(map[uint64]chan *wireResponse)
 	mc.mu.Unlock()
 	mc.conn.Close()
 	for _, ch := range pending {

@@ -9,11 +9,11 @@
 //     cmd/wiera daemon and cmd/wieractl client.
 //
 // Payloads are opaque bytes; callers encode typed messages with the
-// Encode/Decode helpers. Hot-path messages (put/get/batch/repair/ec) use
-// the hand-rolled binary codec in internal/wire; everything else uses
-// encoding/gob. Frames are self-describing — Decode routes on the leading
-// magic bytes — so mixed-codec and mixed-version peers interoperate (see
-// Codec and DESIGN.md §14).
+// Encode/Decode helpers. A message's type alone decides its encoding:
+// hot-path messages (put/get/batch/repair/ec) implement wire.Marshaler and
+// travel as internal/wire frames, everything else uses encoding/gob (see
+// DESIGN.md §13). A failed call comes back as a RemoteError carrying the
+// handler error's status code and detail.
 //
 // Both implementations carry distributed-trace context across calls: when
 // the caller's context holds a telemetry span, its SpanContext is prepended
@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/flight"
 	"repro/internal/simnet"
@@ -41,7 +40,7 @@ import (
 
 // Handler serves one method invocation. The context carries the server-side
 // trace span (if the caller propagated one). Returning an error transmits
-// the error text to the caller.
+// its text, and the status it declares (wire.Coded), to the caller.
 type Handler func(ctx context.Context, method string, payload []byte) ([]byte, error)
 
 // Caller issues RPCs to a named endpoint.
@@ -60,12 +59,28 @@ var (
 	ErrClosed = errors.New("transport: closed")
 )
 
-// RemoteError wraps an error returned by a remote handler, distinguishing
-// it from transport failures.
-type RemoteError struct{ Msg string }
+// RemoteError is an error returned by a remote handler, as opposed to a
+// transport failure. Code and Detail are what the handler's error declared
+// (wire.CodeError and nil when it declared nothing); Msg is its text, for
+// people only.
+type RemoteError struct {
+	Code   wire.Code
+	Msg    string
+	Detail []byte
+}
 
 // Error implements error.
 func (e RemoteError) Error() string { return "transport: remote error: " + e.Msg }
+
+// WireStatus implements wire.Coded, so a handler that returns (or wraps) a
+// RemoteError from a forwarded call hands its caller the original status.
+func (e RemoteError) WireStatus() (wire.Code, []byte) { return e.Code, e.Detail }
+
+// remoteError is what a caller receives for a handler's non-nil error.
+func remoteError(herr error) RemoteError {
+	code, detail := wire.CodeOf(herr)
+	return RemoteError{Code: code, Msg: herr.Error(), Detail: detail}
+}
 
 // Fabric connects in-process endpoints through the simulated WAN. Every
 // call sleeps for the simnet transfer time of its request and response
@@ -387,7 +402,7 @@ func (e *Endpoint) Call(ctx context.Context, dst, method string, payload []byte)
 		clientSpan.SetAttr("wan.response", back.String())
 	}
 	if herr != nil {
-		rerr := RemoteError{Msg: herr.Error()}
+		rerr := remoteError(herr)
 		clientSpan.SetError(rerr)
 		clientSpan.End()
 		return nil, rerr
@@ -447,56 +462,28 @@ func (f *Fabric) dispatch(target *Endpoint, h Handler, method string, payload []
 	return resp, herr
 }
 
-// Codec selects how Encode serializes a message. The decode side needs no
-// selection: payloads are self-describing (wire frames open with a magic
-// byte gob streams can never produce), so Decode always accepts both.
+// Codec and its single value survive only because the frozen benchmark
+// (bench/sides.go) passes CodecAuto to AppendEncode.
 type Codec uint8
 
-const (
-	// CodecAuto uses the hand-rolled binary codec for messages that
-	// implement wire.Marshaler (the put/get/batch/repair/ec hot path) and
-	// gob for everything else. This is the process default.
-	CodecAuto Codec = iota
-	// CodecGob forces gob for every message — the pre-wire format. Used
-	// during rolling upgrades while gob-only peers remain, and by the
-	// mixed-codec interop tests.
-	CodecGob
-)
+// CodecAuto is the only encoding rule: see Encode.
+const CodecAuto Codec = 0
 
-// defaultCodec is the process-wide codec used by Encode. Nodes and clients
-// can override it per instance; this atomic only sets the default.
-var defaultCodec atomic.Uint32
-
-// DefaultCodec returns the process-wide default encode codec.
-func DefaultCodec() Codec { return Codec(defaultCodec.Load()) }
-
-// SetDefaultCodec sets the process-wide default encode codec.
-func SetDefaultCodec(c Codec) { defaultCodec.Store(uint32(c)) }
-
-// encBufPool recycles encode scratch buffers: a hot replication path
-// encodes thousands of payloads per flush, and re-growing a fresh
-// bytes.Buffer for each one dominated the allocation profile. Buffers keep
-// their grown capacity across uses, so steady-state gob Encode allocates
-// only the returned copy (plus gob's own encoder state).
+// encBufPool recycles gob encode scratch buffers, which keep their grown
+// capacity across uses, so Encode allocates only the returned copy (plus
+// gob's own encoder state).
 var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // decReaderPool recycles the reader wrapper gob Decode needs around its
 // input.
 var decReaderPool = sync.Pool{New: func() any { return bytes.NewReader(nil) }}
 
-// Encode serializes v for use as an RPC payload using the process default
-// codec. The returned slice is owned by the caller.
-func Encode(v any) ([]byte, error) { return EncodeWith(DefaultCodec(), v) }
-
-// EncodeWith serializes v under an explicit codec choice. Under CodecAuto,
-// messages implementing wire.Marshaler take the binary fast path — a
-// single exact-size allocation, no reflection; everything else (and
-// everything under CodecGob) goes through gob.
-func EncodeWith(c Codec, v any) ([]byte, error) {
-	if c != CodecGob {
-		if m, ok := v.(wire.Marshaler); ok {
-			return wire.Marshal(m), nil
-		}
+// Encode serializes v for use as an RPC payload: as a wire frame (a single
+// exact-size allocation, no reflection) when v implements wire.Marshaler,
+// with gob otherwise. The returned slice is owned by the caller.
+func Encode(v any) ([]byte, error) {
+	if m, ok := v.(wire.Marshaler); ok {
+		return wire.Marshal(m), nil
 	}
 	buf := encBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -510,14 +497,11 @@ func EncodeWith(c Codec, v any) ([]byte, error) {
 	return out, nil
 }
 
-// AppendEncode appends v's binary frame to dst when v supports the wire
-// codec and c permits it, avoiding the per-message allocation Encode pays.
-// The bool result reports whether the fast path was taken; when false the
-// caller must fall back to Encode (gob needs its own buffer management).
-func AppendEncode(c Codec, dst []byte, v any) ([]byte, bool) {
-	if c == CodecGob {
-		return dst, false
-	}
+// AppendEncode appends v's wire frame to dst, avoiding the allocation
+// Encode pays. It reports false, leaving dst as it was, when v has no wire
+// encoding; the caller then uses Encode. The first parameter is ignored; it
+// stays because bench/sides.go passes it.
+func AppendEncode(_ Codec, dst []byte, v any) ([]byte, bool) {
 	m, ok := v.(wire.Marshaler)
 	if !ok {
 		return dst, false
@@ -525,22 +509,18 @@ func AppendEncode(c Codec, dst []byte, v any) ([]byte, bool) {
 	return wire.AppendFrame(dst, m), true
 }
 
-// Decode deserializes an RPC payload into v (a pointer). The payload's
-// leading bytes pick the decoder: binary wire frames (magic 0xBD 0x57) go
-// to the message's UnmarshalWire, anything else is gob. A wire frame
-// arriving for a type without a binary decoding is an error; a gob payload
-// for a wire-capable type decodes fine — that is what lets an upgraded
-// node keep serving gob-only peers.
+// Decode deserializes an RPC payload into v (a pointer) with the encoding
+// v's type has: a wire frame for a wire.Unmarshaler, gob for anything else.
+// A payload in the other encoding is an error.
 func Decode(data []byte, v any) error {
-	if wire.Is(data) {
-		u, ok := v.(wire.Unmarshaler)
-		if !ok {
-			return fmt.Errorf("transport: decode: wire frame for non-wire type %T", v)
-		}
+	if u, ok := v.(wire.Unmarshaler); ok {
 		if err := wire.Unmarshal(data, u); err != nil {
 			return fmt.Errorf("transport: decode: %w", err)
 		}
 		return nil
+	}
+	if wire.Is(data) {
+		return fmt.Errorf("transport: decode: wire frame for non-wire type %T", v)
 	}
 	r := decReaderPool.Get().(*bytes.Reader)
 	r.Reset(data)

@@ -168,7 +168,7 @@ func (b *batcher) pushPeer(ctx context.Context, p PeerInfo, msgs []UpdateMsg) []
 	fa := flight.FromContext(ctx)
 	base := 0
 	for _, chunk := range b.chunkUpdates(msgs) {
-		payload, err := b.n.enc(UpdateBatchRequest{Updates: chunk})
+		payload, err := transport.Encode(UpdateBatchRequest{Updates: chunk})
 		if err != nil {
 			for i := range chunk {
 				failed = append(failed, base+i)
@@ -228,7 +228,7 @@ func (b *batcher) pushAsync(target string, msg UpdateMsg) {
 		// Per-key ablation: one ApplyUpdate RPC per update, as before.
 		n := b.n
 		go func() {
-			payload, err := n.enc(msg)
+			payload, err := transport.Encode(msg)
 			if err != nil {
 				return
 			}

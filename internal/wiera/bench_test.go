@@ -29,15 +29,7 @@ type benchStack struct {
 	cli    *Client
 }
 
-func newBenchStack(b *testing.B, telemetryOn bool, extraParams ...map[string]string) *benchStack {
-	var extra map[string]string
-	if len(extraParams) > 0 {
-		extra = extraParams[0]
-	}
-	return newBenchStackParams(b, telemetryOn, extra)
-}
-
-func newBenchStackParams(b *testing.B, telemetryOn bool, extraParams map[string]string) *benchStack {
+func newBenchStack(b *testing.B, telemetryOn bool) *benchStack {
 	b.Helper()
 	// A huge compression factor makes the simulated WAN sleeps vanish in
 	// real time, so the benchmark measures code cost, not timer resolution.
@@ -70,12 +62,8 @@ func newBenchStackParams(b *testing.B, telemetryOn bool, extraParams map[string]
 	if err != nil {
 		b.Fatal(err)
 	}
-	params := map[string]string{"t": "1h"}
-	for k, v := range extraParams {
-		params[k] = v
-	}
 	if _, err := srv.StartInstances(StartInstancesRequest{
-		InstanceID: "bench", PolicySrc: src, Params: params,
+		InstanceID: "bench", PolicySrc: src, Params: map[string]string{"t": "1h"},
 	}); err != nil {
 		b.Fatal(err)
 	}
@@ -116,14 +104,16 @@ func BenchmarkClientPut(b *testing.B) {
 	}
 }
 
-// BenchmarkEncode compares gob against the binary wire codec on the real
-// hot-path messages (not a stand-in shape — see internal/transport's
-// BenchmarkEncode for the transport-local variant). Each iteration is one
-// encode+decode round trip; wire/append is the steady state the node and
-// client hit in production (reused buffer, zero allocations).
-func BenchmarkEncode(b *testing.B) {
+// encodeMessages are the real hot-path messages (not a stand-in shape — see
+// internal/transport's BenchmarkEncode for the transport-local variant)
+// that BenchmarkEncode times and TestEncodeDecodeZeroAlloc gates.
+func encodeMessages() []struct {
+	name string
+	msg  any
+	zero func() any
+} {
 	meta := sampleMeta("bench-key")
-	messages := []struct {
+	return []struct {
 		name string
 		msg  any
 		zero func() any
@@ -140,25 +130,18 @@ func BenchmarkEncode(b *testing.B) {
 			{Meta: meta, Data: make([]byte, 1024)},
 		}}, func() any { return &UpdateBatchRequest{} }},
 	}
-	for _, m := range messages {
-		raw, err := transport.EncodeWith(transport.CodecGob, m.msg)
+}
+
+// BenchmarkEncode times one encode+decode round trip per iteration: "wire"
+// allocates the frame, "wire/append" is the steady state (reused buffer and
+// destination, zero allocations).
+func BenchmarkEncode(b *testing.B) {
+	for _, m := range encodeMessages() {
+		raw, err := transport.Encode(m.msg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		payload := int64(len(raw))
-		b.Run(m.name+"/gob", func(b *testing.B) {
-			b.SetBytes(payload)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				raw, err := transport.EncodeWith(transport.CodecGob, m.msg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := transport.Decode(raw, m.zero()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(m.name+"/wire", func(b *testing.B) {
 			b.SetBytes(payload)
 			b.ReportAllocs()
@@ -185,35 +168,6 @@ func BenchmarkEncode(b *testing.B) {
 				}
 				buf = raw
 				if err := transport.Decode(raw, out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkClientPutCodec measures the end-to-end effect of the wire codec
-// on a full client put — same stack as BenchmarkClientPut, but flipping
-// the process-default codec between gob and the binary wire format.
-func BenchmarkClientPutCodec(b *testing.B) {
-	for _, variant := range []struct {
-		name  string
-		codec transport.Codec
-	}{{"gob", transport.CodecGob}, {"wire", transport.CodecAuto}} {
-		b.Run(variant.name, func(b *testing.B) {
-			param := "gob"
-			if variant.codec == transport.CodecAuto {
-				param = "binary"
-			}
-			s := newBenchStack(b, false, map[string]string{"wireCodec": param})
-			s.cli.SetCodec(variant.codec)
-			ctx := context.Background()
-			data := make([]byte, 4096)
-			b.SetBytes(4096)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.cli.Put(ctx, fmt.Sprintf("k%d", i%64), data); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,6 +15,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // clientMaxAttempts bounds one logical operation's retries: transient
@@ -48,10 +48,6 @@ type Client struct {
 	// the tenant-disjoint key family. Empty or "default" leaves keys bare
 	// (the untenanted compatibility path).
 	tenantID string
-	// codec selects how outgoing request payloads are encoded. The zero
-	// value CodecAuto takes the binary wire codec on keyed ops; SetCodec
-	// with CodecGob emulates a not-yet-upgraded client.
-	codec transport.Codec
 
 	mu      sync.RWMutex
 	nodes   []PeerInfo // sorted by RTT from the client's region
@@ -101,13 +97,6 @@ func NewTenantClient(fabric *transport.Fabric, name string, region simnet.Region
 
 // SetTenant changes the client's tenant context for subsequent keyed ops.
 func (c *Client) SetTenant(id string) { c.tenantID = id }
-
-// SetCodec changes how the client encodes outgoing requests (CodecGob
-// emulates a legacy gob-only client; decoding always accepts both).
-func (c *Client) SetCodec(codec transport.Codec) { c.codec = codec }
-
-// enc encodes an outgoing request payload under the client's codec.
-func (c *Client) enc(v any) ([]byte, error) { return transport.EncodeWith(c.codec, v) }
 
 // Tenant reports the client's tenant context ("" = default tenant).
 func (c *Client) Tenant() string { return c.tenantID }
@@ -337,37 +326,38 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return base/2 + j
 }
 
-// failFastErr reports whether err carries a marker-prefixed typed NACK that
-// deterministically recurs on immediate retry: quota admission denials and
-// rebalance-in-progress. Burning the backoff budget on these delays the
-// caller without any chance of success, so callKey surfaces them at once.
-func failFastErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	return tenant.AsQuotaExceeded(err) != nil || AsRebalanceInProgress(err) != nil
-}
+// callAction is what callKey does after one node failed an operation.
+type callAction int
 
-// transientErr reports whether err is a connectivity failure worth retrying
-// on another node (application errors surface immediately). A node that
-// answers "shutting down" counts too: it is leaving the instance (teardown
-// or policy change) and a refreshed view routes around it.
-func transientErr(err error) bool {
-	if errors.Is(err, transport.ErrNoEndpoint) {
-		return true
+const (
+	actReturn   callAction = iota // application error or deterministic NACK: return it at once, spending no backoff
+	actNextNode                   // this node cannot serve: try the next candidate
+	actReroute                    // stale shard map: refresh and re-route
+)
+
+// classify is the client's retry policy, decided by the reply's status code
+// alone. A code survives forwarded hops and %w wrapping unchanged, so what
+// the error text happens to contain never matters.
+func classify(err error) callAction {
+	switch code, _ := wire.CodeOf(err); code {
+	case wire.CodeWrongShard:
+		return actReroute
+	case wire.CodeQuotaExceeded, wire.CodeRebalanceInProgress:
+		// Neither the remaining candidates nor the backoff budget can change
+		// a deterministic answer.
+		return actReturn
+	case wire.CodeUnavailable:
+		// The node is leaving the instance (teardown or policy change); a
+		// refreshed view routes around it.
+		return actNextNode
 	}
+	// No declared code: a handler's application error surfaces; a call that
+	// never reached a handler (no endpoint, partition) moves on.
 	var ue simnet.ErrUnreachable
-	if errors.As(err, &ue) {
-		return true
+	if errors.Is(err, transport.ErrNoEndpoint) || errors.As(err, &ue) {
+		return actNextNode
 	}
-	// Typed NACKs are never transient, even when the surrounding error text
-	// happens to contain a retryable substring (a forwarded op's flattened
-	// chain can accumulate both).
-	if failFastErr(err) {
-		return false
-	}
-	// ErrChanging arrives string-flattened through the transport.
-	return strings.Contains(err.Error(), ErrChanging.Error())
+	return actReturn
 }
 
 // startOp opens the operation's trace span: a child when the caller's ctx
@@ -432,19 +422,16 @@ func (c *Client) callKey(ctx context.Context, method string, payload []byte, key
 			// replica NACKs wrong-shard, a dead one times out — either way the
 			// next read re-learns the set from the owner.
 			c.dropHotHint(key)
-			if ws := AsWrongShard(err); ws != nil {
+			act := classify(err)
+			if act == actReturn {
+				return nil, err
+			}
+			if act == actReroute {
 				wrongShard = true
-				redirect = ws.Owner
+				if ws := AsWrongShard(err); ws != nil {
+					redirect = ws.Owner
+				}
 				break
-			}
-			// Typed NACKs (quota exceeded, rebalance in progress) fail fast:
-			// the condition is deterministic, so neither the remaining
-			// candidates nor the backoff budget can change the answer.
-			if failFastErr(err) {
-				return nil, err
-			}
-			if !transientErr(err) {
-				return nil, err
 			}
 		}
 		if wrongShard {
@@ -487,7 +474,7 @@ func (c *Client) Put(ctx context.Context, key string, data []byte) (object.Meta,
 	ctx, span := c.startOp(ctx, "client.put")
 	defer span.End()
 	key = c.qualify(key)
-	payload, err := c.enc(PutRequest{Key: key, Data: data})
+	payload, err := transport.Encode(PutRequest{Key: key, Data: data})
 	if err != nil {
 		span.SetError(err)
 		return object.Meta{}, err
@@ -510,7 +497,7 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, object.Meta, erro
 	ctx, span := c.startOp(ctx, "client.get")
 	defer span.End()
 	key = c.qualify(key)
-	payload, err := c.enc(GetRequest{Key: key})
+	payload, err := transport.Encode(GetRequest{Key: key})
 	if err != nil {
 		span.SetError(err)
 		return nil, object.Meta{}, err
@@ -534,7 +521,7 @@ func (c *Client) GetVersion(ctx context.Context, key string, v object.Version) (
 	ctx, span := c.startOp(ctx, "client.getVersion")
 	defer span.End()
 	key = c.qualify(key)
-	payload, err := c.enc(GetVersionRequest{Key: key, Version: v})
+	payload, err := transport.Encode(GetVersionRequest{Key: key, Version: v})
 	if err != nil {
 		return nil, object.Meta{}, err
 	}
@@ -573,7 +560,7 @@ func (c *Client) Remove(ctx context.Context, key string) error {
 	ctx, span := c.startOp(ctx, "client.remove")
 	defer span.End()
 	key = c.qualify(key)
-	payload, err := c.enc(RemoveRequest{Key: key})
+	payload, err := transport.Encode(RemoveRequest{Key: key})
 	if err != nil {
 		return err
 	}
@@ -587,7 +574,7 @@ func (c *Client) Remove(ctx context.Context, key string) error {
 // RemoveVersion deletes one version of key (Table 2 removeVersion).
 func (c *Client) RemoveVersion(ctx context.Context, key string, v object.Version) error {
 	key = c.qualify(key)
-	payload, err := c.enc(RemoveVersionRequest{Key: key, Version: v})
+	payload, err := transport.Encode(RemoveVersionRequest{Key: key, Version: v})
 	if err != nil {
 		return err
 	}

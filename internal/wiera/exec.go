@@ -85,7 +85,7 @@ func (e *globalPutExec) Do(call *policy.ActionCall) error {
 		if err != nil {
 			return err
 		}
-		payload, err := e.n.enc(PutRequest{Key: e.key, Data: e.data, Tags: e.tags, From: e.n.name})
+		payload, err := transport.Encode(PutRequest{Key: e.key, Data: e.data, Tags: e.tags, From: e.n.name})
 		if err != nil {
 			return err
 		}
@@ -140,7 +140,7 @@ func (e *globalPutExec) distribute(call *policy.ActionCall, sync bool) error {
 			e.n.batch.pushAsync(target, msg)
 			return nil
 		}
-		payload, err := e.n.enc(msg)
+		payload, err := transport.Encode(msg)
 		if err != nil {
 			return err
 		}
@@ -212,7 +212,7 @@ func (e *globalGetExec) Do(call *policy.ActionCall) error {
 			e.resp = &GetResponse{Data: data, Meta: meta}
 			return nil
 		}
-		payload, err := e.n.enc(GetRequest{Key: e.key})
+		payload, err := transport.Encode(GetRequest{Key: e.key})
 		if err != nil {
 			return err
 		}

@@ -1,13 +1,23 @@
 package wiera
 
 import (
-	"errors"
 	"sync"
+
+	"repro/internal/wire"
 )
 
 // ErrChanging is returned to operations arriving while a policy change is
-// in its prepare phase if the gate is shut down underneath them.
-var ErrChanging = errors.New("wiera: node shutting down during policy change")
+// in its prepare phase if the gate is shut down underneath them. The node
+// is leaving the instance, so it declares wire.CodeUnavailable: a client
+// tries the next node.
+var ErrChanging error = changingError{}
+
+type changingError struct{}
+
+func (changingError) Error() string { return "wiera: node shutting down during policy change" }
+
+// WireStatus implements wire.Coded.
+func (changingError) WireStatus() (wire.Code, []byte) { return wire.CodeUnavailable, nil }
 
 // opGate admits operations while open and blocks them during a policy
 // change: freeze waits for in-flight operations to drain, then holds new

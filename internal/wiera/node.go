@@ -23,7 +23,6 @@ import (
 	"repro/internal/tier"
 	"repro/internal/tiera"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // lockWait bounds how long a node waits for the global per-key lock.
@@ -132,12 +131,6 @@ type NodeConfig struct {
 	// SLOInterval is the SLO engine's evaluation period (default 1s of
 	// clock time).
 	SLOInterval time.Duration
-	// WireCodec selects how this node encodes outgoing RPC payloads (the
-	// wireCodec spawn param). The zero value CodecAuto uses the binary wire
-	// codec for hot-path messages; CodecGob forces gob everywhere — the
-	// pre-upgrade format — for mixed-version clusters. Decoding always
-	// accepts both formats regardless of this setting.
-	WireCodec transport.Codec
 	// MetaPath persists local metadata when non-empty.
 	MetaPath string
 	// ExtraTiers installs pre-built tiers into the local instance, keyed by
@@ -158,7 +151,6 @@ type Node struct {
 	fabric     *transport.Fabric
 	locks      *coord.Client
 	serverDst  string
-	codec      transport.Codec // encode codec for outgoing requests
 
 	mu         sync.Mutex
 	prog       *policy.Program
@@ -254,7 +246,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		ep:         ep,
 		fabric:     cfg.Fabric,
 		serverDst:  cfg.ServerDst,
-		codec:      cfg.WireCodec,
 		prog:       prog,
 		policyName: cfg.GlobalSpec.Name,
 		primary:    cfg.Primary,
@@ -771,7 +762,7 @@ func (n *Node) Remove(ctx context.Context, key string) error {
 	if len(peers) == 0 {
 		return nil
 	}
-	payload, err := n.enc(RemoveRequest{Key: key})
+	payload, err := transport.Encode(RemoveRequest{Key: key})
 	if err != nil {
 		return err
 	}
@@ -806,7 +797,7 @@ func (n *Node) getFromPeers(ctx context.Context, key string) ([]byte, object.Met
 	var lastErr error = object.ErrNotFound{Key: key}
 	fa := flight.FromContext(ctx)
 	for _, p := range peers {
-		payload, err := n.enc(GetRequest{Key: key})
+		payload, err := transport.Encode(GetRequest{Key: key})
 		if err != nil {
 			return nil, object.Meta{}, err
 		}
@@ -878,7 +869,7 @@ func (n *Node) fanOutSync(ctx context.Context, msg UpdateMsg) error {
 	if len(peers) == 0 {
 		return nil
 	}
-	payload, err := n.enc(msg)
+	payload, err := transport.Encode(msg)
 	if err != nil {
 		return err
 	}
@@ -920,26 +911,9 @@ func (n *Node) fanOutSync(ctx context.Context, msg UpdateMsg) error {
 	return firstErr
 }
 
-// enc encodes an outgoing request payload under the node's codec.
-func (n *Node) enc(v any) ([]byte, error) {
-	return transport.EncodeWith(n.codec, v)
-}
-
-// replyCodec picks the codec for a response: answer in the format the
-// request arrived in. A binary request proves the peer decodes wire
-// frames, so the node's own codec applies; a gob request may come from a
-// not-yet-upgraded peer, so the reply stays gob.
-func (n *Node) replyCodec(payload []byte) transport.Codec {
-	if wire.Is(payload) {
-		return n.codec
-	}
-	return transport.CodecGob
-}
-
 // handle is the node's RPC dispatcher. ctx carries the caller's trace
 // span (extracted from the wire envelope by the transport layer).
 func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	rc := n.replyCodec(payload)
 	switch method {
 	case MethodPut:
 		var req PutRequest
@@ -950,7 +924,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		if err != nil {
 			return nil, err
 		}
-		return transport.EncodeWith(rc, PutResponse{Meta: meta})
+		return transport.Encode(PutResponse{Meta: meta})
 	case MethodForwardPut:
 		var req PutRequest
 		if err := transport.Decode(payload, &req); err != nil {
@@ -961,7 +935,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		if err != nil {
 			return nil, err
 		}
-		return transport.EncodeWith(rc, PutResponse{Meta: meta})
+		return transport.Encode(PutResponse{Meta: meta})
 	case MethodGet:
 		var req GetRequest
 		if err := transport.Decode(payload, &req); err != nil {
@@ -973,7 +947,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		}
 		// A hot key's owner advertises its replica set so the client can
 		// spread subsequent gets; empty clears any hint the client holds.
-		return transport.EncodeWith(rc, GetResponse{
+		return transport.Encode(GetResponse{
 			Data: data, Meta: meta, HotReplicas: n.heat.replicasFor(req.Key),
 		})
 	case MethodForwardGet:
@@ -988,7 +962,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		if err != nil {
 			return nil, err
 		}
-		return transport.EncodeWith(rc, GetResponse{Data: data, Meta: meta})
+		return transport.Encode(GetResponse{Data: data, Meta: meta})
 	case MethodGetVersion:
 		var req GetVersionRequest
 		if err := transport.Decode(payload, &req); err != nil {
@@ -1004,7 +978,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		if err != nil {
 			return nil, err
 		}
-		return transport.EncodeWith(rc, GetResponse{Data: data, Meta: meta})
+		return transport.Encode(GetResponse{Data: data, Meta: meta})
 	case MethodVersionList:
 		var req VersionListRequest
 		if err := transport.Decode(payload, &req); err != nil {
@@ -1017,7 +991,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		if err != nil {
 			return nil, err
 		}
-		return transport.EncodeWith(rc, VersionListResponse{Versions: vs})
+		return transport.Encode(VersionListResponse{Versions: vs})
 	case MethodRemove:
 		var req RemoveRequest
 		if err := transport.Decode(payload, &req); err != nil {
@@ -1037,7 +1011,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 				return nil, err
 			}
 		}
-		return transport.EncodeWith(rc, Empty{})
+		return transport.Encode(Empty{})
 	case MethodRemoveVer:
 		var req RemoveVersionRequest
 		if err := transport.Decode(payload, &req); err != nil {
@@ -1049,7 +1023,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		if err := n.RemoveVersion(ctx, req.Key, req.Version); err != nil {
 			return nil, err
 		}
-		return transport.EncodeWith(rc, Empty{})
+		return transport.Encode(Empty{})
 	case MethodApplyUpdate:
 		var msg UpdateMsg
 		if err := transport.Decode(payload, &msg); err != nil {
@@ -1061,7 +1035,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		if err != nil {
 			return nil, err
 		}
-		return transport.EncodeWith(rc, UpdateAck{Accepted: accepted})
+		return transport.Encode(UpdateAck{Accepted: accepted})
 	case MethodApplyUpdateBatch:
 		var req UpdateBatchRequest
 		if err := transport.Decode(payload, &req); err != nil {
@@ -1079,7 +1053,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 			}
 			resp.Acks[i].Accepted = accepted
 		}
-		return transport.EncodeWith(rc, resp)
+		return transport.Encode(resp)
 	case MethodECFrag:
 		return n.ecm.handleECFrag(ctx, payload)
 	case MethodPlacement:
@@ -1096,7 +1070,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
 		}
-		return transport.EncodeWith(rc, n.ecm.placementLocal(req.Key))
+		return transport.Encode(n.ecm.placementLocal(req.Key))
 	case MethodHotInstall:
 		var msg HotInstallMsg
 		if err := transport.Decode(payload, &msg); err != nil {
@@ -1106,14 +1080,14 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 			return nil, fmt.Errorf("wiera: node %s: heat tracking disabled", n.name)
 		}
 		n.heat.handleInstall(msg)
-		return transport.EncodeWith(rc, Empty{})
+		return transport.Encode(Empty{})
 	case MethodHotDrop:
 		var msg HotDropMsg
 		if err := transport.Decode(payload, &msg); err != nil {
 			return nil, err
 		}
 		n.heat.handleDrop(msg.Key)
-		return transport.EncodeWith(rc, Empty{})
+		return transport.Encode(Empty{})
 	case MethodSnapshot:
 		return n.snapshot(ctx)
 	case MethodRepairDigest, MethodRepairEntries, MethodRepairPull, MethodRepairPush:
@@ -1127,20 +1101,20 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 			return nil, err
 		}
 		n.SetPeers(msg.Peers, msg.Primary)
-		return transport.EncodeWith(rc, Empty{})
+		return transport.Encode(Empty{})
 	case MethodSetRing:
 		var msg RingMsg
 		if err := transport.Decode(payload, &msg); err != nil {
 			return nil, err
 		}
 		n.shards.install(msg)
-		return transport.EncodeWith(rc, Empty{})
+		return transport.Encode(Empty{})
 	case MethodRingDrain:
 		moved, err := n.shards.drain(ctx)
 		if err != nil {
 			return nil, err
 		}
-		return transport.EncodeWith(rc, RingDrainResponse{Moved: moved})
+		return transport.Encode(RingDrainResponse{Moved: moved})
 	case MethodSetPrimary:
 		var msg SetPrimaryMsg
 		if err := transport.Decode(payload, &msg); err != nil {
@@ -1151,7 +1125,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		n.mu.Unlock()
 		n.reqMon.reset()
 		n.sloMon.reset()
-		return transport.EncodeWith(rc, Empty{})
+		return transport.Encode(Empty{})
 	case MethodPrepareChange:
 		var msg PrepareChangeMsg
 		if err := transport.Decode(payload, &msg); err != nil {
@@ -1160,7 +1134,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		if err := n.prepareChange(msg.Epoch); err != nil {
 			return nil, err
 		}
-		return transport.EncodeWith(rc, Empty{})
+		return transport.Encode(Empty{})
 	case MethodCommitChange:
 		var msg CommitChangeMsg
 		if err := transport.Decode(payload, &msg); err != nil {
@@ -1169,14 +1143,14 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		if err := n.commitChange(msg); err != nil {
 			return nil, err
 		}
-		return transport.EncodeWith(rc, Empty{})
+		return transport.Encode(Empty{})
 	case MethodStats:
-		return transport.EncodeWith(rc, n.statsLocal())
+		return transport.Encode(n.statsLocal())
 	case MethodPing:
-		return transport.EncodeWith(rc, PongMsg{Name: n.name})
+		return transport.Encode(PongMsg{Name: n.name})
 	case MethodShutdown:
 		go n.Close()
-		return transport.EncodeWith(rc, Empty{})
+		return transport.Encode(Empty{})
 	default:
 		return nil, fmt.Errorf("wiera: node %s: unknown method %q", n.name, method)
 	}

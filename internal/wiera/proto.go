@@ -10,7 +10,6 @@ package wiera
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/flight"
@@ -20,6 +19,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
 	"repro/internal/watch"
+	"repro/internal/wire"
 )
 
 // RPC method names. The application-facing ones implement the paper's
@@ -388,10 +388,6 @@ type HeatTopResponse struct {
 	Entries []HeatKey
 }
 
-// rebalanceMarker prefixes every ErrRebalanceInProgress so the typed error
-// survives the transport's error flattening, exactly like wrongShardMarker.
-const rebalanceMarker = "wiera: rebalance in progress: "
-
 // ErrRebalanceInProgress is the NACK for AddWorker/RemoveWorker when the
 // instance already has an unsettled ring change in flight: membership
 // changes are strictly serialized, so the autoscaler and a manual wieractl
@@ -401,71 +397,65 @@ type ErrRebalanceInProgress struct {
 	InstanceID string
 }
 
-// Error implements error with the parseable wire format.
 func (e *ErrRebalanceInProgress) Error() string {
-	return rebalanceMarker + e.InstanceID
+	return "wiera: rebalance in progress: " + e.InstanceID
 }
 
-// AsRebalanceInProgress recovers an ErrRebalanceInProgress from an error
-// that crossed the fabric. It returns nil when err is something else.
+// WireStatus implements wire.Coded.
+func (e *ErrRebalanceInProgress) WireStatus() (wire.Code, []byte) {
+	return wire.CodeRebalanceInProgress, wire.AppendString(nil, e.InstanceID)
+}
+
+// AsRebalanceInProgress recovers an ErrRebalanceInProgress from err's
+// status code and detail (raised locally or carried by a reply). It returns
+// nil when err is something else.
 func AsRebalanceInProgress(err error) *ErrRebalanceInProgress {
-	if err == nil {
+	code, detail := wire.CodeOf(err)
+	if code != wire.CodeRebalanceInProgress {
 		return nil
 	}
-	msg := err.Error()
-	i := strings.Index(msg, rebalanceMarker)
-	if i < 0 {
+	r := wire.NewReader(detail)
+	e := &ErrRebalanceInProgress{InstanceID: r.String()}
+	if r.Close() != nil {
 		return nil
 	}
-	return &ErrRebalanceInProgress{InstanceID: msg[i+len(rebalanceMarker):]}
+	return e
 }
-
-// wrongShardMarker prefixes every WrongShardError so the string form
-// survives the transport's error flattening and is recognizable remotely.
-const wrongShardMarker = "wiera: wrong shard: "
 
 // WrongShardError is a worker's NACK for an operation on a key it does not
 // own: the client's shard map is stale (or the op raced a rebalance). It
 // names the epoch the worker holds and the in-region owner so the client
 // can refresh its map, or retry directly against Owner.
-//
-// The transport layer flattens handler errors into strings, so the error
-// must round-trip through its message: Error() emits a fixed grammar and
-// AsWrongShard parses it back.
 type WrongShardError struct {
 	Epoch int64  // ring epoch at the NACKing worker
 	Shard int    // shard that owns the key under that epoch
 	Owner string // in-region worker serving the shard
 }
 
-// Error implements error with the parseable wire format.
 func (e *WrongShardError) Error() string {
-	return fmt.Sprintf("%sepoch=%d shard=%d owner=%s", wrongShardMarker, e.Epoch, e.Shard, e.Owner)
+	return fmt.Sprintf("wiera: wrong shard: epoch=%d shard=%d owner=%s", e.Epoch, e.Shard, e.Owner)
 }
 
-// AsWrongShard recovers a WrongShardError from an error that crossed the
-// fabric (where typed errors collapse to strings). It returns nil when err
-// is not a wrong-shard NACK.
+// WireStatus implements wire.Coded.
+func (e *WrongShardError) WireStatus() (wire.Code, []byte) {
+	d := wire.AppendVarint(nil, e.Epoch)
+	d = wire.AppendVarint(d, int64(e.Shard))
+	return wire.CodeWrongShard, wire.AppendString(d, e.Owner)
+}
+
+// AsWrongShard recovers a WrongShardError from err's status code and
+// detail. It returns nil when err is not a wrong-shard NACK.
 func AsWrongShard(err error) *WrongShardError {
-	if err == nil {
+	code, detail := wire.CodeOf(err)
+	if code != wire.CodeWrongShard {
 		return nil
 	}
-	msg := err.Error()
-	i := strings.Index(msg, wrongShardMarker)
-	if i < 0 {
+	r := wire.NewReader(detail)
+	e := &WrongShardError{Epoch: r.Varint(), Shard: int(r.Varint()), Owner: r.String()}
+	if r.Close() != nil {
 		return nil
 	}
-	rest := msg[i+len(wrongShardMarker):]
-	var ws WrongShardError
-	j := strings.Index(rest, " owner=")
-	if j < 0 {
-		return nil
-	}
-	if _, err := fmt.Sscanf(rest[:j], "epoch=%d shard=%d", &ws.Epoch, &ws.Shard); err != nil {
-		return nil
-	}
-	ws.Owner = rest[j+len(" owner="):]
-	return &ws
+	return e
 }
 
 // PrepareChangeMsg blocks new operations and drains queues ahead of a

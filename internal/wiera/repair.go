@@ -141,7 +141,6 @@ func (m *repairManager) absorb(meta object.Meta, data []byte) {
 // handle serves the four repair RPCs out of the node's dispatcher.
 func (m *repairManager) handle(ctx context.Context, method string, payload []byte) ([]byte, error) {
 	store := nodeStore{m.n}
-	rc := m.n.replyCodec(payload)
 	switch method {
 	case MethodRepairDigest:
 		var req RepairDigestRequest
@@ -153,7 +152,7 @@ func (m *repairManager) handle(ctx context.Context, method string, payload []byt
 		if err != nil {
 			return nil, err
 		}
-		return transport.EncodeWith(rc, RepairDigestResponse{Digests: digests})
+		return transport.Encode(RepairDigestResponse{Digests: digests})
 	case MethodRepairEntries:
 		var req RepairEntriesRequest
 		if err := transport.Decode(payload, &req); err != nil {
@@ -164,7 +163,7 @@ func (m *repairManager) handle(ctx context.Context, method string, payload []byt
 		if err != nil {
 			return nil, err
 		}
-		return transport.EncodeWith(rc, RepairEntriesResponse{Entries: entries})
+		return transport.Encode(RepairEntriesResponse{Entries: entries})
 	case MethodRepairPull:
 		var req RepairPullRequest
 		if err := transport.Decode(payload, &req); err != nil {
@@ -176,7 +175,7 @@ func (m *repairManager) handle(ctx context.Context, method string, payload []byt
 				resp.Updates = append(resp.Updates, UpdateMsg{Meta: u.Meta, Data: u.Data})
 			}
 		}
-		return transport.EncodeWith(rc, resp)
+		return transport.Encode(resp)
 	case MethodRepairPush:
 		var req RepairPushRequest
 		if err := transport.Decode(payload, &req); err != nil {
@@ -202,7 +201,7 @@ func (m *repairManager) handle(ctx context.Context, method string, payload []byt
 				accepted++
 			}
 		}
-		return transport.EncodeWith(rc, RepairPushResponse{Accepted: accepted})
+		return transport.Encode(RepairPushResponse{Accepted: accepted})
 	default:
 		return nil, errUnknownRepairMethod(method)
 	}
@@ -295,7 +294,7 @@ func (p rpcPeer) call(method string, req, resp any) error {
 	span.SetAttr("node", p.n.name)
 	span.SetAttr("peer", p.peer)
 	defer span.End()
-	payload, err := p.n.enc(req)
+	payload, err := transport.Encode(req)
 	if err != nil {
 		return err
 	}

@@ -1648,19 +1648,6 @@ func (ts *TieraServer) Spawn(req SpawnRequest) (*Node, error) {
 			return nil, fmt.Errorf("wiera: bad tenantSlots %q", raw)
 		}
 	}
-	// wireCodec selects the node's outgoing RPC encoding: "binary" (or
-	// unset) uses the hand-rolled wire codec on hot-path messages, "gob"
-	// pins the pre-upgrade format for mixed-version clusters. It rides
-	// req.Params raw because the values are plain identifiers.
-	var wireCodec transport.Codec
-	switch raw := strings.TrimSpace(req.Params["wireCodec"]); raw {
-	case "", "auto", "binary", "wire":
-		wireCodec = transport.CodecAuto
-	case "gob":
-		wireCodec = transport.CodecGob
-	default:
-		return nil, fmt.Errorf("wiera: bad wireCodec %q (want binary or gob)", raw)
-	}
 	slos, sloInterval := sloParams(params)
 	node, err := NewNode(NodeConfig{
 		Name:             req.NodeName,
@@ -1693,7 +1680,6 @@ func (ts *TieraServer) Spawn(req SpawnRequest) (*Node, error) {
 		TenantSlots:      tenantSlots,
 		SLOs:             slos,
 		SLOInterval:      sloInterval,
-		WireCodec:        wireCodec,
 		ExtraTiers:       extraTiers,
 	})
 	if err != nil {

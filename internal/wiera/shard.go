@@ -215,7 +215,7 @@ func (m *shardManager) fetchFromPrev(ctx context.Context, key string) ([]byte, o
 // fetchFrom reads key's latest version from peer (ForwardGet skips the
 // peer's ownership check, which would NACK keys it is migrating away).
 func (m *shardManager) fetchFrom(ctx context.Context, peer, key string) ([]byte, object.Meta, bool) {
-	payload, err := m.n.enc(GetRequest{Key: key})
+	payload, err := transport.Encode(GetRequest{Key: key})
 	if err != nil {
 		return nil, object.Meta{}, false
 	}
@@ -247,7 +247,7 @@ func (m *shardManager) applyOrForward(ctx context.Context, msg UpdateMsg) (bool,
 		return m.n.local.ApplyRemote(ctx, msg.Meta, msg.Data)
 	}
 	msg.Forwarded = true
-	payload, err := m.n.enc(msg)
+	payload, err := transport.Encode(msg)
 	if err != nil {
 		return false, err
 	}
@@ -333,7 +333,7 @@ func (m *shardManager) pushKeys(ctx context.Context, target string, keys []strin
 		if len(req.Updates) == 0 {
 			return nil
 		}
-		payload, err := m.n.enc(req)
+		payload, err := transport.Encode(req)
 		if err != nil {
 			return err
 		}

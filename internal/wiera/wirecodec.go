@@ -9,7 +9,7 @@ package wiera
 //
 // Field order is the wire contract: encoders and decoders below must walk
 // fields in the same sequence, and any layout change requires bumping
-// wire.Version (DESIGN.md §14).
+// wire.Version (DESIGN.md §13).
 
 import (
 	"repro/internal/object"

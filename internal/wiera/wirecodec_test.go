@@ -2,14 +2,12 @@ package wiera
 
 import (
 	"bytes"
-	"context"
-	"fmt"
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/object"
 	"repro/internal/repair"
-	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -102,37 +100,24 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 // TestWireRoundTripThroughTransport runs the same round trip through
-// transport.EncodeWith/Decode — the integration seam the RPC paths use —
-// and checks the gob fallback decodes into the same value.
+// transport.Encode/Decode — the integration seam the RPC paths use: a hot
+// message always travels as a wire frame.
 func TestWireRoundTripThroughTransport(t *testing.T) {
 	for _, tc := range hotMessages() {
 		t.Run(tc.name, func(t *testing.T) {
-			bin, err := transport.EncodeWith(transport.CodecAuto, tc.msg)
+			frame, err := transport.Encode(tc.msg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !wire.Is(bin) {
-				t.Fatal("CodecAuto did not produce a wire frame for a hot message")
+			if !bytes.Equal(frame, wire.Marshal(tc.msg)) {
+				t.Fatal("Encode did not produce the message's wire frame")
 			}
-			gobbed, err := transport.EncodeWith(transport.CodecGob, tc.msg)
-			if err != nil {
-				t.Fatal(err)
+			out := tc.zero()
+			if err := transport.Decode(frame, out); err != nil {
+				t.Fatalf("decode: %v", err)
 			}
-			if wire.Is(gobbed) {
-				t.Fatal("CodecGob produced a wire frame")
-			}
-			fromBin, fromGob := tc.zero(), tc.zero()
-			if err := transport.Decode(bin, fromBin); err != nil {
-				t.Fatalf("decode binary: %v", err)
-			}
-			if err := transport.Decode(gobbed, fromGob); err != nil {
-				t.Fatalf("decode gob: %v", err)
-			}
-			// Both decode paths must agree; compare via canonical re-encode
-			// (DeepEqual trips over time.Time internals and nil-vs-empty).
-			b1, b2 := wire.Marshal(fromBin), wire.Marshal(fromGob)
-			if !bytes.Equal(b1, b2) {
-				t.Fatalf("binary and gob decodes disagree:\n  wire %x\n  gob  %x", b1, b2)
+			if again := wire.Marshal(out); !bytes.Equal(frame, again) {
+				t.Fatalf("re-encode differs:\n  first  %x\n  second %x", frame, again)
 			}
 		})
 	}
@@ -166,13 +151,21 @@ func TestWireTruncationAndCorruption(t *testing.T) {
 	}
 }
 
-// TestDecodeWireFrameIntoNonWireType: a binary frame arriving at a decoder
-// for a gob-only message type must error cleanly.
+// TestDecodeWireFrameIntoNonWireType: a message's type fixes its encoding,
+// so a payload in the other one must error cleanly, in both directions.
 func TestDecodeWireFrameIntoNonWireType(t *testing.T) {
 	frame := wire.Marshal(GetRequest{Key: "k"})
-	var out VersionListRequest // gob-only type
-	if err := transport.Decode(frame, &out); err == nil {
+	var ctl VersionListRequest // gob-only type
+	if err := transport.Decode(frame, &ctl); err == nil {
 		t.Fatal("wire frame decoded into a non-wire type")
+	}
+	gobbed, err := transport.Encode(VersionListRequest{Key: "k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hot GetRequest // same field layout, so gob itself would accept it
+	if err := transport.Decode(gobbed, &hot); !errors.Is(err, wire.ErrNotWire) {
+		t.Fatalf("gob payload into a wire type: err = %v, want wire.ErrNotWire", err)
 	}
 }
 
@@ -200,128 +193,25 @@ func TestWireDecodeZeroCopy(t *testing.T) {
 	}
 }
 
-// TestMixedCodecInterop is the rolling-upgrade scenario from the issue: a
-// gob-only peer (old binary emulated by pinning CodecGob) and wire-enabled
-// peers complete put/get/batch flush/repair/remove against each other with
-// zero lost acked writes.
-func TestMixedCodecInterop(t *testing.T) {
-	c := newCluster(t, simnet.USWest, simnet.USEast, simnet.EUWest)
-	c.startSrc(t, "mx", eventual3Src, map[string]string{"queueFlush": "10m"})
-	west := c.node(t, "mx/us-west") // wire-enabled (CodecAuto default)
-	east := c.node(t, "mx/us-east") // downgraded to gob below
-	eu := c.node(t, "mx/eu-west")   // wire-enabled
-
-	// Emulate a not-yet-upgraded peer: everything east sends is gob.
-	east.codec = transport.CodecGob
-	if west.codec != transport.CodecAuto || eu.codec != transport.CodecAuto {
-		t.Fatal("expected CodecAuto default on upgraded nodes")
-	}
-
-	ctx := context.Background()
-	const keys = 50
-
-	// Wire node writes, batch fan-out ships binary frames to the gob peer
-	// (which replies gob because its own codec is gob).
-	for i := 0; i < keys; i++ {
-		if _, err := west.Put(ctx, fmt.Sprintf("w%03d", i), []byte("from-west"), nil); err != nil {
-			t.Fatal(err)
+// TestEncodeDecodeZeroAlloc is the codec's absolute gate: AppendEncode into
+// a reused buffer plus Decode into a reused value allocates nothing, for
+// each of the real messages BenchmarkEncode times.
+func TestEncodeDecodeZeroAlloc(t *testing.T) {
+	for _, m := range encodeMessages() {
+		out := m.zero()
+		var buf []byte
+		allocs := testing.AllocsPerRun(100, func() {
+			raw, ok := transport.AppendEncode(transport.CodecAuto, buf[:0], m.msg)
+			if !ok {
+				t.Fatal("wire fast path not taken")
+			}
+			buf = raw
+			if err := transport.Decode(raw, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per AppendEncode+Decode, want 0", m.name, allocs)
 		}
-	}
-	west.FlushQueue()
-
-	// Gob node writes, batch fan-out ships gob frames to wire peers.
-	for i := 0; i < keys; i++ {
-		if _, err := east.Put(ctx, fmt.Sprintf("e%03d", i), []byte("from-east"), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	east.FlushQueue()
-
-	// Zero lost acked writes: every node holds all 2*keys objects.
-	for _, n := range []*Node{west, east, eu} {
-		if got := n.local.Objects().Len(); got != 2*keys {
-			t.Fatalf("%s holds %d keys, want %d", n.Name(), got, 2*keys)
-		}
-	}
-
-	// Cross-codec reads, both directions.
-	if data, _, err := east.Get(ctx, "w000"); err != nil || string(data) != "from-west" {
-		t.Fatalf("gob node read of wire write: %q, %v", data, err)
-	}
-	if data, _, err := west.Get(ctx, "e000"); err != nil || string(data) != "from-east" {
-		t.Fatalf("wire node read of gob write: %q, %v", data, err)
-	}
-
-	// Repair exchange across the codec boundary, both directions: digests,
-	// leaf entries, pull, push.
-	geo := repair.Geometry{Fanout: 4, Depth: 3}
-	for _, dir := range []struct {
-		name string
-		peer rpcPeer
-	}{
-		{"wire->gob", rpcPeer{n: west, peer: east.Name()}},
-		{"gob->wire", rpcPeer{n: east, peer: west.Name()}},
-	} {
-		if _, err := dir.peer.Digests(geo, []int{0}); err != nil {
-			t.Fatalf("%s digests: %v", dir.name, err)
-		}
-		if _, err := dir.peer.LeafEntries(geo, []int{0, 1}); err != nil {
-			t.Fatalf("%s leaf entries: %v", dir.name, err)
-		}
-		ups, err := dir.peer.Pull([]string{"w000", "e000"})
-		if err != nil || len(ups) != 2 {
-			t.Fatalf("%s pull: %d updates, %v", dir.name, len(ups), err)
-		}
-		meta := sampleMeta("r-" + dir.name)
-		meta.ModifiedAt = c.clk.Now()
-		n, err := dir.peer.Push([]repair.Update{{Meta: meta, Data: []byte("repair")}})
-		if err != nil || n != 1 {
-			t.Fatalf("%s push: accepted %d, %v", dir.name, n, err)
-		}
-	}
-
-	// Remove fan-out across the boundary.
-	if err := west.Remove(ctx, "w001"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := east.Get(ctx, "w001"); err == nil {
-		t.Fatal("remove did not propagate from wire node to gob node")
-	}
-	if err := east.Remove(ctx, "e001"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := west.Get(ctx, "e001"); err == nil {
-		t.Fatal("remove did not propagate from gob node to wire node")
-	}
-}
-
-// TestGobOnlyClientAgainstWireNodes: a legacy client pinned to gob talks
-// to wire-enabled nodes; nodes answer in the request's format.
-func TestGobOnlyClientAgainstWireNodes(t *testing.T) {
-	c := newCluster(t, simnet.USWest, simnet.USEast, simnet.EUWest)
-	c.start(t, "gc", "EventualConsistency", nil)
-
-	cl, err := NewClient(c.fabric, "legacy-client", simnet.USWest, "wiera", "gc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.SetCodec(transport.CodecGob)
-
-	ctx := context.Background()
-	if _, err := cl.Put(ctx, "k1", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	data, meta, err := cl.Get(ctx, "k1")
-	if err != nil || string(data) != "v1" {
-		t.Fatalf("get: %q, %v", data, err)
-	}
-	if _, _, err := cl.GetVersion(ctx, "k1", meta.Version); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Remove(ctx, "k1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cl.Get(ctx, "k1"); err == nil {
-		t.Fatal("get after remove succeeded")
 	}
 }

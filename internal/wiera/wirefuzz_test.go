@@ -2,8 +2,11 @@ package wiera
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"repro/internal/tenant"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -19,7 +22,59 @@ func fuzzTargets() map[byte]func() wire.Unmarshaler {
 	return targets
 }
 
-// FuzzWireRoundTrip feeds arbitrary bytes to the wire decoder. Two
+// sampleNACKs is one populated sample of every error that declares a status
+// code with a detail payload.
+func sampleNACKs() []wire.Coded {
+	return []wire.Coded{
+		&WrongShardError{Epoch: 41, Shard: 3, Owner: "app/us-west#2"},
+		&ErrRebalanceInProgress{InstanceID: "app"},
+		&tenant.ErrQuotaExceeded{Tenant: "bronze", Kind: "iops"},
+	}
+}
+
+// recoverNACK decodes a reply's detail with the As* function its code
+// selects; nil when the detail is rejected (or the code carries none).
+func recoverNACK(err error) wire.Coded {
+	if e := AsWrongShard(err); e != nil {
+		return e
+	}
+	if e := AsRebalanceInProgress(err); e != nil {
+		return e
+	}
+	if e := tenant.AsQuotaExceeded(err); e != nil {
+		return e
+	}
+	return nil
+}
+
+// checkStatusDetail treats data as the detail of a failed reply under each
+// detail-bearing code. Decoding never panics; an accepted detail is
+// canonical (the recovered NACK re-encodes to exactly data); a rejected one
+// leaves a plain RemoteError whose code still decides the client's action.
+func checkStatusDetail(t *testing.T, data []byte) {
+	for _, nack := range sampleNACKs() {
+		code, _ := nack.WireStatus()
+		err := error(transport.RemoteError{Code: code, Msg: nack.Error(), Detail: data})
+		want := classify(nack)
+		if got := classify(err); got != want {
+			t.Fatalf("code %d with detail %x: action %d, want %d", code, data, got, want)
+		}
+		typed := recoverNACK(err)
+		if typed == nil {
+			var re transport.RemoteError
+			if !errors.As(err, &re) || re.Code != code {
+				t.Fatalf("rejected detail %x lost the code %d", data, code)
+			}
+			continue
+		}
+		if gotCode, again := typed.WireStatus(); gotCode != code || !bytes.Equal(again, data) {
+			t.Fatalf("code %d accepted non-canonical detail:\ninput: %x\nagain: %x (code %d)", code, data, again, gotCode)
+		}
+	}
+}
+
+// FuzzWireRoundTrip feeds arbitrary bytes to the wire decoder, as a frame
+// and as a status detail (checkStatusDetail). Two frame
 // invariants: decoding never panics (truncated/corrupt frames return
 // errors), and any input that does decode is canonical-stable — encoding
 // the decoded value and decoding/encoding again reproduces the exact same
@@ -37,6 +92,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 			f.Add(append(append([]byte{}, frame...), 0x00))
 		}
 	}
+	for _, nack := range sampleNACKs() {
+		_, detail := nack.WireStatus()
+		f.Add(detail)
+		f.Add(detail[:len(detail)-1])
+		f.Add(append(append([]byte{}, detail...), 0x00))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xBD})
 	f.Add([]byte{0xBD, 0x57, 0x01})
@@ -44,6 +105,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 	targets := fuzzTargets()
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkStatusDetail(t, data)
 		if !wire.Is(data) {
 			// Non-wire inputs must be identified as such, not crash.
 			for _, zero := range targets {

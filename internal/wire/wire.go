@@ -1,8 +1,9 @@
 // Package wire is a hand-rolled, zero-alloc, length-prefixed binary codec
-// for the hot-path RPC messages (put/get/batch/repair/ec). It replaces gob
-// on the data path while leaving control-plane messages on gob.
+// for the hot-path RPC messages (put/get/batch/repair/ec); control-plane
+// messages stay on gob. It also holds the table of status codes a reply
+// carries (status.go), whose details are bodies in the same encoding.
 //
-// Frame layout (DESIGN.md §14):
+// Frame layout (DESIGN.md §13):
 //
 //	byte 0: magic0 = 0xBD
 //	byte 1: magic1 = 0x57 ('W')
@@ -13,10 +14,8 @@
 // The first byte 0xBD is deliberately chosen so a frame can never be
 // mistaken for a gob stream: gob's first byte is an unsigned length
 // (0x00..0x7F) or a length-prefix marker (0xF8..0xFF), never 0x80..0xF7.
-// transport.Decode uses Is() to route each payload to the right decoder,
-// which is what keeps mixed-version clusters working during a rolling
-// upgrade — an old gob-only peer's frames still decode, and a new peer's
-// binary frames are self-describing.
+// transport.Decode uses Is() to refuse a frame handed to a gob-only type
+// instead of misparsing it.
 //
 // Body encoding primitives:
 //   - uvarint: LEB128, as in encoding/binary.
@@ -51,8 +50,8 @@ var (
 	// ErrCorrupt is returned for structurally invalid bodies (overlong
 	// varints, non-canonical bools, counts exceeding the frame).
 	ErrCorrupt = errors.New("wire: corrupt frame")
-	// ErrNotWire is returned by Open when the payload is not a wire frame
-	// (callers then fall back to gob).
+	// ErrNotWire is returned by Open and Unmarshal when the payload is not
+	// a wire frame.
 	ErrNotWire = errors.New("wire: not a wire frame")
 	// ErrVersion is returned for frames with an unknown codec version.
 	ErrVersion = errors.New("wire: unsupported frame version")
@@ -234,7 +233,8 @@ type Reader struct {
 	err error
 }
 
-// NewReader returns a Reader over a raw body (used by tests).
+// NewReader returns a Reader over a raw body (a status detail, or a frame
+// body inside UnmarshalWire).
 func NewReader(b []byte) Reader { return Reader{buf: b} }
 
 // Err returns the latched error, if any.
