@@ -252,67 +252,3 @@ func (s *Series) MaxValue() float64 {
 	}
 	return max
 }
-
-// SlidingWindow counts events with timestamps and answers "how many events
-// in the last w" and "has the condition held continuously for w" queries —
-// the primitive behind the paper's threshold+period monitors (e.g. latency
-// above 800 ms for 30 s). Safe for concurrent use.
-type SlidingWindow struct {
-	mu     sync.Mutex
-	window time.Duration
-	events []time.Time
-}
-
-// NewSlidingWindow returns a window of width w.
-func NewSlidingWindow(w time.Duration) *SlidingWindow {
-	if w <= 0 {
-		panic("stats: window width must be positive")
-	}
-	return &SlidingWindow{window: w}
-}
-
-// Add records an event at time t.
-func (w *SlidingWindow) Add(t time.Time) {
-	w.mu.Lock()
-	w.events = append(w.events, t)
-	w.pruneLocked(t)
-	w.mu.Unlock()
-}
-
-// Count returns the number of events within (now-window, now].
-func (w *SlidingWindow) Count(now time.Time) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.pruneLocked(now)
-	return len(w.events)
-}
-
-// OldestWithin returns the oldest event still inside the window and whether
-// one exists.
-func (w *SlidingWindow) OldestWithin(now time.Time) (time.Time, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.pruneLocked(now)
-	if len(w.events) == 0 {
-		return time.Time{}, false
-	}
-	return w.events[0], true
-}
-
-// Reset discards all events.
-func (w *SlidingWindow) Reset() {
-	w.mu.Lock()
-	w.events = w.events[:0]
-	w.mu.Unlock()
-}
-
-func (w *SlidingWindow) pruneLocked(now time.Time) {
-	cut := now.Add(-w.window)
-	i := 0
-	for i < len(w.events) && !w.events[i].After(cut) {
-		i++
-	}
-	if i > 0 {
-		w.events = append(w.events[:0], w.events[i:]...)
-	}
-}

@@ -229,62 +229,6 @@ func TestSeriesEmptyMax(t *testing.T) {
 	}
 }
 
-func TestSlidingWindowCount(t *testing.T) {
-	w := NewSlidingWindow(10 * time.Second)
-	base := time.Unix(100, 0)
-	w.Add(base)
-	w.Add(base.Add(5 * time.Second))
-	if got := w.Count(base.Add(5 * time.Second)); got != 2 {
-		t.Fatalf("Count = %d, want 2", got)
-	}
-	// First event falls out of the window at base+10s (exclusive boundary).
-	if got := w.Count(base.Add(11 * time.Second)); got != 1 {
-		t.Fatalf("Count after expiry = %d, want 1", got)
-	}
-}
-
-func TestSlidingWindowBoundary(t *testing.T) {
-	w := NewSlidingWindow(10 * time.Second)
-	base := time.Unix(100, 0)
-	w.Add(base)
-	// At exactly now-window the event is excluded.
-	if got := w.Count(base.Add(10 * time.Second)); got != 0 {
-		t.Fatalf("Count at exact boundary = %d, want 0", got)
-	}
-}
-
-func TestSlidingWindowOldest(t *testing.T) {
-	w := NewSlidingWindow(time.Minute)
-	base := time.Unix(0, 0)
-	if _, ok := w.OldestWithin(base); ok {
-		t.Fatal("empty window reported an oldest event")
-	}
-	w.Add(base.Add(time.Second))
-	w.Add(base.Add(2 * time.Second))
-	got, ok := w.OldestWithin(base.Add(3 * time.Second))
-	if !ok || !got.Equal(base.Add(time.Second)) {
-		t.Fatalf("OldestWithin = %v, %v", got, ok)
-	}
-}
-
-func TestSlidingWindowReset(t *testing.T) {
-	w := NewSlidingWindow(time.Minute)
-	w.Add(time.Unix(1, 0))
-	w.Reset()
-	if w.Count(time.Unix(1, 0)) != 0 {
-		t.Fatal("Reset did not clear the window")
-	}
-}
-
-func TestSlidingWindowZeroWidthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-width window did not panic")
-		}
-	}()
-	NewSlidingWindow(0)
-}
-
 func TestHistogramBoundedMemory(t *testing.T) {
 	h := NewHistogram()
 	const n = 4 * reservoirCap

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"repro/internal/flight"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -137,7 +136,7 @@ func (b *batcher) fanOut(ctx context.Context, msgs []UpdateMsg) []bool {
 		go func(p PeerInfo) {
 			defer wg.Done()
 			start := b.n.clk.Now()
-			fidx := b.pushPeer(ctx, p, msgs)
+			fidx := b.pushPeer(ctx, p.Name, msgs)
 			if len(fidx) == 0 {
 				elapsed := b.n.clk.Since(start)
 				b.n.latMon.observe(elapsed)
@@ -163,43 +162,19 @@ func (b *batcher) fanOut(ctx context.Context, msgs []UpdateMsg) []bool {
 // indices (into msgs) of entries that failed — a whole chunk on an RPC
 // error, individual entries on per-entry apply errors. An entry that lost
 // LWW at the receiver is not a failure.
-func (b *batcher) pushPeer(ctx context.Context, p PeerInfo, msgs []UpdateMsg) []int {
+func (b *batcher) pushPeer(ctx context.Context, peer string, msgs []UpdateMsg) []int {
 	var failed []int
-	fa := flight.FromContext(ctx)
 	base := 0
 	for _, chunk := range b.chunkUpdates(msgs) {
-		payload, err := transport.Encode(UpdateBatchRequest{Updates: chunk})
-		if err != nil {
-			for i := range chunk {
-				failed = append(failed, base+i)
-			}
-			b.entryFailures.Add(int64(len(chunk)))
-			base += len(chunk)
-			continue
-		}
-		b.chunks.Inc()
-		b.updates.Add(int64(len(chunk)))
-		b.bytes.Add(int64(len(payload)))
-		start := b.n.clk.Now()
-		raw, err := b.n.ep.Call(ctx, p.Name, MethodApplyUpdateBatch, payload)
-		hop := flight.Hop{
-			Kind: flight.HopRPC, Name: "batch:" + p.Name,
-			Duration: b.n.clk.Since(start), Bytes: int64(len(payload)),
-			CostUSD: b.n.transferCost(p.Region, int64(len(payload))),
-		}
-		if err != nil {
-			hop.Err = err.Error()
-			fa.AddHop(hop)
-			for i := range chunk {
-				failed = append(failed, base+i)
-			}
-			b.entryFailures.Add(int64(len(chunk)))
-			base += len(chunk)
-			continue
-		}
-		fa.AddHop(hop)
 		var resp UpdateBatchResponse
-		if err := transport.Decode(raw, &resp); err != nil || len(resp.Acks) != len(chunk) {
+		payload, err := transport.Encode(UpdateBatchRequest{Updates: chunk})
+		if err == nil {
+			b.chunks.Inc()
+			b.updates.Add(int64(len(chunk)))
+			b.bytes.Add(int64(len(payload)))
+			err = b.n.callPeerRaw(ctx, peer, MethodApplyUpdateBatch, payload, &resp)
+		}
+		if err != nil || len(resp.Acks) != len(chunk) {
 			for i := range chunk {
 				failed = append(failed, base+i)
 			}
@@ -228,11 +203,7 @@ func (b *batcher) pushAsync(target string, msg UpdateMsg) {
 		// Per-key ablation: one ApplyUpdate RPC per update, as before.
 		n := b.n
 		go func() {
-			payload, err := transport.Encode(msg)
-			if err != nil {
-				return
-			}
-			if _, err := n.ep.Call(context.Background(), target, MethodApplyUpdate, payload); err != nil && n.repair != nil {
+			if err := n.callPeer(context.Background(), target, MethodApplyUpdate, msg, nil); err != nil && n.repair != nil {
 				n.repair.addHint(target, msg)
 			}
 		}()
@@ -261,24 +232,11 @@ func (b *batcher) asyncLoop(target string) {
 		}
 		delete(b.apending, target)
 		b.amu.Unlock()
-		fidx := b.pushPeer(context.Background(), b.peerInfo(target), msgs)
+		fidx := b.pushPeer(context.Background(), target, msgs)
 		if b.n.repair != nil {
 			for _, i := range fidx {
 				b.n.repair.addHint(target, msgs[i])
 			}
 		}
 	}
-}
-
-// peerInfo resolves a peer's region for cost attribution (own region when
-// the name is not in the membership list).
-func (b *batcher) peerInfo(target string) PeerInfo {
-	b.n.mu.Lock()
-	defer b.n.mu.Unlock()
-	for _, p := range b.n.peers {
-		if p.Name == target {
-			return p
-		}
-	}
-	return PeerInfo{Name: target, Region: b.n.region}
 }

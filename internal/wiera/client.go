@@ -469,47 +469,37 @@ func (c *Client) callKey(ctx context.Context, method string, payload []byte, key
 	return nil, fmt.Errorf("wiera: retries exhausted: %w", lastErr)
 }
 
+// do runs one keyed operation: it opens the op's span, encodes req, routes
+// it to key's owner with callKey's retries, decodes the reply into resp
+// (nil ignores the reply) and marks the span with whatever failed. key is
+// already tenant-qualified, as it is inside req.
+func (c *Client) do(ctx context.Context, op, method, key string, req, resp any) error {
+	ctx, span := c.startOp(ctx, op)
+	defer span.End()
+	payload, err := transport.Encode(req)
+	if err == nil {
+		var raw []byte
+		if raw, err = c.callKey(ctx, method, payload, key); err == nil && resp != nil {
+			err = transport.Decode(raw, resp)
+		}
+	}
+	span.SetError(err)
+	return err
+}
+
 // Put stores data under key (Table 2 put).
 func (c *Client) Put(ctx context.Context, key string, data []byte) (object.Meta, error) {
-	ctx, span := c.startOp(ctx, "client.put")
-	defer span.End()
 	key = c.qualify(key)
-	payload, err := transport.Encode(PutRequest{Key: key, Data: data})
-	if err != nil {
-		span.SetError(err)
-		return object.Meta{}, err
-	}
-	raw, err := c.callKey(ctx, MethodPut, payload, key)
-	if err != nil {
-		span.SetError(err)
-		return object.Meta{}, err
-	}
 	var resp PutResponse
-	if err := transport.Decode(raw, &resp); err != nil {
-		span.SetError(err)
-		return object.Meta{}, err
-	}
-	return resp.Meta, nil
+	err := c.do(ctx, "client.put", MethodPut, key, PutRequest{Key: key, Data: data}, &resp)
+	return resp.Meta, err
 }
 
 // Get retrieves key's latest version (Table 2 get).
 func (c *Client) Get(ctx context.Context, key string) ([]byte, object.Meta, error) {
-	ctx, span := c.startOp(ctx, "client.get")
-	defer span.End()
 	key = c.qualify(key)
-	payload, err := transport.Encode(GetRequest{Key: key})
-	if err != nil {
-		span.SetError(err)
-		return nil, object.Meta{}, err
-	}
-	raw, err := c.callKey(ctx, MethodGet, payload, key)
-	if err != nil {
-		span.SetError(err)
-		return nil, object.Meta{}, err
-	}
 	var resp GetResponse
-	if err := transport.Decode(raw, &resp); err != nil {
-		span.SetError(err)
+	if err := c.do(ctx, "client.get", MethodGet, key, GetRequest{Key: key}, &resp); err != nil {
 		return nil, object.Meta{}, err
 	}
 	c.setHotHint(key, resp.HotReplicas)
@@ -518,68 +508,30 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, object.Meta, erro
 
 // GetVersion retrieves a specific version (Table 2 getVersion).
 func (c *Client) GetVersion(ctx context.Context, key string, v object.Version) ([]byte, object.Meta, error) {
-	ctx, span := c.startOp(ctx, "client.getVersion")
-	defer span.End()
 	key = c.qualify(key)
-	payload, err := transport.Encode(GetVersionRequest{Key: key, Version: v})
-	if err != nil {
-		return nil, object.Meta{}, err
-	}
-	raw, err := c.callKey(ctx, MethodGetVersion, payload, key)
-	if err != nil {
-		span.SetError(err)
-		return nil, object.Meta{}, err
-	}
 	var resp GetResponse
-	if err := transport.Decode(raw, &resp); err != nil {
-		return nil, object.Meta{}, err
-	}
-	return resp.Data, resp.Meta, nil
+	err := c.do(ctx, "client.getVersion", MethodGetVersion, key, GetVersionRequest{Key: key, Version: v}, &resp)
+	return resp.Data, resp.Meta, err
 }
 
 // VersionList lists available versions (Table 2 getVersionList).
 func (c *Client) VersionList(ctx context.Context, key string) ([]object.Version, error) {
 	key = c.qualify(key)
-	payload, err := transport.Encode(VersionListRequest{Key: key})
-	if err != nil {
-		return nil, err
-	}
-	raw, err := c.callKey(ctx, MethodVersionList, payload, key)
-	if err != nil {
-		return nil, err
-	}
 	var resp VersionListResponse
-	if err := transport.Decode(raw, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Versions, nil
+	err := c.do(ctx, "client.versionList", MethodVersionList, key, VersionListRequest{Key: key}, &resp)
+	return resp.Versions, err
 }
 
 // Remove deletes all versions of key (Table 2 remove).
 func (c *Client) Remove(ctx context.Context, key string) error {
-	ctx, span := c.startOp(ctx, "client.remove")
-	defer span.End()
 	key = c.qualify(key)
-	payload, err := transport.Encode(RemoveRequest{Key: key})
-	if err != nil {
-		return err
-	}
-	_, err = c.callKey(ctx, MethodRemove, payload, key)
-	if err != nil {
-		span.SetError(err)
-	}
-	return err
+	return c.do(ctx, "client.remove", MethodRemove, key, RemoveRequest{Key: key}, nil)
 }
 
 // RemoveVersion deletes one version of key (Table 2 removeVersion).
 func (c *Client) RemoveVersion(ctx context.Context, key string, v object.Version) error {
 	key = c.qualify(key)
-	payload, err := transport.Encode(RemoveVersionRequest{Key: key, Version: v})
-	if err != nil {
-		return err
-	}
-	_, err = c.callKey(ctx, MethodRemoveVer, payload, key)
-	return err
+	return c.do(ctx, "client.removeVersion", MethodRemoveVer, key, RemoveVersionRequest{Key: key, Version: v}, nil)
 }
 
 // Close removes the client's endpoint.

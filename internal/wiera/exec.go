@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/flight"
 	"repro/internal/object"
 	"repro/internal/policy"
-	"repro/internal/transport"
 )
 
 // globalPutExec executes a global policy's insert-event responses for one
@@ -85,18 +83,9 @@ func (e *globalPutExec) Do(call *policy.ActionCall) error {
 		if err != nil {
 			return err
 		}
-		payload, err := transport.Encode(PutRequest{Key: e.key, Data: e.data, Tags: e.tags, From: e.n.name})
-		if err != nil {
-			return err
-		}
-		callStart := e.n.clk.Now()
-		raw, err := e.n.ep.Call(e.ctx, target, MethodForwardPut, payload)
-		if err != nil {
-			return err
-		}
-		e.addRPCHop(target, callStart, int64(len(payload)))
 		var resp PutResponse
-		if err := transport.Decode(raw, &resp); err != nil {
+		req := PutRequest{Key: e.key, Data: e.data, Tags: e.tags, From: e.n.name}
+		if err := e.n.callPeer(e.ctx, target, MethodForwardPut, req, &resp); err != nil {
 			return err
 		}
 		e.meta = &resp.Meta
@@ -140,19 +129,11 @@ func (e *globalPutExec) distribute(call *policy.ActionCall, sync bool) error {
 			e.n.batch.pushAsync(target, msg)
 			return nil
 		}
-		payload, err := transport.Encode(msg)
-		if err != nil {
-			return err
+		err = e.n.callPeer(e.ctx, target, MethodApplyUpdate, msg, nil)
+		if err != nil && e.n.repair != nil {
+			e.n.repair.addHint(target, msg)
 		}
-		callStart := e.n.clk.Now()
-		if _, err := e.n.ep.Call(e.ctx, target, MethodApplyUpdate, payload); err != nil {
-			if e.n.repair != nil {
-				e.n.repair.addHint(target, msg)
-			}
-			return err
-		}
-		e.addRPCHop(target, callStart, int64(len(payload)))
-		return nil
+		return err
 	}
 	msg := UpdateMsg{Meta: *e.meta, Data: e.data}
 	if sync {
@@ -160,11 +141,6 @@ func (e *globalPutExec) distribute(call *policy.ActionCall, sync bool) error {
 	}
 	e.n.queue.enqueue(msg)
 	return nil
-}
-
-// addRPCHop files a flight hop for one completed peer call.
-func (e *globalPutExec) addRPCHop(target string, start time.Time, bytes int64) {
-	e.n.addRPCHop(e.ctx, target, start, bytes)
 }
 
 // Assign implements policy.Executor (no assignable attributes at the
@@ -212,20 +188,10 @@ func (e *globalGetExec) Do(call *policy.ActionCall) error {
 			e.resp = &GetResponse{Data: data, Meta: meta}
 			return nil
 		}
-		payload, err := transport.Encode(GetRequest{Key: e.key})
-		if err != nil {
-			return err
-		}
-		callStart := e.n.clk.Now()
-		raw, err := e.n.ep.Call(e.ctx, target, MethodForwardGet, payload)
-		if err != nil {
-			return err
-		}
 		var resp GetResponse
-		if err := transport.Decode(raw, &resp); err != nil {
+		if err := e.n.callPeer(e.ctx, target, MethodForwardGet, GetRequest{Key: e.key}, &resp); err != nil {
 			return err
 		}
-		e.n.addRPCHop(e.ctx, target, callStart, int64(len(resp.Data)))
 		e.resp = &resp
 		return nil
 	case "change_policy":

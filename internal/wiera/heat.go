@@ -303,7 +303,7 @@ func (h *heatTracker) installTo(targets []string, meta object.Meta, data []byte)
 	}
 	var ok []string
 	for _, t := range targets {
-		if _, err := h.n.ep.Call(context.Background(), t, MethodHotInstall, payload); err != nil {
+		if err := h.n.callPeerRaw(context.Background(), t, MethodHotInstall, payload, nil); err != nil {
 			h.installErrs.Inc()
 			continue
 		}
@@ -325,7 +325,7 @@ func (h *heatTracker) demoteKey(key string) {
 	payload, err := transport.Encode(HotDropMsg{Key: key})
 	if err == nil {
 		for _, t := range targets {
-			_, _ = h.n.ep.Call(context.Background(), t, MethodHotDrop, payload)
+			_ = h.n.callPeerRaw(context.Background(), t, MethodHotDrop, payload, nil)
 		}
 	}
 	h.demotions.Inc()

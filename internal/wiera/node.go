@@ -450,80 +450,139 @@ func (n *Node) StaleReads() int64 { return n.staleReads.Value() }
 // FreshReads reports gets that returned the globally latest version.
 func (n *Node) FreshReads() int64 { return n.freshReads.Value() }
 
-// Put stores data under key through the global policy. fromApp
-// distinguishes direct application puts from forwarded ones for the
-// requests monitor.
+// opScope is everything that surrounds a put's or a get's body, from
+// admission to accounting, written once: the trace span, the flight record,
+// tenant quota admission, the op gate, the weighted-fair scheduler slot, and
+// on the way out the error budget and the latency observations. It lives on
+// the operation's stack; begin fills it and end, deferred right after,
+// releases whatever begin got as far as taking.
+//
+// The order is load-bearing. Admission runs before the gate so a throttled
+// tenant is NACKed without consuming a slot, a lock or tier capacity. The
+// gate comes before everything the body reads: an operation parked behind a
+// policy change or a shard drain must see the program and the shard map
+// installed meanwhile, which is why ownership and execState() belong to the
+// bodies and not to the scope.
+type opScope struct {
+	n  *Node
+	op string // "put" or "get"
+	// fromApp is false for a forwarded put: it appears as an rpc hop in its
+	// originator's flight record, already passed admission there, and already
+	// holds its originator's scheduler slot — queueing it here could deadlock
+	// two saturated nodes against each other. Only the span and the gate apply.
+	fromApp bool
+	span    *telemetry.Span
+	fa      *flight.Active
+	tid     string
+	// begun is the application-perceived start. admitted excludes the time
+	// blocked at the gate during a policy change: the latency monitor watches
+	// the operation path, and feeding it the transition pause would read as a
+	// spurious network delay.
+	begun, admitted time.Time
+	inGate, inWFQ   bool
+}
+
+// begin opens the scope for one operation on key carrying size bytes of
+// ingress payload (0 for a get: gets spend an IOPS token only, the byte
+// quota meters writes). A non-nil error is the operation's result; end must
+// run either way.
+func (s *opScope) begin(ctx context.Context, n *Node, op, key string, size int, fromApp bool) (context.Context, error) {
+	policyName := n.PolicyName()
+	*s = opScope{n: n, op: op, fromApp: fromApp, tid: n.tenants.tenantOf(key)}
+	spanName := "wiera.put"
+	if op == "get" {
+		spanName = "wiera.get"
+	}
+	ctx, s.span = telemetry.StartSpan(ctx, spanName)
+	s.span.SetAttr("node", n.name)
+	s.span.SetAttr("region", string(n.region))
+	s.span.SetAttr("policy", policyName)
+	if fromApp {
+		s.fa = n.flightRec.Begin(op, key, n.name, string(n.region), policyName)
+		if sc := s.span.Context(); sc.Valid() {
+			s.fa.SetTraceID(sc.Trace.String())
+		}
+		if n.tenants != nil {
+			s.fa.SetTenant(s.tid)
+		}
+		ctx = flight.NewContext(ctx, s.fa)
+		if err := n.tenants.admit(s.tid, size); err != nil {
+			return ctx, err
+		}
+	}
+	s.begun = n.clk.Now()
+	if err := n.gate.enter(); err != nil {
+		return ctx, err
+	}
+	s.inGate = true
+	s.admitted = n.clk.Now()
+	if wait := s.admitted.Sub(s.begun); wait > 0 {
+		s.fa.AddHop(flight.Hop{Kind: flight.HopQueue, Name: "gate", Wait: wait, Duration: wait})
+	}
+	if fromApp {
+		if err := n.tenants.acquire(s.tid, s.fa); err != nil {
+			return ctx, err
+		}
+		s.inWFQ = true
+	}
+	return ctx, nil
+}
+
+// end closes the scope with the operation's result: *err, and *payload, the
+// bytes it moved (a put's data, a get's answer).
+func (s *opScope) end(err *error, payload *[]byte) {
+	n := s.n
+	hist, errs := n.PutLatency, n.putErrors
+	if s.op == "get" {
+		hist, errs = n.GetLatency, n.getErrors
+	}
+	// Observations happen inside the gate, so a policy change's monitor
+	// reset cannot be followed by a sample taken under the old policy.
+	if *err == nil && s.fromApp {
+		now := n.clk.Now()
+		elapsed := now.Sub(s.begun)
+		hist.RecordTrace(elapsed, s.span.TraceIDString())
+		if s.op == "put" {
+			n.PutSeries.Append(now, float64(elapsed)/float64(time.Millisecond))
+			n.latMon.observe(now.Sub(s.admitted))
+			n.reqMon.observeDirect()
+		}
+		n.tenants.observe(s.tid, s.op, elapsed, len(*payload))
+	}
+	if s.inWFQ {
+		n.tenants.release()
+	}
+	if s.inGate {
+		n.gate.exit()
+	}
+	// A quota NACK is admission doing its job, not an availability event: it
+	// must not burn the instance's error budget.
+	if *err != nil && s.fromApp && tenant.AsQuotaExceeded(*err) == nil {
+		errs.Inc()
+	}
+	s.span.SetError(*err)
+	s.fa.End(*err)
+	s.span.End()
+}
+
+// Put stores data under key through the global policy.
 func (n *Node) Put(ctx context.Context, key string, data []byte, tags []string) (object.Meta, error) {
 	return n.put(ctx, key, data, tags, true)
 }
 
+// put is Put with fromApp distinguishing direct application puts from
+// forwarded ones (see opScope).
 func (n *Node) put(ctx context.Context, key string, data []byte, tags []string, fromApp bool) (_ object.Meta, retErr error) {
-	policyName := n.PolicyName()
-	ctx, span := telemetry.StartSpan(ctx, "wiera.put")
-	span.SetAttr("node", n.name)
-	span.SetAttr("region", string(n.region))
-	span.SetAttr("policy", policyName)
-	defer span.End()
-
-	// Only application-initiated puts open a flight record; forwarded puts
-	// appear as rpc hops in the originator's record instead.
-	var fa *flight.Active
-	tid := n.tenants.tenantOf(key)
-	if fromApp {
-		fa = n.flightRec.Begin("put", key, n.name, string(n.region), policyName)
-		if sc := span.Context(); sc.Valid() {
-			fa.SetTraceID(sc.Trace.String())
-		}
-		if n.tenants != nil {
-			fa.SetTenant(tid)
-		}
-		ctx = flight.NewContext(ctx, fa)
-		defer func() {
-			// A quota NACK is admission doing its job, not an availability
-			// event: it must not burn the instance's error budget.
-			if retErr != nil && tenant.AsQuotaExceeded(retErr) == nil {
-				n.putErrors.Inc()
-			}
-			fa.End(retErr)
-		}()
-		// Quota admission runs before the gate so a throttled tenant is
-		// NACKed without consuming a slot, a lock, or tier capacity.
-		if err := n.tenants.admit(tid, len(data)); err != nil {
-			span.SetError(err)
-			return object.Meta{}, err
-		}
-	}
-
-	appStart := n.clk.Now()
-	if err := n.gate.enter(); err != nil {
-		span.SetError(err)
-		return object.Meta{}, err
-	}
-	defer n.gate.exit()
-
-	// start excludes time blocked at the gate during a policy change: the
-	// latency monitor watches the operation path, and feeding it the
-	// transition pause would read as a spurious network delay. The
-	// application-perceived histogram still includes it.
-	start := n.clk.Now()
-	if wait := start.Sub(appStart); wait > 0 {
-		fa.AddHop(flight.Hop{Kind: flight.HopQueue, Name: "gate", Wait: wait, Duration: wait})
-	}
-	// Weighted-fair scheduling applies to application-initiated ops only:
-	// forwarded puts already consumed their originator's slot, and letting
-	// them queue here could deadlock two saturated nodes against each other.
-	if fromApp {
-		if err := n.tenants.acquire(tid, fa); err != nil {
-			span.SetError(err)
-			return object.Meta{}, err
-		}
-		defer n.tenants.release()
+	var sc opScope
+	ctx, retErr = sc.begin(ctx, n, "put", key, len(data), fromApp)
+	defer sc.end(&retErr, &data)
+	if retErr != nil {
+		return object.Meta{}, retErr
 	}
 	// Ownership is checked inside the gate: an op parked behind a drain's
 	// freeze re-evaluates against the map installed meanwhile, so no write
 	// can land on a shard after its keys streamed away.
 	if err := n.shards.checkKey(key); err != nil {
-		span.SetError(err)
 		return object.Meta{}, err
 	}
 	// First write of a not-yet-migrated key during a rebalance: continue
@@ -538,7 +597,6 @@ func (n *Node) put(ctx context.Context, key string, data []byte, tags []string, 
 		f, err := ev.Fire(env, op)
 		if err != nil {
 			op.releaseLockIfHeld()
-			span.SetError(err)
 			return object.Meta{}, err
 		}
 		fired = fired || f
@@ -547,18 +605,9 @@ func (n *Node) put(ctx context.Context, key string, data []byte, tags []string, 
 		// No global insert policy stored or forwarded: default local put.
 		m, err := n.local.PutTagged(ctx, key, data, tags)
 		if err != nil {
-			span.SetError(err)
 			return object.Meta{}, err
 		}
 		op.meta = &m
-	}
-	elapsed := n.clk.Since(appStart)
-	if fromApp {
-		n.PutLatency.RecordTrace(elapsed, span.TraceIDString())
-		n.PutSeries.Append(n.clk.Now(), float64(elapsed)/float64(time.Millisecond))
-		n.latMon.observe(n.clk.Since(start))
-		n.reqMon.observeDirect()
-		n.tenants.observe(tid, "put", elapsed, len(data))
 	}
 	n.heat.observe(key)
 	n.heat.afterPut(key, *op.meta, data)
@@ -576,71 +625,25 @@ func putEnv(key string, data []byte, isPrimary bool) *policy.MapEnv {
 
 // Get retrieves key's latest local version through the global policy
 // (forwarding policies apply); on a local miss it falls back to the
-// nearest peer holding the data.
+// nearest peer holding the data. Application gets queue in the
+// weighted-fair scheduler alongside puts; forwarded gets (MethodForwardGet)
+// never reach Get and so bypass it on the remote side.
 func (n *Node) Get(ctx context.Context, key string) (retData []byte, _ object.Meta, retErr error) {
-	policyName := n.PolicyName()
-	ctx, span := telemetry.StartSpan(ctx, "wiera.get")
-	span.SetAttr("node", n.name)
-	span.SetAttr("region", string(n.region))
-	span.SetAttr("policy", policyName)
-	defer span.End()
-
-	fa := n.flightRec.Begin("get", key, n.name, string(n.region), policyName)
-	if sc := span.Context(); sc.Valid() {
-		fa.SetTraceID(sc.Trace.String())
+	var sc opScope
+	ctx, retErr = sc.begin(ctx, n, "get", key, 0, true)
+	defer sc.end(&retErr, &retData)
+	if retErr != nil {
+		return nil, object.Meta{}, retErr
 	}
-	tid := n.tenants.tenantOf(key)
-	if n.tenants != nil {
-		fa.SetTenant(tid)
-	}
-	ctx = flight.NewContext(ctx, fa)
-	opStart := n.clk.Now()
-	defer func() {
-		// Quota NACKs are neither availability events nor tenant workload.
-		if retErr != nil && tenant.AsQuotaExceeded(retErr) == nil {
-			n.getErrors.Inc()
-		}
-		if retErr == nil {
-			n.tenants.observe(tid, "get", n.clk.Since(opStart), len(retData))
-		}
-		fa.End(retErr)
-	}()
-	// Quota admission before the gate: a throttled get is NACKed without
-	// consuming a slot or touching a tier. Gets spend an IOPS token only;
-	// the byte quota meters write ingress.
-	if err := n.tenants.admit(tid, 0); err != nil {
-		span.SetError(err)
-		return nil, object.Meta{}, err
-	}
-
-	gateStart := n.clk.Now()
-	if err := n.gate.enter(); err != nil {
-		span.SetError(err)
-		return nil, object.Meta{}, err
-	}
-	defer n.gate.exit()
-	start := n.clk.Now()
-	if wait := start.Sub(gateStart); wait > 0 {
-		fa.AddHop(flight.Hop{Kind: flight.HopQueue, Name: "gate", Wait: wait, Duration: wait})
-	}
-	// Application gets queue in the weighted-fair scheduler alongside puts;
-	// forwarded gets (MethodForwardGet) bypass it on the remote side.
-	if err := n.tenants.acquire(tid, fa); err != nil {
-		span.SetError(err)
-		return nil, object.Meta{}, err
-	}
-	defer n.tenants.release()
 	// A hot-key replica serves gets for keys this worker does not own: the
 	// cache is consulted before the ownership NACK so clients spread across
 	// owner + replicas without tripping wrong-shard redirects.
 	if data, meta, ok := n.heat.serveHot(key); ok {
 		n.heat.observe(key)
-		n.GetLatency.RecordTrace(n.clk.Since(start), span.TraceIDString())
-		fa.AddHop(flight.Hop{Kind: flight.HopCache, Name: "hot-replica", Bytes: int64(len(data))})
+		sc.fa.AddHop(flight.Hop{Kind: flight.HopCache, Name: "hot-replica", Bytes: int64(len(data))})
 		return data, meta, nil
 	}
 	if err := n.shards.checkKey(key); err != nil {
-		span.SetError(err)
 		return nil, object.Meta{}, err
 	}
 	n.heat.observe(key)
@@ -655,21 +658,14 @@ func (n *Node) Get(ctx context.Context, key string) (retData []byte, _ object.Me
 		ge := &globalGetExec{ctx: ctx, n: n, key: key}
 		fired, err := ev.Fire(env, ge)
 		if err != nil {
-			span.SetError(err)
 			return nil, object.Meta{}, err
 		}
 		if fired && ge.resp != nil {
-			n.GetLatency.RecordTrace(n.clk.Since(start), span.TraceIDString())
 			return ge.resp.Data, ge.resp.Meta, nil
 		}
 	}
 
-	data, meta, err := n.local.Get(ctx, key)
-	if err == nil && meta.IsEC() {
-		// The local payload is a fragment bundle: gather any k fragments
-		// from the group and reconstruct the object.
-		data, meta, err = n.ecm.reconstruct(ctx, data, meta)
-	}
+	data, meta, err := n.readLocal(ctx, key, nil)
 	if err != nil {
 		// Local miss. During an unsettled rebalance the key may still live
 		// at its previous in-region owner; otherwise read from the nearest
@@ -680,7 +676,6 @@ func (n *Node) Get(ctx context.Context, key string) (retData []byte, _ object.Me
 			data, meta, err = n.getFromPeers(ctx, key)
 		}
 		if err != nil {
-			span.SetError(err)
 			return nil, object.Meta{}, err
 		}
 		// Read repair: install the fetched version locally in the
@@ -691,21 +686,35 @@ func (n *Node) Get(ctx context.Context, key string) (retData []byte, _ object.Me
 		if n.repair != nil {
 			if meta.IsEC() {
 				go n.ecm.applyRepair(repair.Update{Meta: meta})
-				fa.AddHop(flight.Hop{Kind: flight.HopRepair, Name: "ec-regenerate"})
+				sc.fa.AddHop(flight.Hop{Kind: flight.HopRepair, Name: "ec-regenerate"})
 			} else {
 				n.repair.absorb(meta, data)
-				fa.AddHop(flight.Hop{Kind: flight.HopRepair, Name: "absorb", Bytes: int64(len(data))})
+				sc.fa.AddHop(flight.Hop{Kind: flight.HopRepair, Name: "absorb", Bytes: int64(len(data))})
 			}
 		}
 	}
-	n.GetLatency.RecordTrace(n.clk.Since(start), span.TraceIDString())
 	if n.trackFreshness(meta) && n.repair != nil {
 		// Read repair: a peer holds a newer version than the one just
 		// returned — reconcile the key asynchronously.
 		n.repair.scheduleKeyRepair(meta.Key)
-		fa.AddHop(flight.Hop{Kind: flight.HopRepair, Name: "key-repair"})
+		sc.fa.AddHop(flight.Hop{Kind: flight.HopRepair, Name: "key-repair"})
 	}
 	return data, meta, nil
+}
+
+// readLocal reads version v of key from the local instance, the latest when
+// v is nil. An erasure-coded payload is a fragment bundle: any k fragments
+// are gathered from the group and the object is reconstructed.
+func (n *Node) readLocal(ctx context.Context, key string, v *object.Version) (data []byte, meta object.Meta, err error) {
+	if v == nil {
+		data, meta, err = n.local.Get(ctx, key)
+	} else {
+		data, meta, err = n.local.GetVersion(ctx, key, *v)
+	}
+	if err == nil && meta.IsEC() {
+		return n.ecm.reconstruct(ctx, data, meta)
+	}
+	return data, meta, err
 }
 
 // trackFreshness compares the returned version against the globally
@@ -769,8 +778,7 @@ func (n *Node) Remove(ctx context.Context, key string) error {
 	errs := make(chan error, len(peers))
 	for _, p := range peers {
 		go func(p PeerInfo) {
-			_, err := n.ep.Call(ctx, p.Name, MethodRemove, payload)
-			errs <- err
+			errs <- n.callPeerRaw(ctx, p.Name, MethodRemove, payload, nil)
 		}(p)
 	}
 	var firstErr error
@@ -794,69 +802,73 @@ func (n *Node) getFromPeers(ctx context.Context, key string) ([]byte, object.Met
 	sort.Slice(peers, func(i, j int) bool {
 		return net.RTT(n.region, peers[i].Region) < net.RTT(n.region, peers[j].Region)
 	})
+	payload, err := transport.Encode(GetRequest{Key: key})
+	if err != nil {
+		return nil, object.Meta{}, err
+	}
 	var lastErr error = object.ErrNotFound{Key: key}
-	fa := flight.FromContext(ctx)
 	for _, p := range peers {
-		payload, err := transport.Encode(GetRequest{Key: key})
-		if err != nil {
-			return nil, object.Meta{}, err
-		}
-		callStart := n.clk.Now()
-		raw, err := n.ep.Call(ctx, p.Name, MethodForwardGet, payload)
-		if err != nil {
-			fa.AddHop(flight.Hop{
-				Kind: flight.HopRPC, Name: p.Name,
-				Duration: n.clk.Since(callStart), Err: err.Error(),
-			})
+		var resp GetResponse
+		if err := n.callPeerRaw(ctx, p.Name, MethodForwardGet, payload, &resp); err != nil {
 			lastErr = err
 			continue
 		}
-		var resp GetResponse
-		if err := transport.Decode(raw, &resp); err != nil {
-			return nil, object.Meta{}, err
-		}
-		fa.AddHop(flight.Hop{
-			Kind: flight.HopRPC, Name: p.Name,
-			Duration: n.clk.Since(callStart), Bytes: int64(len(resp.Data)),
-			CostUSD: n.transferCost(p.Region, int64(len(resp.Data))),
-		})
 		return resp.Data, resp.Meta, nil
 	}
 	return nil, object.Meta{}, lastErr
 }
 
-// transferCost prices moving bytes between this node's region and peer's
-// (free inside one region, inter-AWS rate otherwise — Table 4 network rates
-// are class-independent, so Memory stands in for all).
-func (n *Node) transferCost(peer simnet.Region, bytes int64) float64 {
-	scope := cost.NetInterAWS
-	if peer == n.region {
-		scope = cost.NetIntraDC
+// callPeer is the node's one outbound RPC: it encodes req, calls method on
+// target, decodes the reply into resp (nil ignores the reply) and files the
+// call as an rpc hop on ctx's flight record, if it carries one.
+func (n *Node) callPeer(ctx context.Context, target, method string, req, resp any) error {
+	payload, err := transport.Encode(req)
+	if err != nil {
+		return err
 	}
-	return cost.TransferCost(cost.ClassMemory, scope, bytes)
+	return n.callPeerRaw(ctx, target, method, payload, resp)
 }
 
-// addRPCHop files a flight hop for a completed peer call started at start,
-// priced by the target's region (self if the name is unknown).
-func (n *Node) addRPCHop(ctx context.Context, target string, start time.Time, bytes int64) {
+// callPeerRaw is callPeer for a request already encoded — fan-outs encode
+// once and send the same payload to every peer. The hop counts the bytes
+// sent and received, is priced by the target's region (free inside one
+// region, inter-AWS rate otherwise; Table 4 network rates are
+// class-independent, so Memory stands in for all), and carries the error
+// text of a failed call: a request's slowest hop is often the one that
+// failed.
+func (n *Node) callPeerRaw(ctx context.Context, target, method string, payload []byte, resp any) error {
+	start := n.clk.Now()
+	raw, err := n.ep.Call(ctx, target, method, payload)
+	if err == nil && resp != nil {
+		err = transport.Decode(raw, resp)
+	}
 	fa := flight.FromContext(ctx)
 	if fa == nil {
-		return
+		return err
 	}
-	region := n.region
+	scope := cost.NetIntraDC
 	n.mu.Lock()
 	for _, p := range n.peers {
-		if p.Name == target {
-			region = p.Region
+		if p.Name == target && p.Region != n.region {
+			scope = cost.NetInterAWS
 			break
 		}
 	}
 	n.mu.Unlock()
-	fa.AddHop(flight.Hop{
+	bytes := int64(len(payload) + len(raw))
+	hop := flight.Hop{
 		Kind: flight.HopRPC, Name: target,
 		Duration: n.clk.Since(start), Bytes: bytes,
-		CostUSD: n.transferCost(region, bytes),
-	})
+		CostUSD: cost.TransferCost(cost.ClassMemory, scope, bytes),
+	}
+	if method == MethodApplyUpdateBatch {
+		hop.Name = "batch:" + target // one hop stands for a whole chunk of updates
+	}
+	if err != nil {
+		hop.Err = err.Error()
+	}
+	fa.AddHop(hop)
+	return err
 }
 
 // fanOutSync pushes an update to every peer synchronously, in parallel,
@@ -873,7 +885,6 @@ func (n *Node) fanOutSync(ctx context.Context, msg UpdateMsg) error {
 	if err != nil {
 		return err
 	}
-	fa := flight.FromContext(ctx)
 	type result struct {
 		peer string
 		err  error
@@ -881,18 +892,7 @@ func (n *Node) fanOutSync(ctx context.Context, msg UpdateMsg) error {
 	results := make(chan result, len(peers))
 	for _, p := range peers {
 		go func(p PeerInfo) {
-			callStart := n.clk.Now()
-			_, err := n.ep.Call(ctx, p.Name, MethodApplyUpdate, payload)
-			hop := flight.Hop{
-				Kind: flight.HopRPC, Name: p.Name,
-				Duration: n.clk.Since(callStart), Bytes: int64(len(payload)),
-				CostUSD: n.transferCost(p.Region, int64(len(payload))),
-			}
-			if err != nil {
-				hop.Err = err.Error()
-			}
-			fa.AddHop(hop)
-			results <- result{peer: p.Name, err: err}
+			results <- result{peer: p.Name, err: n.callPeerRaw(ctx, p.Name, MethodApplyUpdate, payload, nil)}
 		}(p)
 	}
 	var firstErr error
@@ -955,10 +955,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
 		}
-		data, meta, err := n.local.Get(ctx, req.Key)
-		if err == nil && meta.IsEC() {
-			data, meta, err = n.ecm.reconstruct(ctx, data, meta)
-		}
+		data, meta, err := n.readLocal(ctx, req.Key, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -971,10 +968,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		if err := n.shards.checkKey(req.Key); err != nil {
 			return nil, err
 		}
-		data, meta, err := n.GetVersion(ctx, req.Key, req.Version)
-		if err == nil && meta.IsEC() {
-			data, meta, err = n.ecm.reconstruct(ctx, data, meta)
-		}
+		data, meta, err := n.readLocal(ctx, req.Key, &req.Version)
 		if err != nil {
 			return nil, err
 		}
@@ -1177,16 +1171,8 @@ func (n *Node) snapshot(ctx context.Context) ([]byte, error) {
 // bootstrap, Sec 4.4).
 func (n *Node) SyncFrom(peer string) error {
 	ctx := context.Background()
-	payload, err := transport.Encode(SnapshotRequest{})
-	if err != nil {
-		return err
-	}
-	raw, err := n.ep.Call(ctx, peer, MethodSnapshot, payload)
-	if err != nil {
-		return err
-	}
 	var resp SnapshotResponse
-	if err := transport.Decode(raw, &resp); err != nil {
+	if err := n.callPeer(ctx, peer, MethodSnapshot, SnapshotRequest{}, &resp); err != nil {
 		return err
 	}
 	for _, u := range resp.Updates {
@@ -1278,14 +1264,9 @@ func (n *Node) requestPolicyChangeVia(what, to, via string) error {
 			return fmt.Errorf("wiera: unknown change_policy target %q", what)
 		}
 	}
-	payload, err := transport.Encode(ChangeRequestMsg{
+	return n.callPeer(context.Background(), n.serverDst, MethodRequestChange, ChangeRequestMsg{
 		InstanceID: n.instanceID, What: what, To: to, From: n.name, Via: via,
-	})
-	if err != nil {
-		return err
-	}
-	_, err = n.ep.Call(context.Background(), n.serverDst, MethodRequestChange, payload)
-	return err
+	}, nil)
 }
 
 // Close stops the node and removes it from the fabric.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/metastore"
 	"repro/internal/object"
 	"repro/internal/repair"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -274,56 +273,36 @@ func (c nodeCluster) Client(peer string) repair.PeerClient { return rpcPeer{n: c
 
 // Alive implements repair.Cluster with a ping round trip.
 func (c nodeCluster) Alive(peer string) bool {
-	payload, err := transport.Encode(PingMsg{})
-	if err != nil {
-		return false
-	}
-	_, err = c.n.ep.Call(context.Background(), peer, MethodPing, payload)
-	return err == nil
+	return c.n.callPeer(context.Background(), peer, MethodPing, PingMsg{}, nil) == nil
 }
 
 // rpcPeer adapts one remote replica to repair.PeerClient over the fabric.
-// Repair RPCs run outside any application trace, under spans of their own.
+// Repair RPCs run outside any application trace and flight record.
 type rpcPeer struct {
 	n    *Node
 	peer string
 }
 
-func (p rpcPeer) call(method string, req, resp any) error {
-	ctx, span := telemetry.StartSpan(context.Background(), method)
-	span.SetAttr("node", p.n.name)
-	span.SetAttr("peer", p.peer)
-	defer span.End()
-	payload, err := transport.Encode(req)
-	if err != nil {
-		return err
-	}
-	raw, err := p.n.ep.Call(ctx, p.peer, method, payload)
-	if err != nil {
-		span.SetError(err)
-		return err
-	}
-	return transport.Decode(raw, resp)
-}
-
 // Digests implements repair.PeerClient.
 func (p rpcPeer) Digests(geo repair.Geometry, nodes []int) ([]uint64, error) {
 	var resp RepairDigestResponse
-	err := p.call(MethodRepairDigest, RepairDigestRequest{Fanout: geo.Fanout, Depth: geo.Depth, Nodes: nodes}, &resp)
+	req := RepairDigestRequest{Fanout: geo.Fanout, Depth: geo.Depth, Nodes: nodes}
+	err := p.n.callPeer(context.Background(), p.peer, MethodRepairDigest, req, &resp)
 	return resp.Digests, err
 }
 
 // LeafEntries implements repair.PeerClient.
 func (p rpcPeer) LeafEntries(geo repair.Geometry, leaves []int) ([]repair.Entry, error) {
 	var resp RepairEntriesResponse
-	err := p.call(MethodRepairEntries, RepairEntriesRequest{Fanout: geo.Fanout, Depth: geo.Depth, Leaves: leaves}, &resp)
+	req := RepairEntriesRequest{Fanout: geo.Fanout, Depth: geo.Depth, Leaves: leaves}
+	err := p.n.callPeer(context.Background(), p.peer, MethodRepairEntries, req, &resp)
 	return resp.Entries, err
 }
 
 // Pull implements repair.PeerClient.
 func (p rpcPeer) Pull(keys []string) ([]repair.Update, error) {
 	var resp RepairPullResponse
-	if err := p.call(MethodRepairPull, RepairPullRequest{Keys: keys}, &resp); err != nil {
+	if err := p.n.callPeer(context.Background(), p.peer, MethodRepairPull, RepairPullRequest{Keys: keys}, &resp); err != nil {
 		return nil, err
 	}
 	out := make([]repair.Update, len(resp.Updates))
@@ -340,7 +319,7 @@ func (p rpcPeer) Push(updates []repair.Update) (int, error) {
 		msgs[i] = UpdateMsg{Meta: u.Meta, Data: u.Data}
 	}
 	var resp RepairPushResponse
-	if err := p.call(MethodRepairPush, RepairPushRequest{Updates: msgs}, &resp); err != nil {
+	if err := p.n.callPeer(context.Background(), p.peer, MethodRepairPush, RepairPushRequest{Updates: msgs}, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Accepted, nil

@@ -8,7 +8,6 @@ import (
 	"repro/internal/object"
 	"repro/internal/ring"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
 )
 
 // shardManager is a node's view of the keyspace partition: the current
@@ -215,21 +214,9 @@ func (m *shardManager) fetchFromPrev(ctx context.Context, key string) ([]byte, o
 // fetchFrom reads key's latest version from peer (ForwardGet skips the
 // peer's ownership check, which would NACK keys it is migrating away).
 func (m *shardManager) fetchFrom(ctx context.Context, peer, key string) ([]byte, object.Meta, bool) {
-	payload, err := transport.Encode(GetRequest{Key: key})
-	if err != nil {
-		return nil, object.Meta{}, false
-	}
-	start := m.n.clk.Now()
-	raw, err := m.n.ep.Call(ctx, peer, MethodForwardGet, payload)
-	if err != nil {
-		return nil, object.Meta{}, false
-	}
 	var resp GetResponse
-	if err := transport.Decode(raw, &resp); err != nil {
-		return nil, object.Meta{}, false
-	}
-	m.n.addRPCHop(ctx, peer, start, int64(len(resp.Data)))
-	return resp.Data, resp.Meta, true
+	err := m.n.callPeer(ctx, peer, MethodForwardGet, GetRequest{Key: key}, &resp)
+	return resp.Data, resp.Meta, err == nil
 }
 
 // applyOrForward installs a replica update: locally when this shard owns
@@ -247,19 +234,9 @@ func (m *shardManager) applyOrForward(ctx context.Context, msg UpdateMsg) (bool,
 		return m.n.local.ApplyRemote(ctx, msg.Meta, msg.Data)
 	}
 	msg.Forwarded = true
-	payload, err := transport.Encode(msg)
-	if err != nil {
-		return false, err
-	}
-	raw, err := m.n.ep.Call(ctx, target, MethodApplyUpdate, payload)
-	if err != nil {
-		return false, err
-	}
 	var ack UpdateAck
-	if err := transport.Decode(raw, &ack); err != nil {
-		return false, err
-	}
-	return ack.Accepted, nil
+	err := m.n.callPeer(ctx, target, MethodApplyUpdate, msg, &ack)
+	return ack.Accepted, err
 }
 
 // drain streams every key this shard no longer owns to its new in-region
@@ -333,18 +310,11 @@ func (m *shardManager) pushKeys(ctx context.Context, target string, keys []strin
 		if len(req.Updates) == 0 {
 			return nil
 		}
-		payload, err := transport.Encode(req)
-		if err != nil {
+		// Only the push files its hop on the drain's record; the local reads
+		// and deletes around it run on the bare ctx.
+		if err := m.n.callPeer(flight.NewContext(ctx, fa), target, MethodRepairPush, req, nil); err != nil {
 			return err
 		}
-		start := m.n.clk.Now()
-		if _, err := m.n.ep.Call(ctx, target, MethodRepairPush, payload); err != nil {
-			fa.AddHop(flight.Hop{Kind: flight.HopRPC, Name: target,
-				Duration: m.n.clk.Since(start), Err: err.Error()})
-			return err
-		}
-		fa.AddHop(flight.Hop{Kind: flight.HopRPC, Name: target,
-			Duration: m.n.clk.Since(start), Bytes: chunkBytes})
 		for _, key := range sent {
 			_ = m.n.local.Remove(ctx, key)
 		}

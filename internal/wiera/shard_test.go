@@ -119,7 +119,9 @@ func TestAddWorkerRebalancesOnline(t *testing.T) {
 	}
 
 	// Writers keep updating while the pool grows; every acked write must
-	// survive the rebalance.
+	// survive the rebalance. Each writer owns a third of the keys: two
+	// overlapping puts of one key may be acked in either order, so "last
+	// acked" would not name the value that must survive.
 	c2 := cli
 	var acked sync.Map // key -> last acked value
 	var stop atomic.Bool
@@ -129,7 +131,7 @@ func TestAddWorkerRebalancesOnline(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
-				key := fmt.Sprintf("pre-%03d", (w*37+i)%preKeys)
+				key := fmt.Sprintf("pre-%03d", (w+3*i)%preKeys)
 				val := fmt.Sprintf("v2:%s:%d:%d", key, w, i)
 				if _, err := c2.Put(ctx, key, []byte(val)); err == nil {
 					acked.Store(key, val)
