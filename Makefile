@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: ci verify vet build test race race-obs race-obsplane race-ec race-autoscale race-tenant race-wire fuzz-wire smoke-obsplane smoke-tenancy bench bench-smoke perf perf-compare clean convergence scaleout batchflush eccost elastic tenancy
+.PHONY: ci verify vet build test race race-obs race-obsplane race-ec race-autoscale race-tenant race-wire fuzz-wire smoke-obsplane smoke-tenancy bench bench-smoke perf perf-compare perf-pairs clean convergence scaleout batchflush eccost elastic tenancy
 
 ci: vet build bench-smoke race-obs race-obsplane race-ec race-autoscale race-tenant race-wire race fuzz-wire smoke-obsplane smoke-tenancy
 
@@ -83,6 +83,15 @@ perf:
 #   make perf-compare A=/path/to/parent/results B=.bench_build/results
 perf-compare:
 	bash bench/run.sh compare $(A) $(B)
+
+# Paired runs of a parent revision against this checkout for one workload,
+# alternating which side goes first, folded into BENCH_<pr>.json (one entry
+# per workload; run once per workload). PR defaults to ISSUE.md's number.
+#   make perf-pairs PARENT=HEAD~1 W=fabric_small_rw N=10
+PR ?= $(shell sed -n '1s/^# ISSUE \([0-9][0-9]*\).*/\1/p' ISSUE.md)
+N ?= 10
+perf-pairs:
+	bash scripts/bench_pairs.sh $(PARENT) $(W) $(N) BENCH_$(PR).json
 
 # Remove what building and running the benchmark leave behind.
 clean:

@@ -315,7 +315,16 @@ type Active struct {
 	mu  sync.Mutex
 	r   Record
 	end bool
+	// hops backs r.Hops for the first inlineHops hops, so a typical request
+	// (tier hop, a lock or an rpc or two) records them without allocating;
+	// append moves a longer path to the heap. The filed Record's Hops still
+	// slice this array: End stops every writer first, so from then on the
+	// record owns the hops and merely keeps the Active reachable.
+	hops [inlineHops]Hop
 }
+
+// inlineHops is how many hops an Active holds in place.
+const inlineHops = 4
 
 // AddHop appends one hop to the record.
 func (a *Active) AddHop(h Hop) {
@@ -324,6 +333,9 @@ func (a *Active) AddHop(h Hop) {
 	}
 	a.mu.Lock()
 	if !a.end {
+		if a.r.Hops == nil {
+			a.r.Hops = a.hops[:0]
+		}
 		a.r.Hops = append(a.r.Hops, h)
 		a.r.CostUSD += h.CostUSD
 	}

@@ -270,3 +270,40 @@ func TestDumpAndHandler(t *testing.T) {
 		t.Fatalf("RenderHopSummary missing kinds:\n%s", txt)
 	}
 }
+
+// TestInlineHops pins the hop storage: a request with a typical path (up to
+// inlineHops hops) allocates the Active and nothing else, a longer path
+// spills to the heap without losing or reordering a hop, and a filed
+// record's hops are its own — late hops on the finished Active must not show
+// through the array the record still slices.
+func TestInlineHops(t *testing.T) {
+	r := NewRecorder(Config{})
+	allocs := testing.AllocsPerRun(200, func() {
+		a := r.Begin("put", "k", "n", "r", "p")
+		a.AddHop(Hop{Kind: HopLock, Name: "k"})
+		a.AddHop(Hop{Kind: HopTier, Name: "tier1"})
+		a.AddHop(Hop{Kind: HopRPC, Name: "peer"})
+		a.End(nil)
+	})
+	if allocs > 1 {
+		t.Errorf("Begin, 3 hops, End: %.0f allocs, want <= 1 (the Active)", allocs)
+	}
+
+	for _, hops := range []int{inlineHops - 1, inlineHops, inlineHops + 2} {
+		a := r.Begin("get", fmt.Sprintf("k%d", hops), "n", "r", "p")
+		for i := 0; i < hops; i++ {
+			a.AddHop(Hop{Kind: HopRPC, Name: fmt.Sprintf("peer%d", i), CostUSD: 1})
+		}
+		a.End(nil)
+		a.AddHop(Hop{Kind: HopRPC, Name: "late"})
+		rec := r.Recent(1)[0]
+		if len(rec.Hops) != hops || rec.CostUSD != float64(hops) {
+			t.Fatalf("%d hops filed as %d (cost %v)", hops, len(rec.Hops), rec.CostUSD)
+		}
+		for i, h := range rec.Hops {
+			if want := fmt.Sprintf("peer%d", i); h.Name != want {
+				t.Fatalf("%d hops: hop %d is %q, want %q", hops, i, h.Name, want)
+			}
+		}
+	}
+}

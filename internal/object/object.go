@@ -9,6 +9,7 @@ package object
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -417,5 +418,8 @@ func (s *Store) Scan(fn func(Meta) bool) {
 // VersionKey is the tier-payload key for (key, version): tiers store
 // payloads keyed by this composite so multiple versions coexist.
 func VersionKey(key string, v Version) string {
-	return fmt.Sprintf("%s@v%d", key, v)
+	// Runs on every tier put and get: the digits are formatted on the stack
+	// so the returned string is the only allocation.
+	var digits [20]byte
+	return key + "@v" + string(strconv.AppendInt(digits[:0], int64(v), 10))
 }

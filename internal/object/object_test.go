@@ -3,7 +3,9 @@ package object
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -284,7 +286,23 @@ func TestVersionKey(t *testing.T) {
 	if got := VersionKey("photo.jpg", 3); got != "photo.jpg@v3" {
 		t.Fatalf("VersionKey = %q", got)
 	}
+	// Byte-identical to the Sprintf form it replaced, at one allocation.
+	keys := []string{"", "k", "photo.jpg", "a@v2", "@v", "tn:gold:k@v1@v1", strings.Repeat("x", 300)}
+	versions := []Version{0, 1, 7, 1234567890, math.MaxInt64, -1, math.MinInt64}
+	for _, k := range keys {
+		for _, v := range versions {
+			if got, want := VersionKey(k, v), fmt.Sprintf("%s@v%d", k, v); got != want {
+				t.Errorf("VersionKey(%q, %d) = %q, want %q", k, v, got, want)
+			}
+		}
+	}
+	key, v := "photo.jpg", Version(41)
+	if allocs := testing.AllocsPerRun(200, func() { sinkString = VersionKey(key, v) }); allocs > 1 {
+		t.Errorf("VersionKey allocates %.0f times per call, want <= 1", allocs)
+	}
 }
+
+var sinkString string
 
 func TestErrNotFoundMessages(t *testing.T) {
 	e1 := ErrNotFound{Key: "k"}

@@ -340,7 +340,7 @@ Tiera X(time t) {
 	if _, err := prog.Events[0].Fire(NewMapEnv(), exec); err != nil {
 		t.Fatal(err)
 	}
-	pred, ok := exec.actions[0].Preds["what"]
+	pred, ok := exec.actions[0].Pred("what")
 	if !ok {
 		t.Fatal("what should be a predicate")
 	}
@@ -426,7 +426,8 @@ Tiera X {
 }
 
 func TestActionCallHelpers(t *testing.T) {
-	call := &ActionCall{Name: "x", Args: map[string]Value{"to": IdentVal("tier1"), "n": NumberVal(5)}}
+	call := &ActionCall{Name: "x", args: []arg{{name: "to"}, {name: "n"}},
+		vals: [inlineArgs]Value{IdentVal("tier1"), NumberVal(5)}}
 	if _, err := call.StringArg("missing"); err == nil {
 		t.Fatal("missing arg should error")
 	}
@@ -498,4 +499,115 @@ func TestExprPrintEvalProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// --- reference interpreter ---------------------------------------------
+//
+// The tree-walking interpreter the engine ran before Compile lowered bodies
+// into steps, kept as the reference the differential test
+// (differential_test.go) holds the compiled form to: it re-derives
+// everything per firing — predicate detection by walking each argument, a
+// call and two maps per action — and is the definition of what a body means.
+
+// refCall is the reference's evaluated action: map-backed.
+type refCall struct {
+	Name  string
+	Args  map[string]Value
+	Preds map[string]Predicate
+}
+
+// refExecutor is Executor over refCall.
+type refExecutor interface {
+	Do(call *refCall) error
+	Assign(path string, v Value) error
+}
+
+func refFireGuard(e *CompiledEvent, env Env) (bool, error) {
+	switch e.Expr.(type) {
+	case *IdentExpr:
+		return true, nil
+	}
+	if e.Kind == KindTimer || e.Kind == KindFilled || e.Kind == KindObjectMonitor {
+		return true, nil
+	}
+	v, err := Eval(e.Expr, env)
+	if err != nil {
+		return false, err
+	}
+	if v.Kind != ValBool {
+		return true, nil
+	}
+	return v.Bool, nil
+}
+
+func refFire(e *CompiledEvent, env Env, exec refExecutor) (bool, error) {
+	ok, err := refFireGuard(e, env)
+	if err != nil || !ok {
+		return false, err
+	}
+	return true, refExecStmts(e.Body, env, exec)
+}
+
+func refExecStmts(stmts []Stmt, env Env, exec refExecutor) error {
+	for _, s := range stmts {
+		switch st := s.(type) {
+		case *AssignStmt:
+			v, err := Eval(st.Expr, env)
+			if err != nil {
+				return err
+			}
+			if err := exec.Assign(st.Path, v); err != nil {
+				return err
+			}
+		case *IfStmt:
+			cond, err := EvalBool(st.Cond, env)
+			if err != nil {
+				return err
+			}
+			if cond {
+				if err := refExecStmts(st.Then, env, exec); err != nil {
+					return err
+				}
+			} else if len(st.Else) > 0 {
+				if err := refExecStmts(st.Else, env, exec); err != nil {
+					return err
+				}
+			}
+		case *ActionStmt:
+			call, err := refEvalCall(st, env)
+			if err != nil {
+				return err
+			}
+			if err := exec.Do(call); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("policy: unknown statement %T", s)
+		}
+	}
+	return nil
+}
+
+// refEvalCall evaluates an action's arguments. Arguments whose expressions
+// reference object.* become Predicates evaluated later per object; all
+// others are evaluated eagerly in env.
+func refEvalCall(st *ActionStmt, env Env) (*refCall, error) {
+	call := &refCall{Name: st.Name, Args: make(map[string]Value), Preds: make(map[string]Predicate)}
+	for _, a := range st.Args {
+		if ReferencesPrefix(a.Expr, "object.") {
+			expr := a.Expr
+			outer := env
+			call.Preds[a.Name] = func(objEnv Env) (bool, error) {
+				chained := &MapEnv{Vars: map[string]Value{}, Parent: &chainEnv{first: objEnv, second: outer}}
+				return EvalBool(expr, chained)
+			}
+			continue
+		}
+		v, err := Eval(a.Expr, env)
+		if err != nil {
+			return nil, err
+		}
+		call.Args[a.Name] = v
+	}
+	return call, nil
 }

@@ -37,6 +37,74 @@ func (m *MapEnv) Lookup(path string) (Value, bool) {
 // Set binds path to v.
 func (m *MapEnv) Set(path string, v Value) { m.Vars[path] = v }
 
+// OpEnv is the environment of one put or get: the handful of attributes
+// insert and get events read, held as fields instead of map entries, plus
+// the one ActionCall the operation's firings reuse. It is meant to be a field
+// of the per-operation executor, so that an operation allocates neither an
+// environment nor a call. Attributes not bound stay unbound: looking one up
+// reports false and the identifier evaluates to itself, as in a MapEnv.
+type OpEnv struct {
+	bound   opAttrs
+	key     string
+	into    string
+	size    int64
+	primary bool
+	call    ActionCall
+}
+
+// opAttrs is the set of attribute groups an OpEnv has bound.
+type opAttrs uint8
+
+const (
+	opInsert  opAttrs = 1 << iota // insert.key, insert.object, insert.object.size
+	opInto                        // insert.into
+	opGet                         // get.key
+	opPrimary                     // local_instance.isPrimary
+)
+
+// BindInsert binds insert.key, insert.object and insert.object.size.
+func (e *OpEnv) BindInsert(key string, size int64) {
+	e.bound |= opInsert
+	e.key, e.size = key, size
+}
+
+// BindInto binds insert.into to the tier a put lands in.
+func (e *OpEnv) BindInto(tier string) {
+	e.bound |= opInto
+	e.into = tier
+}
+
+// BindGet binds get.key.
+func (e *OpEnv) BindGet(key string) {
+	e.bound |= opGet
+	e.key = key
+}
+
+// BindPrimary binds local_instance.isPrimary.
+func (e *OpEnv) BindPrimary(isPrimary bool) {
+	e.bound |= opPrimary
+	e.primary = isPrimary
+}
+
+// Lookup implements Env.
+func (e *OpEnv) Lookup(path string) (Value, bool) {
+	switch path {
+	case "insert.key":
+		return StringVal(e.key), e.bound&opInsert != 0
+	case "insert.object":
+		return IdentVal(e.key), e.bound&opInsert != 0
+	case "insert.object.size":
+		return SizeVal(e.size), e.bound&opInsert != 0
+	case "insert.into":
+		return IdentVal(e.into), e.bound&opInto != 0
+	case "get.key":
+		return StringVal(e.key), e.bound&opGet != 0
+	case "local_instance.isPrimary":
+		return BoolVal(e.primary), e.bound&opPrimary != 0
+	}
+	return Value{}, false
+}
+
 // Eval evaluates expr in env to a Value.
 func Eval(expr Expr, env Env) (Value, error) {
 	switch e := expr.(type) {

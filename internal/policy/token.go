@@ -12,6 +12,27 @@
 //     events (insert, get, timer, filled, cold, threshold) and executes
 //     response statements through an Executor supplied by the Tiera or
 //     Wiera layer.
+//
+// # Compiled bodies
+//
+// Every put and get fires events, so Compile decides once everything that is
+// a function of the policy text: each event's kind and parameters, whether
+// its guard can be false at all, the per-kind index ByKind returns, and its
+// response body lowered into steps whose action arguments are already
+// classified as literal, identifier lookup, expression or object predicate.
+// Firing walks those steps and evaluates only what depends on the
+// environment; conditions and values are still Eval over the parsed
+// expression, which allocates nothing. There is one executor of bodies: the
+// timer, fill, object-monitor and threshold schedulers fire the same steps
+// with a MapEnv that the put and get paths fire with an OpEnv.
+//
+// The contract with an Executor: the *ActionCall passed to Do is valid until
+// Do returns. With an OpEnv the engine evaluates every action of the firing
+// into the one call the OpEnv carries (that, and OpEnv being a field of the
+// per-operation executor, is why a firing allocates nothing), so an executor
+// copies out any argument it needs later; a Predicate obtained from the call
+// remains usable for as long as the firing's environment is. With any other
+// environment each action gets a call of its own.
 package policy
 
 import (

@@ -10,7 +10,11 @@ import (
 )
 
 // opContext carries the state of one in-flight put while its insert events
-// execute. ctx carries the operation's trace span into tier accesses.
+// execute, and is their policy.Executor: it handles the local
+// (intra-instance) actions; global actions (forward, queue, lock, release,
+// change_policy) are rejected here and belong to the Wiera layer, which
+// drives this one. ctx carries the operation's trace span into tier
+// accesses; env is what the insert events read.
 type opContext struct {
 	ctx    context.Context
 	inst   *Instance
@@ -20,6 +24,7 @@ type opContext struct {
 	target string
 	stored bool
 	dirty  bool
+	env    policy.OpEnv
 }
 
 // storeTo writes the current object's payload into the labeled tier and
@@ -40,17 +45,8 @@ func (op *opContext) storeTo(label string) error {
 	return nil
 }
 
-// localExec executes policy actions for one put operation. It handles the
-// local (intra-instance) actions; global actions (forward, queue, lock,
-// release, change_policy) are rejected here and belong to the Wiera layer,
-// which wraps this executor.
-type localExec struct {
-	op *opContext
-}
-
 // Do implements policy.Executor.
-func (e *localExec) Do(call *policy.ActionCall) error {
-	op := e.op
+func (op *opContext) Do(call *policy.ActionCall) error {
 	switch call.Name {
 	case "store":
 		to, err := call.StringArg("to")
@@ -62,12 +58,13 @@ func (e *localExec) Do(call *policy.ActionCall) error {
 		}
 		return op.storeTo(to)
 	case "copy", "move":
-		return e.copyOrMove(call, call.Name == "move")
+		return op.copyOrMove(call, call.Name == "move")
 	case "delete":
-		return op.inst.deleteBySelector(call)
+		pred, _ := call.Pred("what")
+		return op.inst.deleteMatching(pred)
 	case "compress", "encrypt":
 		encrypt := call.Name == "encrypt"
-		if pred, ok := call.Preds["what"]; ok {
+		if pred, ok := call.Pred("what"); ok {
 			return op.inst.transformMatching(pred, encrypt)
 		}
 		// Insert-time transform of the current object.
@@ -96,35 +93,34 @@ func (e *localExec) Do(call *policy.ActionCall) error {
 	}
 }
 
-func (e *localExec) copyOrMove(call *policy.ActionCall, move bool) error {
-	op := e.op
+func (op *opContext) copyOrMove(call *policy.ActionCall, move bool) error {
 	to, err := call.StringArg("to")
 	if err != nil {
 		return err
 	}
-	// For insert-time copy/move the selector is the current object.
-	if _, isPred := call.Preds["what"]; !isPred {
-		what, err := call.StringArg("what")
-		if err != nil {
-			return err
-		}
-		if what != "insert.object" && what != op.key {
-			return fmt.Errorf("tiera: copy of %q outside the current operation", what)
-		}
-		return op.inst.transferVersion(op.ctx, op.key, op.meta.Version, op.target, to, move, bandwidthOf(call))
-	}
 	// Predicate selector at insert time: scan (rare but legal).
-	return op.inst.transferMatching(op.ctx, call.Preds["what"], to, move, bandwidthOf(call))
+	if pred, ok := call.Pred("what"); ok {
+		return op.inst.transferMatching(op.ctx, pred, to, move, bandwidthOf(call))
+	}
+	// For insert-time copy/move the selector is the current object.
+	what, err := call.StringArg("what")
+	if err != nil {
+		return err
+	}
+	if what != "insert.object" && what != op.key {
+		return fmt.Errorf("tiera: copy of %q outside the current operation", what)
+	}
+	return op.inst.transferVersion(op.ctx, op.key, op.meta.Version, op.target, to, move, bandwidthOf(call))
 }
 
 // Assign implements policy.Executor: insert.object.<attr> = value.
-func (e *localExec) Assign(path string, v policy.Value) error {
+func (op *opContext) Assign(path string, v policy.Value) error {
 	switch path {
 	case "insert.object.dirty":
 		if v.Kind != policy.ValBool {
 			return fmt.Errorf("tiera: dirty must be boolean")
 		}
-		e.op.dirty = v.Bool
+		op.dirty = v.Bool
 		return nil
 	default:
 		return fmt.Errorf("tiera: cannot assign %q", path)
@@ -212,11 +208,11 @@ func (in *Instance) transferMatching(ctx context.Context, pred policy.Predicate,
 	return nil
 }
 
-// deleteBySelector removes matching payload copies (and, when the object
-// ends up nowhere, its metadata).
-func (in *Instance) deleteBySelector(call *policy.ActionCall) error {
-	pred, ok := call.Preds["what"]
-	if !ok {
+// deleteMatching removes the payload copies pred selects (and, when the
+// object ends up nowhere, its metadata). A delete names its victims by
+// predicate only, so a nil pred is an error.
+func (in *Instance) deleteMatching(pred policy.Predicate) error {
+	if pred == nil {
 		return fmt.Errorf("tiera: delete requires a what: predicate")
 	}
 	matches, err := in.matchObjects(pred)

@@ -29,6 +29,23 @@ func errCannotAssign(path string) error {
 // data-touching action must use a predicate selector.
 type timerExec struct {
 	inst *Instance
+	// only, when set by an object monitor, narrows every selector to the
+	// objects that triggered the event.
+	only policy.Predicate
+}
+
+// selector returns the action's what: predicate, conjoined with only.
+func (e *timerExec) selector(call *policy.ActionCall) (policy.Predicate, bool) {
+	pred, ok := call.Pred("what")
+	if !ok || e.only == nil {
+		return pred, ok
+	}
+	return func(env policy.Env) (bool, error) {
+		if ok, err := e.only(env); err != nil || !ok {
+			return false, err
+		}
+		return pred(env)
+	}, true
 }
 
 // Do implements policy.Executor.
@@ -40,15 +57,16 @@ func (e *timerExec) Do(call *policy.ActionCall) error {
 		if err != nil {
 			return err
 		}
-		pred, ok := call.Preds["what"]
+		pred, ok := e.selector(call)
 		if !ok {
 			return errNoPredicate(call.Name)
 		}
 		return in.transferMatching(context.Background(), pred, to, call.Name == "move", bandwidthOf(call))
 	case "delete":
-		return in.deleteBySelector(call)
+		pred, _ := e.selector(call)
+		return in.deleteMatching(pred)
 	case "compress", "encrypt":
-		pred, ok := call.Preds["what"]
+		pred, ok := e.selector(call)
 		if !ok {
 			return errNoPredicate(call.Name)
 		}
@@ -109,35 +127,12 @@ func (in *Instance) RunObjectMonitorsOnce() error {
 		// Execute the body with every selector predicate conjoined with the
 		// event predicate, so only objects that triggered the event are
 		// touched (cold objects, not everything in tier1).
-		exec := &monitorExec{timerExec: timerExec{inst: in}, eventPred: eventPred}
+		exec := &timerExec{inst: in, only: eventPred}
 		if err := ev.Execute(policy.NewMapEnv(), exec); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// monitorExec narrows every body predicate by the triggering event's
-// predicate.
-type monitorExec struct {
-	timerExec
-	eventPred policy.Predicate
-}
-
-// Do implements policy.Executor.
-func (e *monitorExec) Do(call *policy.ActionCall) error {
-	narrowed := &policy.ActionCall{Name: call.Name, Args: call.Args, Preds: map[string]policy.Predicate{}}
-	for name, pred := range call.Preds {
-		p := pred
-		narrowed.Preds[name] = func(env policy.Env) (bool, error) {
-			ok, err := e.eventPred(env)
-			if err != nil || !ok {
-				return false, err
-			}
-			return p(env)
-		}
-	}
-	return e.timerExec.Do(narrowed)
 }
 
 // checkFilled fires filled events whose tier crossed its threshold since

@@ -96,6 +96,9 @@ type Instance struct {
 	region simnet.Region
 	clk    clock.Clock
 	prog   *policy.Program
+	// explicitStore is whether any insert event body stores the object
+	// itself — a property of the policy text, decided once in New.
+	explicitStore bool
 
 	tiers     map[string]tier.Tier
 	tierOrder []string // declaration order: tier1 first
@@ -140,15 +143,16 @@ func New(cfg Config) (*Instance, error) {
 		return nil, err
 	}
 	inst := &Instance{
-		name:        cfg.Name,
-		region:      cfg.Region,
-		clk:         cfg.Clock,
-		prog:        prog,
-		tiers:       make(map[string]tier.Tier),
-		objects:     object.NewStore(),
-		fillLatched: make(map[string]bool),
-		PutLatency:  stats.NewHistogram(),
-		GetLatency:  stats.NewHistogram(),
+		name:          cfg.Name,
+		region:        cfg.Region,
+		clk:           cfg.Clock,
+		prog:          prog,
+		explicitStore: anyStoresExplicitly(prog.ByKind(policy.KindInsert)),
+		tiers:         make(map[string]tier.Tier),
+		objects:       object.NewStore(),
+		fillLatched:   make(map[string]bool),
+		PutLatency:    stats.NewHistogram(),
+		GetLatency:    stats.NewHistogram(),
 	}
 	for _, td := range cfg.Spec.Tiers {
 		if extra, ok := cfg.ExtraTiers[td.Label]; ok {
@@ -366,24 +370,20 @@ func (in *Instance) putInternal(ctx context.Context, key string, data []byte, ta
 	meta := in.objects.Put(key, int64(len(data)), target, in.name, tags, now)
 
 	op := &opContext{ctx: ctx, inst: in, key: key, meta: meta, data: data, target: target}
-	env := policy.NewMapEnv()
-	env.Set("insert.key", policy.StringVal(key))
-	env.Set("insert.into", policy.IdentVal(target))
-	env.Set("insert.object", policy.IdentVal(key))
-	env.Set("insert.object.size", policy.SizeVal(int64(len(data))))
+	op.env.BindInsert(key, int64(len(data)))
+	op.env.BindInto(target)
 
-	inserts := in.prog.ByKind(policy.KindInsert)
 	// When no insert event body performs an explicit store, the put's
 	// default store to the first tier happens first and the events react to
 	// it — the paper's Fig 1(b) write-through, where event(insert.into ==
 	// tier1) copies data that is already in tier1.
-	if !anyStoresExplicitly(inserts) {
+	if !in.explicitStore {
 		if err := op.storeTo(target); err != nil {
 			return object.Meta{}, err
 		}
 	}
-	for _, ev := range inserts {
-		if _, err := ev.Fire(env, &localExec{op: op}); err != nil {
+	for _, ev := range in.prog.ByKind(policy.KindInsert) {
+		if _, err := ev.Fire(&op.env, op); err != nil {
 			return object.Meta{}, err
 		}
 	}

@@ -14,15 +14,20 @@ import (
 // put operation: lock/release, store to local_instance, synchronous copy or
 // lazy queue to all_regions, and forward to the primary (paper Figs 3-4).
 // ctx carries the put's trace span through forwards and fan-outs (the
-// policy.Executor interface has no ctx parameter, so it rides on the exec).
+// policy.Executor interface has no ctx parameter, so it rides on the exec);
+// env is what the insert events read.
 type globalPutExec struct {
 	ctx  context.Context
 	n    *Node
 	key  string
 	data []byte
 	tags []string
+	env  policy.OpEnv
 
-	meta      *object.Meta // set once stored locally or forwarded
+	// meta is the put's result once hasMeta is set: the version stored
+	// locally, or the primary's answer to a forward.
+	meta      object.Meta
+	hasMeta   bool
 	lockHeld  bool
 	forwarded bool
 }
@@ -68,7 +73,7 @@ func (e *globalPutExec) Do(call *policy.ActionCall) error {
 		if err != nil {
 			return err
 		}
-		e.meta = &m
+		e.meta, e.hasMeta = m, true
 		return nil
 	case "copy":
 		return e.distribute(call, true)
@@ -88,7 +93,7 @@ func (e *globalPutExec) Do(call *policy.ActionCall) error {
 		if err := e.n.callPeer(e.ctx, target, MethodForwardPut, req, &resp); err != nil {
 			return err
 		}
-		e.meta = &resp.Meta
+		e.meta, e.hasMeta = resp.Meta, true
 		e.forwarded = true
 		return nil
 	case "stripe":
@@ -105,7 +110,7 @@ func (e *globalPutExec) Do(call *policy.ActionCall) error {
 // distribute fans the stored version out to all peers, synchronously
 // (copy) or through the background queue (queue).
 func (e *globalPutExec) distribute(call *policy.ActionCall, sync bool) error {
-	if e.meta == nil {
+	if !e.hasMeta {
 		return errors.New("wiera: copy/queue before store in policy body")
 	}
 	to, err := call.StringArg("to")
@@ -120,7 +125,7 @@ func (e *globalPutExec) distribute(call *policy.ActionCall, sync bool) error {
 		if err != nil {
 			return err
 		}
-		msg := UpdateMsg{Meta: *e.meta, Data: e.data}
+		msg := UpdateMsg{Meta: e.meta, Data: e.data}
 		if !sync {
 			// Async delivery outlives the put's span; it goes through the
 			// batcher, which coalesces updates bound for the same peer while
@@ -135,7 +140,7 @@ func (e *globalPutExec) distribute(call *policy.ActionCall, sync bool) error {
 		}
 		return err
 	}
-	msg := UpdateMsg{Meta: *e.meta, Data: e.data}
+	msg := UpdateMsg{Meta: e.meta, Data: e.data}
 	if sync {
 		return e.n.fanOutSync(e.ctx, msg)
 	}
@@ -160,12 +165,13 @@ func (e *globalPutExec) releaseLockIfHeld() {
 
 // globalGetExec executes get-event responses: forwarding reads to another
 // instance (Sec 5.4's remote-memory reads). ctx carries the get's trace
-// span through the forward.
+// span through the forward; env is what the get events read.
 type globalGetExec struct {
 	ctx  context.Context
 	n    *Node
 	key  string
 	resp *GetResponse
+	env  policy.OpEnv
 }
 
 // Do implements policy.Executor.

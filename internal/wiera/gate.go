@@ -37,18 +37,21 @@ func newOpGate() *opGate {
 	return g
 }
 
-// enter admits one operation, blocking while the gate is frozen.
-func (g *opGate) enter() error {
+// enter admits one operation, blocking while the gate is frozen. parked
+// reports whether it had to: an operation that found the gate open spent no
+// time queued, whatever two clock readings around the call say.
+func (g *opGate) enter() (parked bool, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for g.frozen && !g.dead {
+		parked = true
 		g.cond.Wait()
 	}
 	if g.dead {
-		return ErrChanging
+		return parked, ErrChanging
 	}
 	g.active++
-	return nil
+	return parked, nil
 }
 
 // exit retires one operation.

@@ -511,12 +511,16 @@ func (s *opScope) begin(ctx context.Context, n *Node, op, key string, size int, 
 		}
 	}
 	s.begun = n.clk.Now()
-	if err := n.gate.enter(); err != nil {
+	parked, err := n.gate.enter()
+	if err != nil {
 		return ctx, err
 	}
 	s.inGate = true
 	s.admitted = n.clk.Now()
-	if wait := s.admitted.Sub(s.begun); wait > 0 {
+	// Only an operation the gate actually held files a queue hop: between two
+	// readings of a real clock some nanoseconds always pass.
+	if parked {
+		wait := s.admitted.Sub(s.begun)
 		s.fa.AddHop(flight.Hop{Kind: flight.HopQueue, Name: "gate", Wait: wait, Duration: wait})
 	}
 	if fromApp {
@@ -591,36 +595,28 @@ func (n *Node) put(ctx context.Context, key string, data []byte, tags []string, 
 	prog, isPrimary := n.execState()
 
 	op := &globalPutExec{ctx: ctx, n: n, key: key, data: data, tags: tags}
+	op.env.BindInsert(key, int64(len(data)))
+	op.env.BindPrimary(isPrimary)
 	fired := false
 	for _, ev := range prog.ByKind(policy.KindInsert) {
-		env := putEnv(key, data, isPrimary)
-		f, err := ev.Fire(env, op)
+		f, err := ev.Fire(&op.env, op)
 		if err != nil {
 			op.releaseLockIfHeld()
 			return object.Meta{}, err
 		}
 		fired = fired || f
 	}
-	if !fired || (op.meta == nil) {
+	if !fired || !op.hasMeta {
 		// No global insert policy stored or forwarded: default local put.
 		m, err := n.local.PutTagged(ctx, key, data, tags)
 		if err != nil {
 			return object.Meta{}, err
 		}
-		op.meta = &m
+		op.meta, op.hasMeta = m, true
 	}
 	n.heat.observe(key)
-	n.heat.afterPut(key, *op.meta, data)
-	return *op.meta, nil
-}
-
-func putEnv(key string, data []byte, isPrimary bool) *policy.MapEnv {
-	env := policy.NewMapEnv()
-	env.Set("insert.key", policy.StringVal(key))
-	env.Set("insert.object", policy.IdentVal(key))
-	env.Set("insert.object.size", policy.SizeVal(int64(len(data))))
-	env.Set("local_instance.isPrimary", policy.BoolVal(isPrimary))
-	return env
+	n.heat.afterPut(key, op.meta, data)
+	return op.meta, nil
 }
 
 // Get retrieves key's latest local version through the global policy
@@ -652,11 +648,10 @@ func (n *Node) Get(ctx context.Context, key string) (retData []byte, _ object.Me
 	// Get-forwarding policies (Sec 5.4: all gets forwarded to the AWS
 	// memory instance).
 	for _, ev := range prog.ByKind(policy.KindGet) {
-		env := policy.NewMapEnv()
-		env.Set("get.key", policy.StringVal(key))
-		env.Set("local_instance.isPrimary", policy.BoolVal(isPrimary))
 		ge := &globalGetExec{ctx: ctx, n: n, key: key}
-		fired, err := ev.Fire(env, ge)
+		ge.env.BindGet(key)
+		ge.env.BindPrimary(isPrimary)
+		fired, err := ev.Fire(&ge.env, ge)
 		if err != nil {
 			return nil, object.Meta{}, err
 		}

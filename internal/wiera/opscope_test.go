@@ -242,7 +242,9 @@ func TestFailedForwardPutFilesHop(t *testing.T) {
 }
 
 // GetLatency is application-perceived like PutLatency: a get parked behind
-// a policy change's freeze reports the time it waited.
+// a policy change's freeze reports the time it waited. Its flight record
+// files that wait as one queue hop; an operation that found the gate open
+// files none, however many nanoseconds passed between its two clock reads.
 func TestGetLatencyIncludesGateWait(t *testing.T) {
 	c := newCluster(t, simnet.USWest)
 	nodes := c.start(t, "gatelat", "EventualConsistency", nil)
@@ -266,6 +268,24 @@ func TestGetLatencyIncludesGateWait(t *testing.T) {
 	}
 	if got, parked := n.GetLatency.Max(), 20*time.Second; got < parked {
 		t.Fatalf("GetLatency.Max() = %v for a get parked at least %v behind the gate", got, parked)
+	}
+	for _, rec := range c.fabric.Flight().Recent(0) {
+		var gateHops []flight.Hop
+		for _, h := range rec.Hops {
+			if h.Kind == flight.HopQueue && h.Name == "gate" {
+				gateHops = append(gateHops, h)
+			}
+		}
+		switch rec.Op {
+		case "put": // went through the open gate
+			if len(gateHops) != 0 {
+				t.Errorf("put through an open gate filed gate hops %+v", gateHops)
+			}
+		case "get": // released by thaw
+			if len(gateHops) != 1 || gateHops[0].Wait <= 0 {
+				t.Errorf("parked get filed gate hops %+v, want one with Wait > 0", gateHops)
+			}
+		}
 	}
 }
 

@@ -693,7 +693,7 @@ Wiera Two {
 
 func TestOpGate(t *testing.T) {
 	g := newOpGate()
-	if err := g.enter(); err != nil {
+	if _, err := g.enter(); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
@@ -710,7 +710,7 @@ func TestOpGate(t *testing.T) {
 	<-done
 	// New entries block while frozen.
 	entered := make(chan error, 1)
-	go func() { entered <- g.enter() }()
+	go func() { _, err := g.enter(); entered <- err }()
 	select {
 	case <-entered:
 		t.Fatal("enter succeeded while frozen")
@@ -724,7 +724,7 @@ func TestOpGate(t *testing.T) {
 	// kill unblocks with an error.
 	g.freeze()
 	killed := make(chan error, 1)
-	go func() { killed <- g.enter() }()
+	go func() { _, err := g.enter(); killed <- err }()
 	time.Sleep(5 * time.Millisecond)
 	g.kill()
 	if err := <-killed; err == nil {
