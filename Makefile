@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: ci verify vet build test race race-obs race-obsplane race-ec race-autoscale race-tenant race-wire fuzz-wire smoke-obsplane smoke-tenancy bench bench-smoke perf perf-compare perf-pairs clean convergence scaleout batchflush eccost elastic tenancy
+.PHONY: ci verify vet build test race fuzz-wire smoke-obsplane smoke-tenancy bench bench-smoke perf perf-compare perf-pairs clean convergence scaleout batchflush eccost elastic tenancy
 
-ci: vet build bench-smoke race-obs race-obsplane race-ec race-autoscale race-tenant race-wire race fuzz-wire smoke-obsplane smoke-tenancy
+ci: vet build bench-smoke race fuzz-wire smoke-obsplane smoke-tenancy
 
 # One-stop pre-commit check: static analysis, full build, race-checked tests.
-verify: vet build bench-smoke race-obs race-obsplane race-ec race-autoscale race-tenant race-wire race
+verify: vet build bench-smoke race
 
 vet:
 	$(GO) vet ./...
@@ -18,49 +18,25 @@ build:
 test:
 	$(GO) test ./...
 
+# Every test under the race detector, then a -count=2 pass over the leaf
+# packages whose property tests race many goroutines on lock-cheap state (a
+# data race there corrupts results silently and one run may not hit it):
+# flight recorder and SLO engine, telemetry primitives and snapshot merge,
+# journal and watchdog, erasure codec, heat sketch and autoscale controller,
+# token buckets and stride scheduler, wire codec. The integration paths
+# around them are in the first pass; a -run regex here would be a subset of
+# it that rots as tests are renamed.
+RACE_LEAVES = ./internal/flight/ ./internal/telemetry/ ./internal/watch/ ./internal/ec/ \
+	./internal/autoscale/ ./internal/tenant/ ./internal/wire/
 race:
 	$(GO) test -race ./...
-
-# Focused race pass over the observability layer (flight recorder, SLO
-# engine, telemetry primitives): these are the lock-cheap hot paths where a
-# data race would silently corrupt metrics, so they get their own fast gate.
-race-obs:
-	$(GO) test -race -count=2 ./internal/flight/ ./internal/telemetry/
-
-# Focused race pass over the cluster observability plane: snapshot-merge
-# under concurrent Record (the exact-merge property test races recorders
-# against MergeSnapshots), exemplar recency, the event journal ring, and the
-# watchdog's trip/clear edges.
-race-obsplane:
-	$(GO) test -race -count=2 ./internal/telemetry/ ./internal/watch/
+	$(GO) test -race -count=2 $(RACE_LEAVES)
 
 # End-to-end observability smoke: boots a 2-worker daemon, drives traffic,
 # and asserts /healthz answers, /cluster/metrics carries a resolvable
 # exemplar, and grow/shrink ring epochs land in the event journal in order.
 smoke-obsplane:
 	./scripts/smoke_obsplane.sh
-
-# The focused passes below run a leaf package twice under the race detector.
-# The integration paths around each one (internal/wiera, internal/transport)
-# are raced by `make race`, which runs every test: a `-run` regex here would
-# be a subset of it that rots as tests are renamed.
-
-# The erasure codec: matrix inversion under concurrent encodes.
-race-ec:
-	$(GO) test -race -count=2 ./internal/ec/
-
-# The elastic autoscaler's heat sketch and controller primitives.
-race-autoscale:
-	$(GO) test -race -count=2 ./internal/autoscale/
-
-# Multi-tenancy: the token buckets and the stride scheduler, whose fairness
-# property test races thousands of waiters.
-race-tenant:
-	$(GO) test -race -count=2 ./internal/tenant/
-
-# The binary wire codec's primitives and frame tests.
-race-wire:
-	$(GO) test -race -count=2 ./internal/wire/
 
 # Fuzz smoke over the wire decoder: truncated/corrupt/mutated frames and
 # status details must error (never panic) and accepted ones must re-encode

@@ -91,7 +91,7 @@ func main() {
 	}
 	zkEP.Serve(cs.Handler())
 
-	server, err := wiera.NewServer(wiera.ServerConfig{Fabric: fabric, CoordDst: "zk"})
+	server, err := wiera.NewServer(wiera.ServerConfig{Fabric: fabric, CoordDst: "zk", DefaultWorkers: *workers})
 	if err != nil {
 		log.Fatalf("wiera: %v", err)
 	}
@@ -115,8 +115,7 @@ func main() {
 			peers = append(peers, p)
 		}
 	}
-	front := &frontend{fabric: fabric, server: server, defaultWorkers: *workers,
-		source: source, peers: peers}
+	front := &frontend{fabric: fabric, server: server, source: source, peers: peers}
 	tcp, err := transport.ListenTCP(*listen, front.handle,
 		transport.WithServerTelemetry(fabric.Metrics(), fabric.Tracer()))
 	if err != nil {
@@ -185,11 +184,10 @@ func main() {
 // telemetry dumps are answered directly from the fabric's registry and
 // tracer.
 type frontend struct {
-	fabric         *transport.Fabric
-	server         *wiera.Server
-	defaultWorkers int      // injected into startInstances when the request has no workers param
-	source         string   // this daemon's name in merged fleet views
-	peers          []string // peer daemon TCP addresses scraped for cluster metrics
+	fabric *transport.Fabric
+	server *wiera.Server
+	source string   // this daemon's name in merged fleet views
+	peers  []string // peer daemon TCP addresses scraped for cluster metrics
 
 	mu          sync.Mutex
 	clients     map[string]*wiera.Client        // per instance id
@@ -202,12 +200,6 @@ func (f *frontend) handle(ctx context.Context, method string, payload []byte) ([
 	case wiera.MethodStartInstances, wiera.MethodStopInstances, wiera.MethodGetInstances,
 		wiera.MethodCollectStats, wiera.MethodAddWorker, wiera.MethodRemoveWorker,
 		wiera.MethodHeatTop:
-		if method == wiera.MethodStartInstances && f.defaultWorkers > 1 {
-			var err error
-			if payload, err = f.injectWorkers(payload); err != nil {
-				return nil, err
-			}
-		}
 		ep, cleanup, err := f.ephemeralEndpoint()
 		if err != nil {
 			return nil, err
@@ -333,23 +325,6 @@ func dataKey(method string, payload []byte) (string, error) {
 		return r.Key, nil
 	}
 	return "", nil
-}
-
-// injectWorkers applies the daemon's -workers default to a startInstances
-// request that doesn't name a pool size itself.
-func (f *frontend) injectWorkers(payload []byte) ([]byte, error) {
-	var req wiera.StartInstancesRequest
-	if err := transport.Decode(payload, &req); err != nil {
-		return nil, err
-	}
-	if _, ok := req.Params["workers"]; ok {
-		return payload, nil
-	}
-	if req.Params == nil {
-		req.Params = map[string]string{}
-	}
-	req.Params["workers"] = fmt.Sprintf("%d", f.defaultWorkers)
-	return transport.Encode(req)
 }
 
 func (f *frontend) ephemeralEndpoint() (*transport.Endpoint, func(), error) {

@@ -136,7 +136,14 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0, "per-region worker pool size (start command; 0 = daemon default)")
 	tenantID := fs.String("tenant", "", "tenant namespace for data commands (empty = default tenant)")
 	var params paramFlags
-	fs.Var(&params, "param", "policy parameter binding name=value (repeatable)")
+	fs.Var(&params, "param", "instance option or policy parameter binding name=value (repeatable; start -h lists the options)")
+	if cmdName == "start" {
+		fs.Usage = func() {
+			fmt.Fprintln(fs.Output(), "Usage of start:")
+			fs.PrintDefaults()
+			fmt.Fprint(fs.Output(), "\nInstance options (-param key=value), besides the parameters the policy declares:\n", wiera.OptionsHelp())
+		}
+	}
 	if err := fs.Parse(cmdArgs); err != nil {
 		return err
 	}

@@ -143,54 +143,3 @@ func TestQualifySplitRoundTrip(t *testing.T) {
 		t.Fatalf("Qualify(gold,k1) = %q, want tn:gold:k1", got)
 	}
 }
-
-func TestParseConfigs(t *testing.T) {
-	cfgs, err := ParseConfigs(map[string]string{
-		"tenants":           "gold,bronze",
-		"tenantWeight:gold": "8",
-		"tenantIOPS:bronze": "250",
-		"tenantBytes:gold":  "1048576",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byID := map[string]Config{}
-	for _, c := range cfgs {
-		byID[c.ID] = c
-	}
-	if len(byID) != 3 {
-		t.Fatalf("got %d tenants %v, want gold+bronze+default", len(byID), byID)
-	}
-	if g := byID["gold"]; g.Weight != 8 || g.Bytes != 1048576 || g.IOPS != 0 {
-		t.Fatalf("gold = %+v", g)
-	}
-	if b := byID["bronze"]; b.Weight != 1 || b.IOPS != 250 {
-		t.Fatalf("bronze = %+v", b)
-	}
-	if d := byID[DefaultID]; d.IOPS != 0 || d.Bytes != 0 {
-		t.Fatalf("default tenant must be unlimited, got %+v", d)
-	}
-
-	if cfgs, err := ParseConfigs(map[string]string{"workers": "4"}); err != nil || cfgs != nil {
-		t.Fatalf("no tenants param must disable tenancy, got %v, %v", cfgs, err)
-	}
-	if _, err := ParseConfigs(map[string]string{"tenants": "bad:id"}); err == nil {
-		t.Fatal("tenant id with ':' must be rejected")
-	}
-	if _, err := ParseConfigs(map[string]string{"tenants": "a", "tenantWeight:a": "heavy"}); err == nil {
-		t.Fatal("non-numeric weight must be rejected")
-	}
-}
-
-func TestIsTenantParam(t *testing.T) {
-	for _, k := range []string{"tenants", "tenantSlots", "tenantWeight:x", "tenantIOPS:x", "tenantBytes:x"} {
-		if !IsTenantParam(k) {
-			t.Fatalf("IsTenantParam(%q) = false", k)
-		}
-	}
-	for _, k := range []string{"workers", "dynamic", "ecScheme", "t"} {
-		if IsTenantParam(k) {
-			t.Fatalf("IsTenantParam(%q) = true", k)
-		}
-	}
-}

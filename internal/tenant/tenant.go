@@ -6,8 +6,6 @@
 package tenant
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/wire"
@@ -24,7 +22,7 @@ const keyPrefix = "tn:"
 
 // ValidID reports whether id is usable as a tenant ID: nonempty, no ':'
 // (reserved as the key separator), no ',' or whitespace (reserved by the
-// spawn-param list syntax).
+// tenants option's list syntax).
 func ValidID(id string) bool {
 	if id == "" {
 		return false
@@ -98,77 +96,4 @@ func AsQuotaExceeded(err error) *ErrQuotaExceeded {
 		return nil
 	}
 	return e
-}
-
-// ParseConfigs turns the spawn-param surface into tenant configs:
-//
-//	tenants             = "gold,bronze"      (comma-separated IDs)
-//	tenantWeight:<id>   = scheduler weight   (default 1)
-//	tenantIOPS:<id>     = ops/sec quota      (default unlimited)
-//	tenantBytes:<id>    = bytes/sec quota    (default unlimited)
-//
-// The default tenant is always present (weight 1, unlimited) whether or not it
-// is listed. Returns nil when no tenants are declared, which callers treat as
-// "tenancy disabled".
-func ParseConfigs(params map[string]string) ([]Config, error) {
-	list, ok := params["tenants"]
-	if !ok || strings.TrimSpace(list) == "" {
-		return nil, nil
-	}
-	var cfgs []Config
-	seen := map[string]bool{}
-	for _, raw := range strings.Split(list, ",") {
-		id := strings.TrimSpace(raw)
-		if id == "" {
-			continue
-		}
-		if !ValidID(id) {
-			return nil, fmt.Errorf("tenant: invalid tenant id %q", id)
-		}
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		c := Config{ID: id, Weight: 1}
-		if w, ok := params["tenantWeight:"+id]; ok {
-			var v int
-			if _, err := fmt.Sscanf(strings.TrimSpace(w), "%d", &v); err != nil {
-				return nil, fmt.Errorf("tenant: bad tenantWeight:%s=%q", id, w)
-			}
-			c.Weight = v
-		}
-		if q, ok := params["tenantIOPS:"+id]; ok {
-			var v float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(q), "%g", &v); err != nil {
-				return nil, fmt.Errorf("tenant: bad tenantIOPS:%s=%q", id, q)
-			}
-			c.IOPS = v
-		}
-		if q, ok := params["tenantBytes:"+id]; ok {
-			var v float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(q), "%g", &v); err != nil {
-				return nil, fmt.Errorf("tenant: bad tenantBytes:%s=%q", id, q)
-			}
-			c.Bytes = v
-		}
-		cfgs = append(cfgs, c)
-	}
-	if len(cfgs) == 0 {
-		return nil, nil
-	}
-	if !seen[DefaultID] {
-		cfgs = append(cfgs, Config{ID: DefaultID, Weight: 1})
-	}
-	sort.Slice(cfgs, func(i, j int) bool { return cfgs[i].ID < cfgs[j].ID })
-	return cfgs, nil
-}
-
-// IsTenantParam reports whether a spawn-param key belongs to the tenancy
-// surface and must be passed through as a raw string rather than parsed as a
-// policy literal.
-func IsTenantParam(k string) bool {
-	return k == "tenants" || k == "tenantSlots" ||
-		strings.HasPrefix(k, "tenantWeight:") ||
-		strings.HasPrefix(k, "tenantIOPS:") ||
-		strings.HasPrefix(k, "tenantBytes:")
 }

@@ -26,7 +26,6 @@ import (
 	"repro/internal/object"
 	"repro/internal/policy"
 	"repro/internal/simnet"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/tier"
 )
@@ -112,15 +111,11 @@ type Instance struct {
 	started      bool
 	scanInterval time.Duration
 
-	// PutLatency/GetLatency record per-operation service times.
-	PutLatency *stats.Histogram
-	GetLatency *stats.Histogram
-	putCount   stats.Counter
-	getCount   stats.Counter
-
-	// Registry children cached at construction (nil = uninstrumented).
-	putSeconds *telemetry.Histogram
-	getSeconds *telemetry.Histogram
+	// PutLatency/GetLatency record per-operation service times: the
+	// tiera_op_seconds children of Config.Metrics when there is a registry,
+	// free-standing histograms otherwise.
+	PutLatency *telemetry.Histogram
+	GetLatency *telemetry.Histogram
 }
 
 // New builds an instance from cfg, constructing its tiers from the policy
@@ -151,8 +146,8 @@ func New(cfg Config) (*Instance, error) {
 		tiers:         make(map[string]tier.Tier),
 		objects:       object.NewStore(),
 		fillLatched:   make(map[string]bool),
-		PutLatency:    stats.NewHistogram(),
-		GetLatency:    stats.NewHistogram(),
+		PutLatency:    telemetry.NewHistogram(),
+		GetLatency:    telemetry.NewHistogram(),
 	}
 	for _, td := range cfg.Spec.Tiers {
 		if extra, ok := cfg.ExtraTiers[td.Label]; ok {
@@ -194,8 +189,8 @@ func New(cfg Config) (*Instance, error) {
 	if cfg.Metrics != nil {
 		hist := cfg.Metrics.Histogram("tiera_op_seconds",
 			"Tiera instance end-to-end operation time.", "op", "instance", "region")
-		inst.putSeconds = hist.With("put", cfg.Name, string(cfg.Region))
-		inst.getSeconds = hist.With("get", cfg.Name, string(cfg.Region))
+		inst.PutLatency = hist.With("put", cfg.Name, string(cfg.Region))
+		inst.GetLatency = hist.With("get", cfg.Name, string(cfg.Region))
 		for _, label := range inst.tierOrder {
 			if st, ok := inst.tiers[label].(*tier.Store); ok {
 				st.SetTelemetry(cfg.Metrics, string(cfg.Region))
@@ -331,10 +326,10 @@ func (in *Instance) Usage() (keys int, bytes int64) {
 }
 
 // PutCount and GetCount report operation totals.
-func (in *Instance) PutCount() int64 { return in.putCount.Value() }
+func (in *Instance) PutCount() int64 { return in.PutLatency.Count() }
 
 // GetCount reports the number of Get operations served.
-func (in *Instance) GetCount() int64 { return in.getCount.Value() }
+func (in *Instance) GetCount() int64 { return in.GetLatency.Count() }
 
 // Put stores data as a new version of key, driving the local insert policy.
 // It returns the created version's metadata.
@@ -355,9 +350,7 @@ func (in *Instance) PutTagged(ctx context.Context, key string, data []byte, tags
 		span.SetError(err)
 		return object.Meta{}, err
 	}
-	in.PutLatency.Record(in.clk.Since(start))
-	in.putSeconds.RecordTrace(in.clk.Since(start), span.TraceIDString())
-	in.putCount.Inc()
+	in.PutLatency.RecordTrace(in.clk.Since(start), span.TraceIDString())
 	return meta, nil
 }
 
@@ -456,9 +449,7 @@ func (in *Instance) Get(ctx context.Context, key string) ([]byte, object.Meta, e
 			if gerr != nil {
 				continue
 			}
-			in.GetLatency.Record(in.clk.Since(start))
-			in.getSeconds.RecordTrace(in.clk.Since(start), span.TraceIDString())
-			in.getCount.Inc()
+			in.GetLatency.RecordTrace(in.clk.Since(start), span.TraceIDString())
 			return data, m, nil
 		}
 		span.SetError(err)
@@ -495,10 +486,8 @@ func (in *Instance) getVersion(ctx context.Context, meta object.Meta) ([]byte, o
 			continue // raced with eviction; try the next tier
 		}
 		in.objects.Touch(meta.Key, meta.Version, in.clk.Now())
-		in.GetLatency.Record(in.clk.Since(start))
-		in.getSeconds.RecordTrace(in.clk.Since(start),
+		in.GetLatency.RecordTrace(in.clk.Since(start),
 			telemetry.SpanFromContext(ctx).TraceIDString())
-		in.getCount.Inc()
 		m, err := in.objects.GetVersion(meta.Key, meta.Version)
 		if err != nil {
 			m = meta

@@ -4,11 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/simnet"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -317,5 +322,89 @@ func TestTCPMuxWindowBound(t *testing.T) {
 	wg.Wait()
 	if p := peak.Load(); p > clientWindow {
 		t.Fatalf("peak in-flight %d exceeds clientWindow %d", p, clientWindow)
+	}
+}
+
+// TestTCPAndFabricServeAlike drives the same calls — two plain, one traced,
+// one failing — through a fabric endpoint and a TCP server and asserts both
+// leave the same rpc_* samples (apart from the region label) and the same
+// rpc.server span attributes: the callee side is one function.
+func TestTCPAndFabricServeAlike(t *testing.T) {
+	handler := func(_ context.Context, method string, p []byte) ([]byte, error) {
+		if method == "fail" {
+			return nil, errors.New("boom")
+		}
+		return append([]byte("re:"), p...), nil
+	}
+	drive := func(tr *telemetry.Tracer, c Caller) {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			if _, err := c.Call(context.Background(), "server", "echo", []byte("hello")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		root := tr.StartRoot("test.op")
+		if _, err := c.Call(telemetry.ContextWithSpan(context.Background(), root), "server", "echo", []byte("traced")); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		if _, err := c.Call(context.Background(), "server", "fail", nil); err == nil {
+			t.Fatal("fail call succeeded")
+		}
+	}
+	// samples keeps the rpc_* lines whose values do not depend on timing,
+	// with the region label blanked.
+	samples := func(reg *telemetry.Registry, region string) []string {
+		var out []string
+		for _, line := range strings.Split(reg.RenderPrometheus(), "\n") {
+			if !strings.HasPrefix(line, "rpc_") || strings.Contains(line, "_bucket{") || strings.HasPrefix(line, "rpc_server_seconds_sum") {
+				continue
+			}
+			out = append(out, strings.Replace(line, `region="`+region+`"`, `region=""`, 1))
+		}
+		sort.Strings(out)
+		return out
+	}
+	serverSpan := func(tr *telemetry.Tracer) map[string]string {
+		for _, sp := range tr.Spans() {
+			if sp.Name == "rpc.server" {
+				return sp.Attrs
+			}
+		}
+		t.Fatal("no rpc.server span")
+		return nil
+	}
+
+	f := newFabric()
+	defer f.Close()
+	server, _ := f.NewEndpoint("server", simnet.AsiaEast)
+	server.Serve(handler)
+	client, _ := f.NewEndpoint("client", simnet.USEast)
+	drive(f.Tracer(), client)
+
+	reg, tr := telemetry.NewRegistry(), telemetry.NewTracer()
+	srv, err := ListenTCP("127.0.0.1:0", handler, WithServerTelemetry(reg, tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli := DialTCP(srv.Addr())
+	defer cli.Close()
+	drive(tr, cli)
+
+	fab, tcp := samples(f.Metrics(), string(simnet.AsiaEast)), samples(reg, tcpRegionLabel)
+	if len(fab) < 10 || strings.Join(fab, "\n") != strings.Join(tcp, "\n") {
+		t.Fatalf("rpc_* samples differ\nfabric:\n%s\ntcp:\n%s", strings.Join(fab, "\n"), strings.Join(tcp, "\n"))
+	}
+	if !slices.Contains(fab, `rpc_calls_total{method="echo",region=""} 3`) || !slices.Contains(fab, `rpc_errors_total{method="fail",region=""} 1`) ||
+		!slices.Contains(fab, `rpc_bytes_in_total{method="echo",region=""} 16`) {
+		t.Fatalf("unexpected samples:\n%s", strings.Join(fab, "\n"))
+	}
+	fa, ta := serverSpan(f.Tracer()), serverSpan(tr)
+	if fa["method"] != "echo" || fa["endpoint"] != "server" || fa["region"] != string(simnet.AsiaEast) {
+		t.Fatalf("fabric rpc.server attrs = %v", fa)
+	}
+	if ta["method"] != "echo" || ta["endpoint"] != srv.Addr() || ta["region"] != tcpRegionLabel {
+		t.Fatalf("tcp rpc.server attrs = %v", ta)
 	}
 }

@@ -53,16 +53,9 @@ const serverWindow = 256
 // with the request's sequence ID, in completion order.
 type TCPServer struct {
 	ln      net.Listener
+	addr    string
 	handler Handler
-	metrics *telemetry.Registry
-	tracer  *telemetry.Tracer
-
-	rpcLatency  *telemetry.HistogramVec
-	rpcCalls    *telemetry.CounterVec
-	rpcErrors   *telemetry.CounterVec
-	rpcInflight *telemetry.GaugeVec
-	rpcBytesIn  *telemetry.CounterVec
-	rpcBytesOut *telemetry.CounterVec
+	server  *rpcServer // the callee side of every frame (rpc.go)
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -76,10 +69,7 @@ type TCPServerOption func(*TCPServer)
 // WithServerTelemetry makes the server record per-method RPC metrics into
 // reg and continue inbound trace envelopes on tr (either may be nil).
 func WithServerTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) TCPServerOption {
-	return func(s *TCPServer) {
-		s.metrics = reg
-		s.tracer = tr
-	}
+	return func(s *TCPServer) { s.server = newRPCServer(reg, tr, time.Now) }
 }
 
 // ListenTCP starts a server on addr ("host:port", empty port picks one) and
@@ -90,23 +80,10 @@ func ListenTCP(addr string, h Handler, opts ...TCPServerOption) (*TCPServer, err
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
-	s := &TCPServer{ln: ln, handler: h, conns: make(map[net.Conn]struct{})}
+	s := &TCPServer{ln: ln, addr: ln.Addr().String(), handler: h,
+		server: newRPCServer(nil, nil, time.Now), conns: make(map[net.Conn]struct{})}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.metrics != nil {
-		s.rpcLatency = s.metrics.Histogram("rpc_server_seconds",
-			"Server-side RPC service time.", "method", "region")
-		s.rpcCalls = s.metrics.Counter("rpc_calls_total",
-			"RPCs dispatched to a handler.", "method", "region")
-		s.rpcErrors = s.metrics.Counter("rpc_errors_total",
-			"RPCs whose handler returned an error.", "method", "region")
-		s.rpcInflight = s.metrics.Gauge("rpc_inflight",
-			"RPCs currently executing in a handler.", "method", "region")
-		s.rpcBytesIn = s.metrics.Counter("rpc_bytes_in_total",
-			"Request payload bytes received, per RPC method.", "method", "region")
-		s.rpcBytesOut = s.metrics.Counter("rpc_bytes_out_total",
-			"Response payload bytes sent, per RPC method.", "method", "region")
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -114,7 +91,7 @@ func ListenTCP(addr string, h Handler, opts ...TCPServerOption) (*TCPServer, err
 }
 
 // Addr returns the server's listen address.
-func (s *TCPServer) Addr() string { return s.ln.Addr().String() }
+func (s *TCPServer) Addr() string { return s.addr }
 
 func (s *TCPServer) acceptLoop() {
 	defer s.wg.Done()
@@ -136,8 +113,8 @@ func (s *TCPServer) acceptLoop() {
 	}
 }
 
-// tcpRegionLabel labels TCP-served RPC metrics; the daemon's frontend is
-// not region-pinned the way Fabric endpoints are.
+// tcpRegionLabel is the region of TCP-served RPC metrics and spans; the
+// daemon's frontend is not region-pinned the way Fabric endpoints are.
 const tcpRegionLabel = "tcp"
 
 func (s *TCPServer) serveConn(conn net.Conn) {
@@ -169,7 +146,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			defer handlers.Done()
 			defer func() { <-sem }()
 			resp := wireResponse{Seq: req.Seq}
-			out, err := s.serve(req.Method, req.Payload)
+			out, err := s.server.dispatch(s.handler, s.addr, tcpRegionLabel, req.Method, req.Payload)
 			if err != nil {
 				re := remoteError(err)
 				resp.Code, resp.Err, resp.Detail = re.Code, re.Msg, re.Detail
@@ -187,41 +164,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			}
 		}(req)
 	}
-}
-
-// serve dispatches one frame: unwrap the trace envelope, open a linked
-// rpc.server span when the client sent one, invoke the handler, record
-// metrics.
-func (s *TCPServer) serve(method string, payload []byte) ([]byte, error) {
-	remote, inner := telemetry.UnwrapPayload(payload)
-	ctx := context.Background()
-	var span *telemetry.Span
-	if remote.Valid() && s.tracer != nil {
-		span = s.tracer.StartRemote(remote, "rpc.server")
-		span.SetAttr("method", method)
-		span.SetAttr("transport", "tcp")
-		ctx = telemetry.ContextWithSpan(ctx, span)
-	}
-	var inflight *telemetry.Gauge
-	if s.metrics != nil {
-		inflight = s.rpcInflight.With(method, tcpRegionLabel)
-		inflight.Add(1)
-	}
-	start := time.Now()
-	out, err := s.handler(ctx, method, inner)
-	if s.metrics != nil {
-		inflight.Add(-1)
-		s.rpcLatency.With(method, tcpRegionLabel).Record(time.Since(start))
-		s.rpcCalls.With(method, tcpRegionLabel).Inc()
-		if err != nil {
-			s.rpcErrors.With(method, tcpRegionLabel).Inc()
-		}
-		s.rpcBytesIn.With(method, tcpRegionLabel).Add(int64(len(inner)))
-		s.rpcBytesOut.With(method, tcpRegionLabel).Add(int64(len(out)))
-	}
-	span.SetError(err)
-	span.End()
-	return out, err
 }
 
 // Close stops accepting and closes all live connections.

@@ -98,60 +98,13 @@ type Fabric struct {
 	flightRec *flight.Recorder
 	journal   *watch.Journal
 
-	rpcLatency  *telemetry.HistogramVec // {method, region} server-side service time
-	rpcCalls    *telemetry.CounterVec   // {method, region}
-	rpcErrors   *telemetry.CounterVec   // {method, region}
-	rpcInflight *telemetry.GaugeVec     // {method, region} handlers currently executing
-	rpcBytesIn  *telemetry.CounterVec   // {method, region} request payload bytes
-	rpcBytesOut *telemetry.CounterVec   // {method, region} response payload bytes
-
-	// rpcMetrics caches metric children per (method, region) so dispatch
-	// skips the label-join lookup on every call.
-	rpcMu      sync.RWMutex
-	rpcMetrics map[rpcKey]*rpcChildren
+	// server is the callee side of every call (rpc.go), built in NewFabric
+	// once the options have settled the registry and the tracer.
+	server *rpcServer
 
 	mu        sync.RWMutex
 	endpoints map[string]*Endpoint
 	closed    bool
-}
-
-// rpcKey identifies one (method, region) metric child set.
-type rpcKey struct{ method, region string }
-
-// rpcChildren caches the per-(method, region) server-side RPC metrics.
-type rpcChildren struct {
-	latency  *telemetry.Histogram
-	calls    *telemetry.Counter
-	errors   *telemetry.Counter
-	inflight *telemetry.Gauge
-	bytesIn  *telemetry.Counter
-	bytesOut *telemetry.Counter
-}
-
-// rpc returns the cached metric children for (method, region).
-func (f *Fabric) rpc(method, region string) *rpcChildren {
-	key := rpcKey{method, region}
-	f.rpcMu.RLock()
-	c, ok := f.rpcMetrics[key]
-	f.rpcMu.RUnlock()
-	if ok {
-		return c
-	}
-	f.rpcMu.Lock()
-	defer f.rpcMu.Unlock()
-	if c, ok = f.rpcMetrics[key]; ok {
-		return c
-	}
-	c = &rpcChildren{
-		latency:  f.rpcLatency.With(method, region),
-		calls:    f.rpcCalls.With(method, region),
-		errors:   f.rpcErrors.With(method, region),
-		inflight: f.rpcInflight.With(method, region),
-		bytesIn:  f.rpcBytesIn.With(method, region),
-		bytesOut: f.rpcBytesOut.With(method, region),
-	}
-	f.rpcMetrics[key] = c
-	return c
 }
 
 // FabricOption configures NewFabric.
@@ -208,20 +161,8 @@ func NewFabric(net *simnet.Network, opts ...FabricOption) *Fabric {
 		tr := f.tracer
 		f.flightRec.OnSlow(func(flight.Record) { tr.ForceSample(1) })
 	}
+	f.server = newRPCServer(f.metrics, f.tracer, net.Clock().Now)
 	if f.metrics != nil {
-		f.rpcLatency = f.metrics.Histogram("rpc_server_seconds",
-			"Server-side RPC service time.", "method", "region")
-		f.rpcCalls = f.metrics.Counter("rpc_calls_total",
-			"RPCs dispatched to a handler.", "method", "region")
-		f.rpcErrors = f.metrics.Counter("rpc_errors_total",
-			"RPCs whose handler returned an error.", "method", "region")
-		f.rpcInflight = f.metrics.Gauge("rpc_inflight",
-			"RPCs currently executing in a handler.", "method", "region")
-		f.rpcBytesIn = f.metrics.Counter("rpc_bytes_in_total",
-			"Request payload bytes received, per RPC method.", "method", "region")
-		f.rpcBytesOut = f.metrics.Counter("rpc_bytes_out_total",
-			"Response payload bytes sent, per RPC method.", "method", "region")
-		f.rpcMetrics = make(map[rpcKey]*rpcChildren)
 		net.Instrument(f.metrics)
 	}
 	return f
@@ -387,7 +328,10 @@ func (e *Endpoint) Call(ctx context.Context, dst, method string, payload []byte)
 		return nil, err
 	}
 
-	resp, herr := f.dispatch(target, h, method, wire)
+	// Dispatch is concurrent by construction: each caller goroutine runs
+	// the handler itself, so one endpoint serves many in-flight calls at
+	// once — the same semantics the multiplexed TCP transport provides.
+	resp, herr := f.server.dispatch(h, target.name, string(target.region), method, wire)
 
 	back, err := f.net.TransferTime(target.region, e.region, int64(len(resp)))
 	if err != nil {
@@ -409,57 +353,6 @@ func (e *Endpoint) Call(ctx context.Context, dst, method string, payload []byte)
 	}
 	clientSpan.End()
 	return resp, nil
-}
-
-// dispatch runs the callee side of a call: it unwraps the trace envelope,
-// opens the rpc.server span on a fresh context (the handler is logically in
-// another process — nothing from the caller's context leaks across except
-// the SpanContext), invokes the handler, and records the server-side RPC
-// metrics labeled by method and the callee's region.
-func (f *Fabric) dispatch(target *Endpoint, h Handler, method string, payload []byte) ([]byte, error) {
-	remote, inner := telemetry.UnwrapPayload(payload)
-	sctx := context.Background()
-	var serverSpan *telemetry.Span
-	if remote.Valid() && f.tracer != nil {
-		serverSpan = f.tracer.StartRemote(remote, "rpc.server")
-		serverSpan.SetAttr("method", method)
-		serverSpan.SetAttr("endpoint", target.name)
-		serverSpan.SetAttr("region", string(target.region))
-		sctx = telemetry.ContextWithSpan(sctx, serverSpan)
-	}
-
-	// Dispatch is concurrent by construction: each caller goroutine runs
-	// the handler itself, so one endpoint serves many in-flight calls at
-	// once — the same semantics the multiplexed TCP transport provides.
-	var m *rpcChildren
-	if f.metrics != nil {
-		m = f.rpc(method, string(target.region))
-		m.inflight.Add(1)
-	}
-	start := f.net.Clock().Now()
-	resp, herr := h(sctx, method, inner)
-	if m != nil {
-		m.inflight.Add(-1)
-		// Traced calls stamp their trace ID into the latency bucket as its
-		// exemplar — the fleet p99 bucket then names a concrete trace.
-		trace := ""
-		if remote.Valid() {
-			trace = remote.Trace.String()
-		}
-		m.latency.RecordTrace(f.net.Clock().Now().Sub(start), trace)
-		m.calls.Inc()
-		if herr != nil {
-			m.errors.Inc()
-		}
-		// Per-method WAN byte attribution: request bytes after envelope
-		// stripping, response bytes as handed back to the caller. These
-		// feed the cost model and `wieractl top`'s wire section.
-		m.bytesIn.Add(int64(len(inner)))
-		m.bytesOut.Add(int64(len(resp)))
-	}
-	serverSpan.SetError(herr)
-	serverSpan.End()
-	return resp, herr
 }
 
 // Codec and its single value survive only because the frozen benchmark

@@ -8,13 +8,14 @@ import (
 	"repro/internal/transport"
 )
 
-// Batching defaults: one chunk carries at most maxBatchEntries updates and
-// roughly defaultMaxBatchBytes of payload, whichever cap bites first. The
-// byte cap is tunable per instance via the maxBatchBytes spawn param
-// (false/negative disables batching entirely — the per-key ablation).
+// One chunk carries at most maxBatchEntries updates and roughly the
+// maxBatchBytes option's worth of payload, whichever cap bites first
+// (maxBatchBytes=false disables batching entirely — the per-key ablation).
 const (
-	defaultMaxBatchBytes = 1 << 20 // 1 MiB
-	maxBatchEntries      = 128
+	// drainBatchBytes is the byte cap of paths that stay chunked with
+	// batching off.
+	drainBatchBytes = 1 << 20
+	maxBatchEntries = 128
 	// batchEntryOverhead approximates the per-entry framing cost (key,
 	// version, timestamps) on top of the object payload when sizing chunks.
 	batchEntryOverhead = 64
@@ -32,7 +33,7 @@ const (
 // flight), and the shard drain's migration pushes (caps only).
 type batcher struct {
 	n        *Node
-	maxBytes int64 // per-chunk payload budget; <0 disables batching
+	maxBytes int64 // per-chunk payload budget; <= 0 disables batching
 
 	// Coalescing state for async single-target pushes: updates arriving
 	// while a peer's flusher RPC is in flight accumulate and ship as the
@@ -49,12 +50,6 @@ type batcher struct {
 }
 
 func newBatcher(n *Node, maxBytes int64) *batcher {
-	switch {
-	case maxBytes == 0:
-		maxBytes = defaultMaxBatchBytes
-	case maxBytes < 0:
-		maxBytes = -1
-	}
 	reg := n.fabric.Metrics()
 	region := string(n.region)
 	counter := func(name, help string) *telemetry.Counter {
@@ -88,7 +83,7 @@ func (b *batcher) caps() (maxBytes int64, maxEntries int) {
 	if b.maxBytes > 0 {
 		return b.maxBytes, maxBatchEntries
 	}
-	return defaultMaxBatchBytes, maxBatchEntries
+	return drainBatchBytes, maxBatchEntries
 }
 
 // chunkUpdates splits msgs into contiguous chunks bounded by the entry and

@@ -14,14 +14,12 @@ import (
 	"repro/internal/transport"
 )
 
-// Heat tracker defaults. The decay factor halves every interval, so Rate
+// Heat tracker constants. The decay factor halves every interval, so Rate
 // estimates read as "accesses per half-life"; hotCacheCap bounds how many
-// foreign hot keys one node will hold replicas for.
+// foreign hot keys one node will hold replicas for; heatTopK sizes the
+// exact hottest-keys overlay of the sketch.
 const (
-	defaultHeatInterval    = 2 * time.Second
-	defaultHeatPromote     = 50.0
-	defaultHeatDemote      = 10.0
-	defaultHeatReplicas    = 2
+	heatTopK               = autoscale.DefaultTopK
 	heatDecayFactor        = 0.5
 	heatTombstoneLifetimes = 10 // tombstone TTL in heat intervals
 	hotCacheCap            = 1024
@@ -48,7 +46,6 @@ type heatTracker struct {
 	promote  float64
 	demote   float64
 	replicas int
-	topK     int
 
 	mu        sync.Mutex
 	hot       map[string][]string  // owner side: promoted key -> replica nodes
@@ -74,37 +71,22 @@ type heatTracker struct {
 // newHeatTracker wires a tracker onto n, or returns nil when heat tracking
 // is disabled for this node.
 func newHeatTracker(n *Node, cfg NodeConfig) *heatTracker {
-	if !cfg.HeatTrack {
+	heat := cfg.Params.Heat
+	if !heat.Track {
 		return nil
 	}
 	h := &heatTracker{
 		n:        n,
-		sketch:   autoscale.NewSketch(autoscale.SketchConfig{TopK: cfg.HeatTopK}),
-		interval: cfg.HeatInterval,
-		promote:  cfg.HeatPromoteRate,
-		demote:   cfg.HeatDemoteRate,
-		replicas: cfg.HeatReplicas,
-		topK:     cfg.HeatTopK,
+		sketch:   autoscale.NewSketch(autoscale.SketchConfig{TopK: heatTopK}),
+		interval: heat.Interval,
+		promote:  heat.PromoteRate,
+		demote:   heat.DemoteRate,
+		replicas: heat.Replicas,
 		hot:      make(map[string][]string),
 		cache:    make(map[string]hotEntry),
 		tombs:    make(map[string]time.Time),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
-	}
-	if h.interval <= 0 {
-		h.interval = defaultHeatInterval
-	}
-	if h.promote <= 0 {
-		h.promote = defaultHeatPromote
-	}
-	if h.demote <= 0 || h.demote >= h.promote {
-		h.demote = h.promote / 5
-	}
-	if h.replicas <= 0 {
-		h.replicas = defaultHeatReplicas
-	}
-	if h.topK <= 0 {
-		h.topK = autoscale.DefaultTopK
 	}
 	reg := n.fabric.Metrics()
 	region := string(n.region)
@@ -196,7 +178,7 @@ func (h *heatTracker) tick() {
 
 	_, _, _, settled := h.n.shards.view()
 	if settled && !epochChanged {
-		for _, e := range h.sketch.Top(h.topK) {
+		for _, e := range h.sketch.Top(heatTopK) {
 			h.mu.Lock()
 			_, promoted := h.hot[e.Key]
 			h.mu.Unlock()
@@ -438,7 +420,7 @@ func (h *heatTracker) statsSnapshot() heatStats {
 	s.promotions = h.promotions.Value()
 	s.demotions = h.demotions.Value()
 	s.hotGets = h.hotGets.Value()
-	for _, e := range h.sketch.Top(h.topK) {
+	for _, e := range h.sketch.Top(heatTopK) {
 		s.top = append(s.top, HeatKey{Key: e.Key, Rate: e.Rate})
 	}
 	return s

@@ -38,19 +38,6 @@ func (c *changeCapture) Do(call *policy.ActionCall) error {
 // Assign implements policy.Executor.
 func (c *changeCapture) Assign(string, policy.Value) error { return nil }
 
-// DefaultMonitorWindow is how long a latency sample stays representative
-// by default. The monitor evaluates against the window *maximum*, so that
-// in eventual consistency — where application puts are fast by
-// construction — the slow background replication fan-outs still register
-// as "the network is degraded", preventing a premature switch back to
-// strong consistency (paper Fig 7: the system returns to MultiPrimaries
-// only once no delay is observed for the period threshold). The window
-// also stretches any violation by up to its own width, so it should stay
-// well under the policy's period threshold (a third or less). The window
-// is a latencyWindow: however many samples it holds, admitting one,
-// expiring one and reading the maximum each cost O(1) amortised.
-const DefaultMonitorWindow = 10 * time.Second
-
 // thresholdMonitor implements LatencyMonitoring (paper Sec 4.3): a
 // dedicated evaluator signalled after each operation *and* each background
 // replication fan-out. Semantics of the threshold.period attribute: the
@@ -61,7 +48,18 @@ const DefaultMonitorWindow = 10 * time.Second
 type thresholdMonitor struct {
 	n       *Node
 	monitor string // threshold.type this monitor feeds ("put")
-	window  time.Duration
+	// window (the monitorWindow option) is how long a latency sample stays
+	// representative. The monitor evaluates against the window *maximum*, so
+	// that in eventual consistency — where application puts are fast by
+	// construction — the slow background replication fan-outs still register
+	// as "the network is degraded", preventing a premature switch back to
+	// strong consistency (paper Fig 7: the system returns to MultiPrimaries
+	// only once no delay is observed for the period threshold). The window
+	// also stretches any violation by up to its own width, so it should stay
+	// well under the policy's period threshold (a third or less). It is a
+	// latencyWindow: however many samples it holds, admitting one, expiring
+	// one and reading the maximum each cost O(1) amortised.
+	window time.Duration
 	// events are the node's threshold events of this monitor's type. The
 	// node's control events are fixed at creation, so a policy without one
 	// never reads the window and observe keeps none.
@@ -75,9 +73,6 @@ type thresholdMonitor struct {
 }
 
 func newThresholdMonitor(n *Node, monitor string, window time.Duration) *thresholdMonitor {
-	if window <= 0 {
-		window = DefaultMonitorWindow
-	}
 	return &thresholdMonitor{
 		n: n, monitor: monitor, window: window,
 		events:      thresholdEvents(n, monitor),

@@ -42,17 +42,12 @@ type NodeConfig struct {
 	Fabric *transport.Fabric
 	// LocalSpec is the node's local Tiera policy.
 	LocalSpec *policy.Spec
-	// LocalParams binds local spec parameters.
-	LocalParams map[string]policy.Value
 	// GlobalSpec is the Wiera policy every node of the instance shares.
 	GlobalSpec *policy.Spec
-	// GlobalParams binds global spec parameters.
-	GlobalParams map[string]policy.Value
-	// DynamicSpec optionally supplies control-plane threshold events
-	// (DynamicConsistency, ChangePrimary). Control events persist across
-	// consistency changes: change_policy(consistency, ...) swaps only the
-	// data-plane events, as Fig 5(a) requires.
-	DynamicSpec *policy.Spec
+	// Params is the instance's options (ParseParams): policy parameter
+	// bindings, the dynamic control spec, and every tuning value with its
+	// default applied. The zero Params is not usable; parse an empty map.
+	Params Params
 	// CoordDst names the coordination (lock) service endpoint ("" = no
 	// locking available; lock actions will fail).
 	CoordDst string
@@ -61,76 +56,8 @@ type NodeConfig struct {
 	ServerDst string
 	// Primary marks this node's view of the current primary node name.
 	Primary string
-	// QueueFlushEvery is the background propagation period for queued
-	// updates (default 500ms of clock time).
-	QueueFlushEvery time.Duration
-	// MonitorWindow is the latency monitor's sample window (default
-	// DefaultMonitorWindow); keep it well under the policy's period
-	// threshold.
-	MonitorWindow time.Duration
-	// NoQueueSupersede disables per-key supersession in the update queue
-	// (ablation only).
-	NoQueueSupersede bool
-	// MaxBatchBytes bounds one replication batch chunk's payload (the
-	// maxBatchBytes spawn param). 0 uses the 1 MiB default; negative
-	// disables batching so every queued update ships as its own fan-out RPC
-	// (the per-key ablation the batchflush experiment measures against).
-	MaxBatchBytes int64
-	// ECScheme selects the erasure-coding scheme for the stripe action as
-	// "k+m" (the ecScheme spawn param). Empty uses ec.DefaultScheme (4+2).
-	ECScheme string
-	// ECThresholdBytes is the minimum object size the stripe chooser will
-	// erasure-code (the ecThresholdBytes spawn param). 0 uses the 64 KiB
-	// default; negative erasure-codes every size.
-	ECThresholdBytes int64
-	// ECHotGets is the access count at which the stripe chooser deems an
-	// object hot and keeps it fully replicated (the ecHotGets spawn
-	// param). <= 0 uses the default.
-	ECHotGets int64
-	// HeatTrack enables per-key heat tracking and hot-key selective
-	// replication (the heatTrack spawn param). The remaining Heat fields
-	// are ignored when false.
-	HeatTrack bool
-	// HeatPromoteRate / HeatDemoteRate are the decayed access-rate
-	// thresholds (accesses per heat interval half-life) at which a key is
-	// promoted to extra replicas / demoted back. Zero uses defaults; a
-	// demote at or above promote is clamped to promote/5.
-	HeatPromoteRate float64
-	HeatDemoteRate  float64
-	// HeatReplicas is how many extra replicas a promoted key gets (default
-	// 2).
-	HeatReplicas int
-	// HeatInterval is the heat loop period (decay + promote/demote scan;
-	// default 2s of clock time).
-	HeatInterval time.Duration
-	// HeatTopK sizes the exact hottest-keys overlay (default 32).
-	HeatTopK int
-	// Tenants declares the instance's tenants with their scheduler weights
-	// and admission quotas (the tenants/tenantWeight:<id>/tenantIOPS:<id>/
-	// tenantBytes:<id> spawn params). Empty disables tenancy entirely:
-	// untenanted keys stay unqualified and no admission or scheduling runs.
-	Tenants []tenant.Config
-	// TenantSlots is the weighted-fair scheduler's concurrency (the
-	// tenantSlots spawn param); <=0 uses defaultTenantSlots.
-	TenantSlots int
-	// AntiEntropyEvery is the background anti-entropy round period
-	// (internal/repair). A positive period enables full Merkle digest sync
-	// every round; 0 (the default) runs hinted handoff and read repair only
-	// — periodic full sync is opt-in because it would replicate keys that a
-	// placement policy deliberately keeps local. Negative disables the
-	// repair subsystem entirely.
-	AntiEntropyEvery time.Duration
 	// Accountant receives tier request charges.
 	Accountant *cost.Accountant
-	// SLOs declares the node's service-level objectives. Latency objectives
-	// (Op "put"/"get") and availability objectives (Threshold 0) are
-	// sourced from the node's own histograms and error counters; Source
-	// fields are filled in here and need not be set. Empty disables the
-	// SLO engine.
-	SLOs []flight.Objective
-	// SLOInterval is the SLO engine's evaluation period (default 1s of
-	// clock time).
-	SLOInterval time.Duration
 	// MetaPath persists local metadata when non-empty.
 	MetaPath string
 	// ExtraTiers installs pre-built tiers into the local instance, keyed by
@@ -167,9 +94,9 @@ type Node struct {
 	queue   *updateQueue
 	batch   *batcher       // chunked group-commit replication fan-out
 	ecm     *ecManager     // erasure-coded distribution (stripe action)
-	repair  *repairManager // nil when AntiEntropyEvery < 0
+	repair  *repairManager // nil when antiEntropy=false
 	shards  *shardManager  // inert (accepts every key) until a RingMsg arrives
-	heat    *heatTracker   // nil unless HeatTrack (hot-key selective replication)
+	heat    *heatTracker   // nil unless heatTrack (hot-key selective replication)
 	tenants *tenantManager // nil unless the instance declares tenants
 
 	latMon *thresholdMonitor // LatencyMonitoring (put)
@@ -217,17 +144,20 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.GlobalSpec == nil || !cfg.GlobalSpec.IsGlobal {
 		return nil, errors.New("wiera: global (Wiera) spec required")
 	}
+	if cfg.Params.Queue.Flush <= 0 {
+		return nil, errors.New("wiera: NodeConfig.Params must come from ParseParams")
+	}
 	clk := cfg.Fabric.Network().Clock()
 	local, err := tiera.New(tiera.Config{
 		Name: cfg.Name + "/local", Region: cfg.Region, Spec: cfg.LocalSpec,
-		Params: cfg.LocalParams, Clock: clk, Accountant: cfg.Accountant,
+		Params: cfg.Params.Policy, Clock: clk, Accountant: cfg.Accountant,
 		MetaPath: cfg.MetaPath, ExtraTiers: cfg.ExtraTiers,
 		Metrics: cfg.Fabric.Metrics(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	prog, err := policy.Compile(cfg.GlobalSpec, cfg.GlobalParams)
+	prog, err := policy.Compile(cfg.GlobalSpec, cfg.Params.Policy)
 	if err != nil {
 		local.Close()
 		return nil, err
@@ -274,18 +204,13 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		"Keys with updates queued for lazy propagation.", "node", "region").
 		With(cfg.Name, region)
 	n.shards = newShardManager(n)
-	n.batch = newBatcher(n, cfg.MaxBatchBytes)
-	n.ecm, err = newECManager(n, cfg)
-	if err != nil {
-		local.Close()
-		cfg.Fabric.Remove(cfg.Name)
-		return nil, err
-	}
+	n.batch = newBatcher(n, cfg.Params.Queue.MaxBatchBytes)
+	n.ecm = newECManager(n, cfg)
 	n.heat = newHeatTracker(n, cfg)
 	n.tenants = newTenantManager(n, cfg)
 	n.controlEvents = append(n.controlEvents, prog.ByKind(policy.KindThreshold)...)
-	if cfg.DynamicSpec != nil {
-		dynProg, err := policy.Compile(cfg.DynamicSpec, cfg.GlobalParams)
+	if cfg.Params.Dynamic != nil {
+		dynProg, err := policy.Compile(cfg.Params.Dynamic, cfg.Params.Policy)
 		if err != nil {
 			local.Close()
 			cfg.Fabric.Remove(cfg.Name)
@@ -302,12 +227,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 		n.locks = cli
 	}
-	flushEvery := cfg.QueueFlushEvery
-	if flushEvery <= 0 {
-		flushEvery = 500 * time.Millisecond
-	}
-	n.queue = newUpdateQueue(n, flushEvery, !cfg.NoQueueSupersede)
-	if cfg.AntiEntropyEvery >= 0 {
+	n.queue = newUpdateQueue(n, cfg.Params.Queue.Flush, cfg.Params.Queue.Supersede)
+	if cfg.Params.Repair.AntiEntropy >= 0 {
 		rm, err := newRepairManager(n, cfg)
 		if err != nil {
 			local.Close()
@@ -316,19 +237,19 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 		n.repair = rm
 	}
-	n.latMon = newThresholdMonitor(n, "put", cfg.MonitorWindow)
+	n.latMon = newThresholdMonitor(n, "put", cfg.Params.MonitorWindow)
 	n.reqMon = newRequestsMonitor(n)
-	if len(cfg.SLOs) > 0 {
+	if slos := declaredSLOs(cfg.Params); len(slos) > 0 {
 		n.sloMon = newSLOMonitor(n)
 		n.sloEngine = flight.NewEngine(flight.EngineConfig{
 			Clock:    clk,
-			Interval: cfg.SLOInterval,
+			Interval: cfg.Params.SLO.Interval,
 			Registry: reg,
 			Node:     cfg.Name,
 			Region:   region,
 			OnStatus: n.sloMon.observe,
 			Journal:  cfg.Fabric.Events(),
-		}, append(n.sloObjectives(cfg.SLOs), n.tenants.objectives(cfg.SLOs)...)...)
+		}, append(n.sloObjectives(slos), n.tenants.objectives(slos)...)...)
 	}
 	ep.Serve(n.handle)
 	n.queue.start()

@@ -10,7 +10,6 @@ package wiera
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/flight"
 	"repro/internal/object"
@@ -497,13 +496,14 @@ type Empty struct{}
 // StartInstancesRequest launches a Wiera instance (Table 1).
 type StartInstancesRequest struct {
 	InstanceID string
-	PolicySrc  string            // global (Wiera) policy source
-	Params     map[string]string // spec parameter bindings (durations as strings)
+	PolicySrc  string // global (Wiera) policy source
+	// Params holds the instance's options and the bindings of the parameters
+	// its specs declare, as written ("500ms", "64K", "true"): see ParseParams.
+	Params map[string]string
 	// LocalSpecs supplies custom local Tiera policy sources by name; region
 	// declarations resolve their instance name here first, then among the
 	// built-in policies.
-	LocalSpecs  map[string]string
-	MinReplicas int // replicas to keep alive (Sec 4.4); 0 = len(regions)
+	LocalSpecs map[string]string
 }
 
 // StartInstancesResponse returns the launched node list (closest first for
@@ -531,11 +531,10 @@ type GetInstancesRequest struct {
 type SpawnRequest struct {
 	InstanceID string
 	NodeName   string
-	LocalSrc   string // local Tiera policy source
-	GlobalSrc  string // global policy source
-	Params     map[string]string
+	LocalSrc   string            // local Tiera policy source
+	GlobalSrc  string            // global policy source
+	Params     map[string]string // as StartInstancesRequest.Params, validated again against this node's specs
 	Primary    string
-	TimerParam time.Duration // binding for the conventional "t" parameter
 }
 
 // SpawnResponse confirms the node is serving.

@@ -52,14 +52,10 @@ func newRepairManager(n *Node, cfg NodeConfig) (*repairManager, error) {
 		return nil, err
 	}
 	m.hints = hints
-	m.daemon = repair.NewDaemon(n.clk, nodeStore{n}, hints, nodeCluster{n}, m.geo, cfg.AntiEntropyEvery, m.metrics)
+	m.daemon = repair.NewDaemon(n.clk, nodeStore{n}, hints, nodeCluster{n}, m.geo, cfg.Params.Repair.AntiEntropy, m.metrics)
 	m.daemon.AttachJournal(n.fabric.Events(), n.name)
-	if cfg.AntiEntropyEvery == 0 {
-		// Default mode: hinted handoff and read repair only. Periodic Merkle
-		// sync replicates whatever a peer lacks, which would override
-		// placement decisions of policies that deliberately keep objects
-		// local — so full sync is opt-in via an explicit period.
-		m.daemon.DisableSync()
+	if cfg.Params.Repair.AntiEntropy == 0 {
+		m.daemon.DisableSync() // hinted handoff and read repair only
 	}
 	return m, nil
 }

@@ -4,18 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/autoscale"
 	"repro/internal/coord"
-	"repro/internal/flight"
 	"repro/internal/policy"
 	"repro/internal/ring"
 	"repro/internal/simnet"
-	"repro/internal/tenant"
 	"repro/internal/tier"
 	"repro/internal/tiera"
 	"repro/internal/transport"
@@ -34,6 +34,9 @@ type ServerConfig struct {
 	CoordDst string
 	// HeartbeatEvery is the TSM ping period (default 5s clock time).
 	HeartbeatEvery time.Duration
+	// DefaultWorkers is the per-region worker pool size of an instance
+	// started without the workers option (default 1).
+	DefaultWorkers int
 }
 
 // Server is the Wiera control plane: the WUI application API (Table 1),
@@ -48,6 +51,8 @@ type Server struct {
 	ep       *transport.Endpoint
 	coordDst string
 	hbEvery  time.Duration
+	// defaultWorkers is ServerConfig.DefaultWorkers, at least 1.
+	defaultWorkers int
 
 	mu           sync.Mutex
 	tieraServers map[simnet.Region]string // TSM registry: region -> endpoint
@@ -72,8 +77,7 @@ type ChangeEvent struct {
 type instanceState struct {
 	id          string
 	globalSrc   string
-	dynamicSrc  string
-	params      map[string]string
+	params      Params
 	policyName  string // current data-plane policy
 	primary     string
 	epoch       int64
@@ -87,7 +91,6 @@ type instanceState struct {
 	// membership list and primary, and the per-key policy machinery runs
 	// inside the group exactly as it does for an unsharded instance.
 	ringMap       *ring.Map
-	vnodes        int
 	primaryRegion simnet.Region // region whose workers lead their groups
 	rebalancing   bool
 
@@ -99,9 +102,10 @@ type instanceState struct {
 
 // regionPlan records how to (re)spawn one member.
 type regionPlan struct {
-	Region   simnet.Region
-	LocalSrc string
-	Primary  bool
+	Region  simnet.Region
+	Local   *policy.Spec      // the local policy with the region's tier overrides applied
+	Params  map[string]string // the instance's options as this region's nodes are sent them
+	Primary bool
 }
 
 // NewServer builds and registers the control plane endpoint.
@@ -122,17 +126,21 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		name:         name,
-		region:       region,
-		fabric:       cfg.Fabric,
-		ep:           ep,
-		coordDst:     cfg.CoordDst,
-		hbEvery:      cfg.HeartbeatEvery,
-		tieraServers: make(map[simnet.Region]string),
-		instances:    make(map[string]*instanceState),
+		name:           name,
+		region:         region,
+		fabric:         cfg.Fabric,
+		ep:             ep,
+		coordDst:       cfg.CoordDst,
+		hbEvery:        cfg.HeartbeatEvery,
+		defaultWorkers: cfg.DefaultWorkers,
+		tieraServers:   make(map[simnet.Region]string),
+		instances:      make(map[string]*instanceState),
 	}
 	if s.hbEvery <= 0 {
 		s.hbEvery = 5 * time.Second
+	}
+	if s.defaultWorkers < 1 {
+		s.defaultWorkers = 1
 	}
 	ep.Serve(s.handle)
 	return s, nil
@@ -261,69 +269,61 @@ func (s *Server) StartInstances(req StartInstancesRequest) ([]PeerInfo, error) {
 	}
 	s.mu.Unlock()
 
-	st := &instanceState{
-		id:          req.InstanceID,
-		globalSrc:   req.PolicySrc,
-		params:      req.Params,
-		policyName:  globalSpec.Name,
-		minReplicas: req.MinReplicas,
-	}
-	// The minimum-replica requirement (Sec 4.4: "an application can specify
-	// the required number of replicas to be available at all times") can
-	// also arrive as a policy parameter.
-	if st.minReplicas == 0 {
-		if v, ok := req.Params["minReplicas"]; ok {
-			fmt.Sscanf(v, "%d", &st.minReplicas)
-		}
-	}
-	if dyn, ok := req.Params["dynamic"]; ok {
-		st.dynamicSrc = dyn
-	}
-
-	// Worker pools (sharding): "workers" asks for N Tiera-backed workers per
-	// region instead of one, partitioned by a consistent-hash ring; "vnodes"
-	// overrides the ring's per-shard virtual node count.
-	workers := 1
-	if v, ok := req.Params["workers"]; ok {
-		if _, err := fmt.Sscanf(v, "%d", &workers); err != nil || workers < 1 {
-			return nil, fmt.Errorf("wiera: workers must be a positive integer, got %q", v)
-		}
-	}
-	if v, ok := req.Params["vnodes"]; ok {
-		fmt.Sscanf(v, "%d", &st.vnodes)
-	}
-
-	type placement struct {
-		plan regionPlan
-		base string
-	}
-	var placements []placement
+	plans := make([]regionPlan, 0, len(globalSpec.Regions))
+	specs := []*policy.Spec{globalSpec}
 	for _, decl := range globalSpec.Regions {
-		plan, base, err := s.planFor(req.InstanceID, globalSpec, decl, req.LocalSpecs)
+		plan, err := planFor(decl, req.LocalSpecs)
 		if err != nil {
 			return nil, err
 		}
-		if plan.Primary {
-			st.primaryRegion = plan.Region
+		plans = append(plans, plan)
+		specs = append(specs, plan.Local)
+	}
+	// Everything a caller can get wrong about the options is an error here,
+	// before the first node exists.
+	params, err := ParseParams(req.Params, specs...)
+	if err != nil {
+		return nil, err
+	}
+
+	st := &instanceState{
+		id:         req.InstanceID,
+		globalSrc:  req.PolicySrc,
+		params:     params,
+		policyName: globalSpec.Name,
+		// Sec 4.4: "an application can specify the required number of
+		// replicas to be available at all times".
+		minReplicas: params.Ring.MinReplicas,
+	}
+	for i := range plans {
+		plans[i].Params = nodeParams(req.Params, params, globalSpec, plans[i].Local)
+		if plans[i].Primary {
+			st.primaryRegion = plans[i].Region
 		}
-		st.plans = append(st.plans, plan)
-		placements = append(placements, placement{plan, base})
+	}
+	st.plans = plans
+	// Worker pools (sharding): N Tiera-backed workers per region instead of
+	// one, partitioned by a consistent-hash ring.
+	workers := params.Ring.Workers
+	if workers == 0 {
+		workers = s.defaultWorkers
 	}
 
 	var nodes []PeerInfo
 	if workers == 1 {
 		// Classic layout: one worker per region, original names, no ring.
-		for _, p := range placements {
+		for _, plan := range plans {
+			base := fmt.Sprintf("%s/%s", req.InstanceID, plan.Region)
 			primary := st.primary
-			if p.plan.Primary {
-				primary = p.base
+			if plan.Primary {
+				primary = base
 			}
-			node, err := s.spawn(req.InstanceID, p.base, p.plan, st, primary)
+			node, err := s.spawn(req.InstanceID, base, plan, st, primary)
 			if err != nil {
 				s.teardown(nodes)
 				return nil, err
 			}
-			if p.plan.Primary {
+			if plan.Primary {
 				st.primary = node.Name
 			}
 			nodes = append(nodes, node)
@@ -332,21 +332,21 @@ func (s *Server) StartInstances(req StartInstancesRequest) ([]PeerInfo, error) {
 		// Sharded layout: workers per region named <id>/<region>/w<k>.
 		// Worker k of every region forms shard group k, led by the primary
 		// region's worker k.
-		rm := &ring.Map{Vnodes: st.vnodes, Workers: make(map[string][]string)}
-		for _, p := range placements {
-			region := string(p.plan.Region)
+		rm := &ring.Map{Vnodes: params.Ring.Vnodes, Workers: make(map[string][]string)}
+		for _, plan := range plans {
+			region := string(plan.Region)
 			for k := 0; k < workers; k++ {
-				rm.Workers[region] = append(rm.Workers[region], fmt.Sprintf("%s/w%d", p.base, k))
+				rm.Workers[region] = append(rm.Workers[region], fmt.Sprintf("%s/%s/w%d", req.InstanceID, region, k))
 			}
 		}
-		for _, p := range placements {
-			region := string(p.plan.Region)
+		for _, plan := range plans {
+			region := string(plan.Region)
 			for k := 0; k < workers; k++ {
 				primary := ""
 				if st.primaryRegion != "" {
 					primary = rm.Workers[string(st.primaryRegion)][k]
 				}
-				node, err := s.spawn(req.InstanceID, rm.Workers[region][k], p.plan, st, primary)
+				node, err := s.spawn(req.InstanceID, rm.Workers[region][k], plan, st, primary)
 				if err != nil {
 					s.teardown(nodes)
 					return nil, err
@@ -375,57 +375,29 @@ func (s *Server) StartInstances(req StartInstancesRequest) ([]PeerInfo, error) {
 			return nil, err
 		}
 	}
-	s.startAutoscaler(st, req.Params)
+	s.startAutoscaler(st)
 	return nodes, nil
 }
 
 // startAutoscaler launches the instance's elastic controller when the
-// autoscale param asks for one. Tuning params (all optional): asMin/asMax
-// (worker bounds), asInterval/asCooldown (durations), asHighOps/asLowOps
-// (per-worker ops/s watermarks), asGrowStreak/asShrinkStreak (consecutive
-// ticks before acting).
-func (s *Server) startAutoscaler(st *instanceState, params map[string]string) {
-	if v, ok := params["autoscale"]; !ok || v != "true" {
+// autoscale option asks for one.
+func (s *Server) startAutoscaler(st *instanceState) {
+	as := st.params.Autoscale
+	if !as.On {
 		return
-	}
-	pInt := func(key string, def int) int {
-		if v, ok := params[key]; ok {
-			var n int
-			if _, err := fmt.Sscanf(v, "%d", &n); err == nil {
-				return n
-			}
-		}
-		return def
-	}
-	pFloat := func(key string, def float64) float64 {
-		if v, ok := params[key]; ok {
-			var f float64
-			if _, err := fmt.Sscanf(v, "%g", &f); err == nil {
-				return f
-			}
-		}
-		return def
-	}
-	pDur := func(key string) time.Duration {
-		if v, ok := params[key]; ok {
-			if d, err := time.ParseDuration(v); err == nil {
-				return d
-			}
-		}
-		return 0
 	}
 	id := st.id
 	src := &instanceSignals{s: s, id: id}
 	ctl := autoscale.New(autoscale.Config{
 		Clock:              s.fabric.Network().Clock(),
-		Interval:           pDur("asInterval"),
-		MinWorkers:         pInt("asMin", 1),
-		MaxWorkers:         pInt("asMax", 8),
-		CoolDown:           pDur("asCooldown"),
-		GrowOpsPerWorker:   pFloat("asHighOps", 0),
-		ShrinkOpsPerWorker: pFloat("asLowOps", 0),
-		GrowStreak:         pInt("asGrowStreak", 0),
-		ShrinkStreak:       pInt("asShrinkStreak", 0),
+		Interval:           as.Interval,
+		MinWorkers:         as.Min,
+		MaxWorkers:         as.Max,
+		CoolDown:           as.Cooldown,
+		GrowOpsPerWorker:   as.HighOps,
+		ShrinkOpsPerWorker: as.LowOps,
+		GrowStreak:         as.GrowStreak,
+		ShrinkStreak:       as.ShrinkStreak,
 		Registry:           s.fabric.Metrics(),
 		Instance:           id,
 		Journal:            s.fabric.Events(),
@@ -527,16 +499,16 @@ func (a *instanceActuator) Grow() error   { _, err := a.s.AddWorker(a.id); retur
 func (a *instanceActuator) Shrink() error { _, err := a.s.RemoveWorker(a.id); return err }
 
 // planFor derives a region plan from one region declaration: resolve the
-// local policy (builtin name), apply tier overrides, and name the node.
-func (s *Server) planFor(instanceID string, global *policy.Spec, decl policy.RegionDecl, localSpecs map[string]string) (regionPlan, string, error) {
+// local policy (a supplied source or a builtin name) and apply the tier
+// overrides.
+func planFor(decl policy.RegionDecl, localSpecs map[string]string) (regionPlan, error) {
 	regionVal, ok := policy.FindAttr(decl.Attrs, "region")
 	if !ok {
-		return regionPlan{}, "", fmt.Errorf("wiera: region decl %q missing region attribute", decl.Label)
+		return regionPlan{}, fmt.Errorf("wiera: region decl %q missing region attribute", decl.Label)
 	}
-	region := simnet.Region(regionVal.Str)
 	localName, ok := policy.FindAttr(decl.Attrs, "name")
 	if !ok {
-		return regionPlan{}, "", fmt.Errorf("wiera: region decl %q missing instance name", decl.Label)
+		return regionPlan{}, fmt.Errorf("wiera: region decl %q missing instance name", decl.Label)
 	}
 	var localSpec *policy.Spec
 	var err error
@@ -546,18 +518,33 @@ func (s *Server) planFor(instanceID string, global *policy.Spec, decl policy.Reg
 		localSpec, err = policy.Builtin(localName.Str)
 	}
 	if err != nil {
-		return regionPlan{}, "", err
+		return regionPlan{}, err
 	}
 	if localSpec.IsGlobal {
-		return regionPlan{}, "", fmt.Errorf("wiera: %q is a global policy, not a local instance", localName.Str)
+		return regionPlan{}, fmt.Errorf("wiera: %q is a global policy, not a local instance", localName.Str)
 	}
 	merged := mergeTierOverrides(localSpec, decl.Tiers)
 	primary := false
 	if p, ok := policy.FindAttr(decl.Attrs, "primary"); ok && p.Kind == policy.ValBool {
 		primary = p.Bool
 	}
-	nodeName := fmt.Sprintf("%s/%s", instanceID, region)
-	return regionPlan{Region: region, LocalSrc: policy.Print(merged), Primary: primary}, nodeName, nil
+	return regionPlan{Region: simnet.Region(regionVal.Str), Local: merged, Primary: primary}, nil
+}
+
+// nodeParams is raw without the policy-parameter bindings that neither the
+// global, the dynamic nor this region's local spec declares. A Tiera server
+// validates what it is sent against the specs of the node it builds, and
+// the regions of one instance may run local policies that declare
+// different parameters.
+func nodeParams(raw map[string]string, p Params, global, local *policy.Spec) map[string]string {
+	declared := declaredParams([]*policy.Spec{global, local, p.Dynamic})
+	out := make(map[string]string, len(raw))
+	for k, v := range raw {
+		if _, binding := p.Policy[k]; !binding || slices.Contains(declared, k) {
+			out[k] = v
+		}
+	}
+	return out
 }
 
 // mergeTierOverrides replaces or appends tier declarations from a region
@@ -596,9 +583,9 @@ func (s *Server) spawn(instanceID, nodeName string, plan regionPlan, st *instanc
 	payload, err := transport.Encode(SpawnRequest{
 		InstanceID: instanceID,
 		NodeName:   nodeName,
-		LocalSrc:   plan.LocalSrc,
+		LocalSrc:   policy.Print(plan.Local),
 		GlobalSrc:  st.globalSrc,
-		Params:     st.params,
+		Params:     plan.Params,
 		Primary:    primaryName,
 	})
 	if err != nil {
@@ -805,9 +792,7 @@ func (s *Server) Health() []InstanceHealth {
 		h := InstanceHealth{
 			ID: id, Policy: st.policyName, Nodes: len(st.nodes),
 			Workers: 1, Rebalancing: st.rebalancing, Autoscaled: st.autoctl != nil,
-		}
-		if cfgs, err := tenant.ParseConfigs(st.params); err == nil {
-			h.Tenants = len(cfgs)
+			Tenants: len(st.params.Tenancy.Tenants),
 		}
 		if st.ringMap != nil {
 			h.Workers = st.ringMap.Shards()
@@ -872,7 +857,7 @@ func (s *Server) beginRebalance(instanceID string) (*instanceState, *ring.Map, [
 	if cur == nil {
 		// An unsharded instance becomes the one-shard base case: every
 		// region's single worker is shard 0.
-		cur = &ring.Map{Vnodes: st.vnodes, Workers: make(map[string][]string)}
+		cur = &ring.Map{Vnodes: st.params.Ring.Vnodes, Workers: make(map[string][]string)}
 		for _, n := range st.nodes {
 			region := string(n.Region)
 			if len(cur.Workers[region]) > 0 {
@@ -1397,8 +1382,8 @@ func respawnName(old string) string {
 	base := old
 	gen := 1
 	if i := strings.LastIndex(old, "#"); i >= 0 {
-		if _, err := fmt.Sscanf(old[i:], "#%d", &gen); err == nil {
-			base = old[:i]
+		if g, err := strconv.Atoi(old[i+1:]); err == nil {
+			base, gen = old[:i], g
 		}
 	}
 	return fmt.Sprintf("%s#%d", base, gen+1)
@@ -1472,50 +1457,6 @@ func (ts *TieraServer) handle(_ context.Context, method string, payload []byte) 
 	}
 }
 
-// sloParams assembles the node's SLO objectives from spawn params:
-// sloPut/sloGet (latency thresholds, durations) and sloAvailability (bool)
-// declare objectives; sloTarget (good ratio, default 0.999), sloFastWindow/
-// sloSlowWindow (burn windows), sloBurn (alert threshold, default 2), and
-// sloInterval (evaluation period) tune them. Sources are bound by NewNode.
-func sloParams(params map[string]policy.Value) ([]flight.Objective, time.Duration) {
-	num := func(key string, def float64) float64 {
-		if v, ok := params[key]; ok && v.Kind == policy.ValNumber {
-			return v.Num
-		}
-		return def
-	}
-	dur := func(key string) time.Duration {
-		if v, ok := params[key]; ok && v.Kind == policy.ValDuration {
-			return v.Dur
-		}
-		return 0
-	}
-	target := num("sloTarget", 0.999)
-	base := flight.Objective{
-		Target:     target,
-		FastWindow: dur("sloFastWindow"),
-		SlowWindow: dur("sloSlowWindow"),
-		AlertBurn:  num("sloBurn", 0), // 0 => flight.DefaultAlertBurn
-	}
-	var slos []flight.Objective
-	if th := dur("sloPut"); th > 0 {
-		o := base
-		o.Name, o.Op, o.Threshold = "put-latency", "put", th
-		slos = append(slos, o)
-	}
-	if th := dur("sloGet"); th > 0 {
-		o := base
-		o.Name, o.Op, o.Threshold = "get-latency", "get", th
-		slos = append(slos, o)
-	}
-	if v, ok := params["sloAvailability"]; ok && v.Kind == policy.ValBool && v.Bool {
-		o := base
-		o.Name, o.Op = "availability", "availability"
-		slos = append(slos, o)
-	}
-	return slos, dur("sloInterval")
-}
-
 // Spawn creates a node from a spawn request (Sec 4.1 steps 4-5).
 func (ts *TieraServer) Spawn(req SpawnRequest) (*Node, error) {
 	localSpec, err := policy.Parse(req.LocalSrc)
@@ -1526,16 +1467,9 @@ func (ts *TieraServer) Spawn(req SpawnRequest) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	params, err := decodeParams(req.Params)
+	params, err := ParseParams(req.Params, localSpec, globalSpec)
 	if err != nil {
 		return nil, err
-	}
-	var dynSpec *policy.Spec
-	if dyn, ok := req.Params["dynamic"]; ok && dyn != "" {
-		dynSpec, err = policy.Parse(dyn)
-		if err != nil {
-			return nil, err
-		}
 	}
 	// Modular instances (Sec 3.2.2): a tier declared as
 	// {name: instance, ref: "<node name>", readonly: true} mounts another
@@ -1564,123 +1498,18 @@ func (ts *TieraServer) Spawn(req SpawnRequest) (*Node, error) {
 		extraTiers = nil
 	}
 
-	var monitorWindow, queueFlush time.Duration
-	if v, ok := params["monitorWindow"]; ok && v.Kind == policy.ValDuration {
-		monitorWindow = v.Dur
-	}
-	if v, ok := params["queueFlush"]; ok && v.Kind == policy.ValDuration {
-		queueFlush = v.Dur
-	}
-	noSupersede := false
-	if v, ok := params["queueSupersede"]; ok && v.Kind == policy.ValBool {
-		noSupersede = !v.Bool
-	}
-	// antiEntropy accepts a duration (round period) or false (disable the
-	// repair subsystem).
-	var antiEntropy time.Duration
-	if v, ok := params["antiEntropy"]; ok {
-		switch {
-		case v.Kind == policy.ValDuration:
-			antiEntropy = v.Dur
-		case v.Kind == policy.ValBool && !v.Bool:
-			antiEntropy = -1
-		}
-	}
-	// maxBatchBytes accepts a size (per-chunk payload budget for batched
-	// replication), a bare number (bytes), or false (disable batching —
-	// per-key fan-out ablation).
-	var maxBatchBytes int64
-	if v, ok := params["maxBatchBytes"]; ok {
-		switch {
-		case v.Kind == policy.ValSize:
-			maxBatchBytes = v.Size
-		case v.Kind == policy.ValNumber:
-			maxBatchBytes = int64(v.Num)
-		case v.Kind == policy.ValBool && !v.Bool:
-			maxBatchBytes = -1
-		}
-	}
-	// Erasure-coding knobs for the stripe action's chooser. ecScheme is a
-	// raw "k+m" string ("4+2" is three policy tokens, not a literal), so it
-	// rides req.Params directly like the dynamic policy source does.
-	ecScheme := req.Params["ecScheme"]
-	var ecThreshold int64
-	if v, ok := params["ecThresholdBytes"]; ok {
-		switch {
-		case v.Kind == policy.ValSize:
-			ecThreshold = v.Size
-		case v.Kind == policy.ValNumber:
-			ecThreshold = int64(v.Num)
-		case v.Kind == policy.ValBool && !v.Bool:
-			ecThreshold = -1 // erasure-code every size
-		}
-	}
-	var ecHotGets int64
-	if v, ok := params["ecHotGets"]; ok && v.Kind == policy.ValNumber {
-		ecHotGets = int64(v.Num)
-	}
-	// Heat tracking knobs (hot-key selective replication): heatTrack turns
-	// the tracker on; the rest tune thresholds, replica count, loop period,
-	// and top-set size.
-	heatTrack := false
-	if v, ok := params["heatTrack"]; ok && v.Kind == policy.ValBool {
-		heatTrack = v.Bool
-	}
-	pnum := func(key string) float64 {
-		if v, ok := params[key]; ok && v.Kind == policy.ValNumber {
-			return v.Num
-		}
-		return 0
-	}
-	var heatInterval time.Duration
-	if v, ok := params["heatInterval"]; ok && v.Kind == policy.ValDuration {
-		heatInterval = v.Dur
-	}
-	// Tenancy: tenant IDs, weights, and quotas ride req.Params raw (comma
-	// lists and colon-suffixed keys are not single policy literals).
-	tenants, err := tenant.ParseConfigs(req.Params)
-	if err != nil {
-		return nil, err
-	}
-	tenantSlots := 0
-	if raw, ok := req.Params["tenantSlots"]; ok {
-		if _, err := fmt.Sscanf(strings.TrimSpace(raw), "%d", &tenantSlots); err != nil {
-			return nil, fmt.Errorf("wiera: bad tenantSlots %q", raw)
-		}
-	}
-	slos, sloInterval := sloParams(params)
 	node, err := NewNode(NodeConfig{
-		Name:             req.NodeName,
-		InstanceID:       req.InstanceID,
-		Region:           ts.region,
-		Fabric:           ts.fabric,
-		LocalSpec:        localSpec,
-		LocalParams:      params,
-		GlobalSpec:       globalSpec,
-		GlobalParams:     params,
-		DynamicSpec:      dynSpec,
-		CoordDst:         ts.coordDst,
-		ServerDst:        ts.serverDst,
-		Primary:          req.Primary,
-		MonitorWindow:    monitorWindow,
-		QueueFlushEvery:  queueFlush,
-		NoQueueSupersede: noSupersede,
-		MaxBatchBytes:    maxBatchBytes,
-		ECScheme:         ecScheme,
-		ECThresholdBytes: ecThreshold,
-		ECHotGets:        ecHotGets,
-		HeatTrack:        heatTrack,
-		HeatPromoteRate:  pnum("heatPromoteRate"),
-		HeatDemoteRate:   pnum("heatDemoteRate"),
-		HeatReplicas:     int(pnum("heatReplicas")),
-		HeatInterval:     heatInterval,
-		HeatTopK:         int(pnum("heatTopK")),
-		AntiEntropyEvery: antiEntropy,
-		Tenants:          tenants,
-		TenantSlots:      tenantSlots,
-		SLOs:             slos,
-		SLOInterval:      sloInterval,
-		ExtraTiers:       extraTiers,
+		Name:       req.NodeName,
+		InstanceID: req.InstanceID,
+		Region:     ts.region,
+		Fabric:     ts.fabric,
+		LocalSpec:  localSpec,
+		GlobalSpec: globalSpec,
+		Params:     params,
+		CoordDst:   ts.coordDst,
+		ServerDst:  ts.serverDst,
+		Primary:    req.Primary,
+		ExtraTiers: extraTiers,
 	})
 	if err != nil {
 		return nil, err
@@ -1712,35 +1541,4 @@ func (ts *TieraServer) Close() {
 		_ = n.Close()
 	}
 	ts.fabric.Remove(ts.name)
-}
-
-// decodeParams converts string parameter bindings ("10s", "5G", "true",
-// "42") into policy values by parsing them as policy literals.
-func decodeParams(raw map[string]string) (map[string]policy.Value, error) {
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	out := make(map[string]policy.Value, len(raw))
-	for k, v := range raw {
-		if k == "dynamic" || k == "ecScheme" || tenant.IsTenantParam(k) {
-			continue // carried separately: not single policy literals
-		}
-		val, err := parseParamValue(v)
-		if err != nil {
-			return nil, fmt.Errorf("wiera: param %q: %w", k, err)
-		}
-		out[k] = val
-	}
-	return out, nil
-}
-
-func parseParamValue(s string) (policy.Value, error) {
-	toks, err := policy.Lex(s)
-	if err != nil {
-		return policy.Value{}, err
-	}
-	if len(toks) != 2 { // value + EOF
-		return policy.Value{}, fmt.Errorf("not a single literal: %q", s)
-	}
-	return policy.TokenValue(toks[0])
 }

@@ -41,6 +41,31 @@ type sloStreak struct {
 	start  time.Time
 }
 
+// declaredSLOs lists the objectives the slo* options declare: sloPut and
+// sloGet (latency thresholds) and sloAvailability each declare one;
+// sloTarget and the two burn windows apply to all of them. NewNode binds
+// their sources.
+func declaredSLOs(p Params) []flight.Objective {
+	base := flight.Objective{Target: p.SLO.Target, FastWindow: p.SLO.FastWindow, SlowWindow: p.SLO.SlowWindow}
+	var slos []flight.Objective
+	if p.SLO.Put > 0 {
+		o := base
+		o.Name, o.Op, o.Threshold = "put-latency", "put", p.SLO.Put
+		slos = append(slos, o)
+	}
+	if p.SLO.Get > 0 {
+		o := base
+		o.Name, o.Op, o.Threshold = "get-latency", "get", p.SLO.Get
+		slos = append(slos, o)
+	}
+	if p.SLO.Availability {
+		o := base
+		o.Name, o.Op = "availability", "availability"
+		slos = append(slos, o)
+	}
+	return slos
+}
+
 func newSLOMonitor(n *Node) *sloMonitor {
 	return &sloMonitor{n: n, streaks: make(map[string]*sloStreak)}
 }

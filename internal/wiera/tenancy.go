@@ -10,13 +10,6 @@ import (
 	"repro/internal/tenant"
 )
 
-// defaultTenantSlots is the weighted-fair scheduler's concurrency when the
-// tenantSlots spawn param is absent: enough parallelism to keep the tiers
-// busy, small enough that a backlogged tenant queues in the scheduler (where
-// stride fairness applies) instead of deep in the tier's FIFO reservation
-// queue (where it would inflate every tenant's wait).
-const defaultTenantSlots = 4
-
 // throttleEventEvery suppresses journal spam: at most one tenant.throttle
 // event per tenant per interval, edge-triggered on the first denial.
 const throttleEventEvery = time.Second
@@ -54,23 +47,22 @@ type tenantManager struct {
 // newTenantManager wires the manager from spawn config. Returns nil when the
 // instance declares no tenants.
 func newTenantManager(n *Node, cfg NodeConfig) *tenantManager {
-	if len(cfg.Tenants) == 0 {
+	tenants := cfg.Params.Tenancy.Tenants
+	if len(tenants) == 0 {
 		return nil
 	}
-	slots := cfg.TenantSlots
-	if slots <= 0 {
-		slots = defaultTenantSlots
-	}
+	// The scheduler's concurrency (tenantSlots) defaults to enough
+	// parallelism to keep the tiers busy, small enough that a backlogged
+	// tenant queues in the scheduler (where stride fairness applies) instead
+	// of deep in the tier's FIFO reservation queue (where it would inflate
+	// every tenant's wait).
 	tm := &tenantManager{
 		n:      n,
-		sched:  tenant.NewScheduler(slots, cfg.Tenants),
+		sched:  tenant.NewScheduler(cfg.Params.Tenancy.Slots, tenants),
 		states: make(map[string]*tenantState),
 	}
-	for _, c := range cfg.Tenants {
+	for _, c := range tenants { // includes the default tenant
 		tm.states[c.ID] = tm.newState(c)
-	}
-	if _, ok := tm.states[tenant.DefaultID]; !ok {
-		tm.states[tenant.DefaultID] = tm.newState(tenant.Config{ID: tenant.DefaultID, Weight: 1})
 	}
 	return tm
 }
@@ -105,7 +97,7 @@ func (tm *tenantManager) newState(c tenant.Config) *tenantState {
 
 // state returns the tenant's state, lazily adding unknown tenants with
 // default weight and unlimited quota (the untenanted-compatibility path for
-// keys qualified with an ID the spawn params never declared).
+// keys qualified with an ID the tenants option never listed).
 func (tm *tenantManager) state(id string) *tenantState {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()

@@ -595,10 +595,13 @@ func TestNodeConfigValidation(t *testing.T) {
 	if _, err := NewNode(NodeConfig{Fabric: c.fabric, GlobalSpec: l}); err == nil {
 		t.Fatal("local spec as global should fail")
 	}
-	params := map[string]policy.Value{"t": policy.DurationVal(time.Second)}
+	params, err := ParseParams(map[string]string{"t": "1s"}, l, g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n, err := NewNode(NodeConfig{
 		Name: "solo", Region: simnet.USEast, Fabric: c.fabric,
-		LocalSpec: l, LocalParams: params, GlobalSpec: g, GlobalParams: params,
+		LocalSpec: l, GlobalSpec: g, Params: params,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -954,7 +957,10 @@ Wiera RawBigData {
 		store(what: insert.object, to: local_instance);
 	}
 }`
-	c.startSrc(t, "bigdata", rawSrc, nil)
+	// Not startSrc: it binds t, which PersistentInstance does not declare.
+	if _, err := c.server.StartInstances(StartInstancesRequest{InstanceID: "bigdata", PolicySrc: rawSrc}); err != nil {
+		t.Fatal(err)
+	}
 	raw := c.node(t, "bigdata/us-east")
 	if _, err := raw.Put(context.Background(), "input-000", []byte("raw bytes"), nil); err != nil {
 		t.Fatal(err)
