@@ -23,11 +23,12 @@ test:
 # data race there corrupts results silently and one run may not hit it):
 # flight recorder and SLO engine, telemetry primitives and snapshot merge,
 # journal and watchdog, erasure codec, heat sketch and autoscale controller,
-# token buckets and stride scheduler, wire codec. The integration paths
+# token buckets and stride scheduler, wire codec, the TCP transport's
+# connection mux, and the coord lock table. The integration paths
 # around them are in the first pass; a -run regex here would be a subset of
 # it that rots as tests are renamed.
 RACE_LEAVES = ./internal/flight/ ./internal/telemetry/ ./internal/watch/ ./internal/ec/ \
-	./internal/autoscale/ ./internal/tenant/ ./internal/wire/
+	./internal/autoscale/ ./internal/tenant/ ./internal/wire/ ./internal/transport/ ./internal/coord/
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 $(RACE_LEAVES)
@@ -38,11 +39,12 @@ race:
 smoke-obsplane:
 	./scripts/smoke_obsplane.sh
 
-# Fuzz smoke over the wire decoder: truncated/corrupt/mutated frames and
-# status details must error (never panic) and accepted ones must re-encode
-# byte-exact.
+# Fuzz smoke over the wire decoder and the TCP frame decoders: truncated/
+# corrupt/mutated frames and status details must error (never panic) and
+# accepted ones must re-encode byte-exact.
 fuzz-wire:
 	$(GO) test -fuzz=FuzzWireRoundTrip -fuzztime=10s -run FuzzWireRoundTrip ./internal/wiera/
+	$(GO) test -fuzz=FuzzTCPFrame -fuzztime=10s -run FuzzTCPFrame ./internal/transport/
 
 # The benchmark (bench/) is a module of its own that builds against this
 # one, so `go vet ./...` and `go test ./...` here never compile it: this is

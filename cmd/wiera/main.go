@@ -229,7 +229,7 @@ func (f *frontend) handle(ctx context.Context, method string, payload []byte) ([
 		}
 		// Route by the request's key so sharded instances are hit at the
 		// owning worker instead of bouncing off wrong-shard NACKs.
-		key, err := dataKey(method, env.Payload)
+		key, err := wiera.RequestKey(method, env.Payload)
 		if err != nil {
 			return nil, err
 		}
@@ -282,49 +282,6 @@ func (f *frontend) handle(ctx context.Context, method string, payload []byte) ([
 	default:
 		return nil, fmt.Errorf("wiera: unknown method %q", method)
 	}
-}
-
-// dataKey extracts the object key from an encoded Table 2 data request.
-func dataKey(method string, payload []byte) (string, error) {
-	var req any
-	switch method {
-	case wiera.MethodPut:
-		req = &wiera.PutRequest{}
-	case wiera.MethodGet:
-		req = &wiera.GetRequest{}
-	case wiera.MethodGetVersion:
-		req = &wiera.GetVersionRequest{}
-	case wiera.MethodVersionList:
-		req = &wiera.VersionListRequest{}
-	case wiera.MethodRemove:
-		req = &wiera.RemoveRequest{}
-	case wiera.MethodRemoveVer:
-		req = &wiera.RemoveVersionRequest{}
-	case wiera.MethodPlacement:
-		req = &wiera.PlacementRequest{}
-	default:
-		return "", nil
-	}
-	if err := transport.Decode(payload, req); err != nil {
-		return "", err
-	}
-	switch r := req.(type) {
-	case *wiera.PutRequest:
-		return r.Key, nil
-	case *wiera.GetRequest:
-		return r.Key, nil
-	case *wiera.GetVersionRequest:
-		return r.Key, nil
-	case *wiera.VersionListRequest:
-		return r.Key, nil
-	case *wiera.RemoveRequest:
-		return r.Key, nil
-	case *wiera.RemoveVersionRequest:
-		return r.Key, nil
-	case *wiera.PlacementRequest:
-		return r.Key, nil
-	}
-	return "", nil
 }
 
 func (f *frontend) ephemeralEndpoint() (*transport.Endpoint, func(), error) {

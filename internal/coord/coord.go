@@ -82,6 +82,7 @@ type session struct {
 
 type lockState struct {
 	holder  int64 // session id, 0 = free
+	holds   int   // the holder's acquires not yet released
 	waiters []*waiter
 }
 
@@ -225,13 +226,15 @@ func (s *Server) Acquire(id int64, key string, wait time.Duration) (bool, error)
 		s.locks[key] = ls
 	}
 	if ls.holder == 0 {
-		ls.holder = id
+		ls.holder, ls.holds = id, 1
 		sess.held[key] = true
 		s.mu.Unlock()
 		return true, nil
 	}
 	if ls.holder == id {
-		// Re-entrant grant: the session already holds it.
+		// Re-entrant grant: the session already holds it, and must release
+		// it once per acquire (Curator's InterProcessMutex semantics).
+		ls.holds++
 		s.mu.Unlock()
 		return true, nil
 	}
@@ -260,8 +263,8 @@ func (s *Server) Acquire(id int64, key string, wait time.Duration) (bool, error)
 	}
 }
 
-// Release gives up the lock on key held by session id and hands it to the
-// next live waiter.
+// Release gives up one of session id's holds on key; the last one hands the
+// lock to the next live waiter.
 func (s *Server) Release(id int64, key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -272,6 +275,10 @@ func (s *Server) Release(id int64, key string) error {
 	}
 	if !sess.held[key] {
 		return fmt.Errorf("%w: session %d key %q", ErrNotHeld, id, key)
+	}
+	if ls := s.locks[key]; ls.holds > 1 {
+		ls.holds--
+		return nil
 	}
 	delete(sess.held, key)
 	s.passLockLocked(key)
@@ -321,14 +328,14 @@ func (s *Server) releaseAllLocked(sess *session) {
 	sess.held = make(map[string]bool)
 }
 
-// passLockLocked hands the lock for key to the next waiter whose session is
-// still alive, or frees it.
+// passLockLocked drops every hold on key and hands the lock to the next
+// waiter whose session is still alive, or frees it.
 func (s *Server) passLockLocked(key string) {
 	ls := s.locks[key]
 	if ls == nil {
 		return
 	}
-	ls.holder = 0
+	ls.holder, ls.holds = 0, 0
 	for len(ls.waiters) > 0 {
 		w := ls.waiters[0]
 		ls.waiters = ls.waiters[1:]
@@ -339,7 +346,7 @@ func (s *Server) passLockLocked(key string) {
 		if !alive {
 			continue
 		}
-		ls.holder = w.sessionID
+		ls.holder, ls.holds = w.sessionID, 1
 		next.held[key] = true
 		close(w.granted)
 		return

@@ -250,9 +250,12 @@ func TestTryLockConsistencyProperty(t *testing.T) {
 		s, _ := newServer()
 		ids := []int64{s.CreateSession(longTTL), s.CreateSession(longTTL), s.CreateSession(longTTL)}
 		holders := map[string]int64{}
+		holds := map[string]int{} // the holder's unreleased acquires
 		for _, op := range ops {
+			// op%6 picks the session and acquire/release; the key comes
+			// from the bits above it, so a session releases keys it holds.
 			id := ids[int(op)%3]
-			key := fmt.Sprintf("k%d", (op/3)%2)
+			key := fmt.Sprintf("k%d", (op/6)%2)
 			if op%2 == 0 {
 				g, err := s.Acquire(id, key, 0)
 				if err != nil {
@@ -264,6 +267,7 @@ func TestTryLockConsistencyProperty(t *testing.T) {
 				}
 				if g {
 					holders[key] = id
+					holds[key]++
 				}
 				if !g && cur == 0 {
 					return false // denied though free
@@ -272,7 +276,9 @@ func TestTryLockConsistencyProperty(t *testing.T) {
 				if s.Release(id, key) != nil {
 					return false
 				}
-				holders[key] = 0
+				if holds[key]--; holds[key] == 0 {
+					holders[key] = 0
+				}
 			}
 			if s.Holder(key) != holders[key] {
 				return false
@@ -282,6 +288,59 @@ func TestTryLockConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReentrantAcquireReleasedOncePerAcquire: a session that acquired a key
+// twice keeps it until its second release, as a Curator InterProcessMutex
+// does. A node's asynchronous release of one put must not free the lock
+// while the same node's next put on that key is still fanning out.
+func TestReentrantAcquireReleasedOncePerAcquire(t *testing.T) {
+	s, _ := newServer()
+	a := s.CreateSession(longTTL)
+	b := s.CreateSession(longTTL)
+	for i := 0; i < 2; i++ {
+		if g, err := s.Acquire(a, "k", 0); err != nil || !g {
+			t.Fatalf("acquire %d = %v, %v", i+1, g, err)
+		}
+	}
+	if err := s.Release(a, "k"); err != nil {
+		t.Fatal(err)
+	}
+	if g, _ := s.Acquire(b, "k", 0); g {
+		t.Fatal("try-lock granted to another session while a re-entrant hold remains")
+	}
+	if s.Holder("k") != a {
+		t.Fatalf("Holder = %d, want %d", s.Holder("k"), a)
+	}
+	if err := s.Release(a, "k"); err != nil {
+		t.Fatal(err)
+	}
+	if g, _ := s.Acquire(b, "k", 0); !g {
+		t.Fatal("try-lock denied after the last hold was released")
+	}
+	if err := s.Release(a, "k"); !errors.Is(err, ErrNotHeld) {
+		t.Fatalf("release past the last hold: err = %v, want ErrNotHeld", err)
+	}
+}
+
+// TestCloseSessionDropsEveryHold: closing a session frees a key it acquired
+// twice and never released, and the next holder starts from one hold.
+func TestCloseSessionDropsEveryHold(t *testing.T) {
+	s, _ := newServer()
+	a := s.CreateSession(longTTL)
+	b := s.CreateSession(longTTL)
+	s.Acquire(a, "k", 0)
+	s.Acquire(a, "k", 0)
+	s.CloseSession(a)
+	if g, _ := s.Acquire(b, "k", 0); !g {
+		t.Fatal("try-lock denied after the holder's session closed")
+	}
+	if err := s.Release(b, "k"); err != nil {
+		t.Fatal(err)
+	}
+	if s.Holder("k") != 0 {
+		t.Fatal("one release did not free a lock acquired once")
 	}
 }
 

@@ -3,8 +3,10 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -13,29 +15,184 @@ import (
 	"repro/internal/wire"
 )
 
-// wireRequest/wireResponse are the gob frame types of the TCP transport.
-// Frames are tagged with a sequence ID so one connection carries many
-// in-flight calls: the client stamps Seq, the server echoes it on the
-// matching response, and responses may arrive in any order. The conn's gob
-// encoder/decoder pair persists for its lifetime, so type descriptors
-// cross the wire once per connection, not once per frame.
+// The TCP transport's frames (DESIGN.md §13). Every frame is a big-endian
+// u32 count of the bytes after it, then a big-endian u64 sequence ID, then:
 //
-// The Payload may carry a telemetry trace envelope exactly as on the
-// Fabric transport — the server unwraps it before dispatch.
-type wireRequest struct {
-	Seq     uint64
-	Method  string
-	Payload []byte
+//	request:  uvarint len | method | payload
+//	response: u8 wire.Code | uvarint len | error text | uvarint len | detail | payload
+//
+// The payload is the rest of the frame, as transport.Encode produced it and
+// behind the caller's trace envelope exactly as on the Fabric (the server
+// unwraps it before dispatch). The client stamps the sequence ID, the server
+// echoes it on the matching response, and responses may arrive in any
+// order, so one connection carries many in-flight calls. A response with
+// code zero is a success carrying a payload; any other code is a failure
+// carrying the text and detail of a RemoteError, and no payload.
+//
+// Buffer ownership: each frame is read into a buffer of its exact size that
+// the handler goroutine (request) or the waiting caller (response) then
+// owns. Payloads alias it and handlers run concurrently, so a read buffer is
+// never reused.
+const (
+	frameLenSize = 4
+	seqSize      = 8
+
+	// maxFrame bounds the size a frame header may declare, well above the
+	// largest EC fragment bundle or value any workload moves. A header past
+	// it closes the connection before anything is allocated.
+	maxFrame = 64 << 20
+
+	// maxHeader is the most the writers append in one piece: length,
+	// sequence ID, code and one uvarint.
+	maxHeader = frameLenSize + seqSize + 1 + binary.MaxVarintLen64
+)
+
+// errFrameTooLarge reports a frame longer than maxFrame.
+var errFrameTooLarge = errors.New("transport: frame exceeds the size limit")
+
+func requestLen(method string, payload []byte) int {
+	return seqSize + wire.SizeString(method) + len(payload)
 }
 
-// A response with Code zero is a success carrying Payload; any other Code
-// is a failure carrying Err (text) and Detail, the fields of RemoteError.
-type wireResponse struct {
-	Seq     uint64
-	Payload []byte
-	Err     string
-	Code    wire.Code
-	Detail  []byte
+func responseLen(msg string, detail, payload []byte) int {
+	return seqSize + 1 + wire.SizeString(msg) + wire.SizeBytes(detail) + len(payload)
+}
+
+// headerSpace returns bw's free buffer space, at least maxHeader bytes of
+// it, for a frame header to be appended into and then written. A header
+// array on the stack would move to the heap, because bufio.Writer.Write
+// may hand its argument to the connection.
+func headerSpace(bw *bufio.Writer) []byte {
+	if bw.Available() < maxHeader {
+		_ = bw.Flush() // sticky: see writeRequest
+	}
+	return bw.AvailableBuffer()
+}
+
+// writeRequest writes one request frame into bw; the caller holds the
+// connection's send lock and has checked requestLen against maxFrame. A
+// bufio.Writer keeps its first write error and returns it from every later
+// call, so the caller's Flush reports any failure here.
+func writeRequest(bw *bufio.Writer, seq uint64, method string, payload []byte) {
+	h := headerSpace(bw)
+	h = binary.BigEndian.AppendUint32(h, uint32(requestLen(method, payload)))
+	h = binary.BigEndian.AppendUint64(h, seq)
+	h = wire.AppendUvarint(h, uint64(len(method)))
+	_, _ = bw.Write(h)
+	_, _ = bw.WriteString(method)
+	_, _ = bw.Write(payload)
+}
+
+// writeResponse writes one response frame into bw, under the same rules as
+// writeRequest.
+func writeResponse(bw *bufio.Writer, seq uint64, code wire.Code, msg string, detail, payload []byte) {
+	h := headerSpace(bw)
+	h = binary.BigEndian.AppendUint32(h, uint32(responseLen(msg, detail, payload)))
+	h = binary.BigEndian.AppendUint64(h, seq)
+	h = append(h, byte(code))
+	h = wire.AppendUvarint(h, uint64(len(msg)))
+	_, _ = bw.Write(h)
+	_, _ = bw.WriteString(msg)
+	_, _ = bw.Write(wire.AppendUvarint(headerSpace(bw), uint64(len(detail))))
+	_, _ = bw.Write(detail)
+	_, _ = bw.Write(payload)
+}
+
+// readFrame reads the next frame, after its length, into a new buffer of
+// exactly that length. A stream that ends inside a frame is
+// io.ErrUnexpectedEOF; one that ends between frames is io.EOF.
+func readFrame(br *bufio.Reader) ([]byte, error) {
+	hdr, err := br.Peek(frameLenSize)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	if n > maxFrame {
+		return nil, fmt.Errorf("%w: header declares %d bytes", errFrameTooLarge, n)
+	}
+	_, _ = br.Discard(frameLenSize) // cannot fail: Peek buffered these bytes
+	frame := make([]byte, n)
+	if _, err := io.ReadFull(br, frame); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return frame, nil
+}
+
+// tcpRequest is a decoded request frame.
+type tcpRequest struct {
+	seq     uint64
+	method  string
+	payload []byte // aliases the frame; nil when empty
+}
+
+// parseRequest decodes a request frame (without its length).
+func parseRequest(frame []byte) (tcpRequest, error) {
+	if len(frame) < seqSize {
+		return tcpRequest{}, fmt.Errorf("transport: request frame of %d bytes: %w", len(frame), wire.ErrTruncated)
+	}
+	r := wire.NewReader(frame[seqSize:])
+	method := r.Bytes()
+	if err := r.Err(); err != nil {
+		return tcpRequest{}, fmt.Errorf("transport: request frame: %w", err)
+	}
+	return tcpRequest{
+		seq:     binary.BigEndian.Uint64(frame),
+		method:  string(method),
+		payload: rest(frame, &r),
+	}, nil
+}
+
+// tcpResponse is a decoded response frame: a payload on success, and the
+// text and detail of a RemoteError when the code is not wire.CodeOK.
+type tcpResponse struct {
+	seq     uint64
+	code    wire.Code
+	msg     string
+	detail  []byte // aliases the frame; nil when empty
+	payload []byte // aliases the frame; nil when empty
+}
+
+// parseResponse decodes a response frame (without its length). A success
+// that carries error text or a detail, or a failure that carries a payload,
+// is corrupt: the writer never produces either.
+func parseResponse(frame []byte) (tcpResponse, error) {
+	if len(frame) < seqSize+1 {
+		return tcpResponse{}, fmt.Errorf("transport: response frame of %d bytes: %w", len(frame), wire.ErrTruncated)
+	}
+	r := wire.NewReader(frame[seqSize+1:])
+	msg := r.Bytes()
+	detail := r.Bytes()
+	if err := r.Err(); err != nil {
+		return tcpResponse{}, fmt.Errorf("transport: response frame: %w", err)
+	}
+	resp := tcpResponse{
+		seq:     binary.BigEndian.Uint64(frame),
+		code:    wire.Code(frame[seqSize]),
+		msg:     string(msg),
+		payload: rest(frame, &r),
+	}
+	if len(detail) > 0 {
+		resp.detail = detail
+	}
+	if resp.code == wire.CodeOK && (len(msg) > 0 || len(detail) > 0) || resp.code != wire.CodeOK && resp.payload != nil {
+		return tcpResponse{}, fmt.Errorf("transport: response frame: code %d with text %q, %d detail and %d payload bytes: %w",
+			resp.code, msg, len(detail), len(resp.payload), wire.ErrCorrupt)
+	}
+	return resp, nil
+}
+
+// rest returns the frame bytes r has not read: a frame's payload.
+func rest(frame []byte, r *wire.Reader) []byte {
+	if r.Remaining() == 0 {
+		return nil
+	}
+	return frame[len(frame)-r.Remaining():]
 }
 
 // clientWindow bounds how many calls a client keeps in flight on one
@@ -121,7 +278,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	var (
 		handlers sync.WaitGroup
-		writeMu  sync.Mutex // guards enc + bw: responses interleave frame-atomically
+		writeMu  sync.Mutex // guards bw: responses interleave frame-atomically
 	)
 	defer func() {
 		conn.Close()
@@ -132,37 +289,37 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(bw)
 	sem := make(chan struct{}, serverWindow)
 	for {
-		var req wireRequest
-		if err := dec.Decode(&req); err != nil {
-			return // EOF or broken connection
+		frame, err := readFrame(br)
+		if err != nil {
+			return // EOF, broken connection, or a frame past maxFrame
+		}
+		req, err := parseRequest(frame)
+		if err != nil {
+			return // a corrupt frame: nothing after it can be trusted
 		}
 		sem <- struct{}{}
 		handlers.Add(1)
-		go func(req wireRequest) {
+		go func() {
 			defer handlers.Done()
 			defer func() { <-sem }()
-			resp := wireResponse{Seq: req.Seq}
-			out, err := s.server.dispatch(s.handler, s.addr, tcpRegionLabel, req.Method, req.Payload)
+			out, err := s.server.dispatch(s.handler, s.addr, tcpRegionLabel, req.method, req.payload)
+			if err == nil && responseLen("", nil, out) > maxFrame {
+				err = fmt.Errorf("%w: response of %d bytes", errFrameTooLarge, len(out))
+			}
+			var re RemoteError
 			if err != nil {
-				re := remoteError(err)
-				resp.Code, resp.Err, resp.Detail = re.Code, re.Msg, re.Detail
-			} else {
-				resp.Payload = out
+				re, out = remoteError(err), nil
 			}
 			writeMu.Lock()
-			werr := enc.Encode(&resp)
-			if werr == nil {
-				werr = bw.Flush()
-			}
+			writeResponse(bw, req.seq, re.Code, re.Msg, re.Detail, out)
+			werr := bw.Flush()
 			writeMu.Unlock()
 			if werr != nil {
 				conn.Close() // wake the read loop; remaining handlers fail fast
 			}
-		}(req)
+		}()
 	}
 }
 
@@ -185,11 +342,11 @@ func (s *TCPServer) Close() error {
 
 // TCPClient issues calls to one TCPServer over a single multiplexed
 // connection: every in-flight call gets a sequence ID, frames share the
-// connection's persistent gob streams, and a demux goroutine routes each
-// tagged response to its waiting caller. Concurrency is bounded by
-// clientWindow; callers past the window block until a slot frees. Safe for
-// concurrent use. A broken connection fails all its in-flight calls and is
-// replaced on the next Call.
+// connection, and a demux goroutine routes each tagged response to its
+// waiting caller. Concurrency is bounded by clientWindow; callers past the
+// window block until a slot frees. Safe for concurrent use. A broken
+// connection fails all its in-flight calls and is replaced on the next
+// Call.
 type TCPClient struct {
 	addr string
 
@@ -199,20 +356,19 @@ type TCPClient struct {
 	closed bool
 }
 
-// muxConn is one multiplexed connection: a shared encoder guarded by
-// sendMu, a demux goroutine draining responses, and per-sequence completion
-// channels.
+// muxConn is one multiplexed connection: a shared buffered writer guarded
+// by sendMu, a demux goroutine draining responses, and per-sequence
+// completion channels.
 type muxConn struct {
 	conn   net.Conn
 	window chan struct{} // in-flight slots
 
-	sendMu sync.Mutex // guards enc + bw
-	enc    *gob.Encoder
+	sendMu sync.Mutex // guards bw
 	bw     *bufio.Writer
 
 	mu      sync.Mutex
 	nextSeq uint64
-	pending map[uint64]chan *wireResponse
+	pending map[uint64]chan tcpResponse
 	dead    bool
 	err     error // why the conn died (set once, before channels close)
 }
@@ -232,6 +388,9 @@ func (c *TCPClient) Call(ctx context.Context, _ string, method string, payload [
 	if sp := telemetry.SpanFromContext(ctx); sp != nil {
 		payload = telemetry.WrapPayload(sp.Context(), payload)
 	}
+	if n := requestLen(method, payload); n > maxFrame {
+		return nil, fmt.Errorf("%w: request of %d bytes", errFrameTooLarge, n)
+	}
 	mc, err := c.acquire()
 	if err != nil {
 		return nil, err
@@ -241,10 +400,10 @@ func (c *TCPClient) Call(ctx context.Context, _ string, method string, payload [
 		c.discard(mc)
 		return nil, err
 	}
-	if resp.Code != wire.CodeOK {
-		return nil, RemoteError{Code: resp.Code, Msg: resp.Err, Detail: resp.Detail}
+	if resp.code != wire.CodeOK {
+		return nil, RemoteError{Code: resp.code, Msg: resp.msg, Detail: resp.detail}
 	}
-	return resp.Payload, nil
+	return resp.payload, nil
 }
 
 // acquire returns the live multiplexed connection, dialing one if needed.
@@ -264,16 +423,13 @@ func (c *TCPClient) acquire() (*muxConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", c.addr, err)
 	}
-	bw := bufio.NewWriter(conn)
 	mc := &muxConn{
 		conn:    conn,
 		window:  make(chan struct{}, clientWindow),
-		enc:     gob.NewEncoder(bw),
-		bw:      bw,
-		pending: make(map[uint64]chan *wireResponse),
+		bw:      bufio.NewWriter(conn),
+		pending: make(map[uint64]chan tcpResponse),
 	}
-	dec := gob.NewDecoder(bufio.NewReader(conn))
-	go mc.demux(dec)
+	go mc.demux(bufio.NewReader(conn))
 
 	c.mu.Lock()
 	if c.closed {
@@ -330,16 +486,16 @@ func (c *TCPClient) Close() {
 
 // roundTrip sends one tagged frame and blocks until its response is
 // demuxed back (or the connection dies).
-func (mc *muxConn) roundTrip(method string, payload []byte) (*wireResponse, error) {
+func (mc *muxConn) roundTrip(method string, payload []byte) (tcpResponse, error) {
 	mc.window <- struct{}{}
 	defer func() { <-mc.window }()
 
-	ch := make(chan *wireResponse, 1)
+	ch := make(chan tcpResponse, 1)
 	mc.mu.Lock()
 	if mc.dead {
 		err := mc.err
 		mc.mu.Unlock()
-		return nil, err
+		return tcpResponse{}, err
 	}
 	mc.nextSeq++
 	seq := mc.nextSeq
@@ -347,17 +503,15 @@ func (mc *muxConn) roundTrip(method string, payload []byte) (*wireResponse, erro
 	mc.mu.Unlock()
 
 	mc.sendMu.Lock()
-	err := mc.enc.Encode(wireRequest{Seq: seq, Method: method, Payload: payload})
-	if err == nil {
-		err = mc.bw.Flush()
-	}
+	writeRequest(mc.bw, seq, method, payload)
+	err := mc.bw.Flush()
 	mc.sendMu.Unlock()
 	if err != nil {
 		mc.mu.Lock()
 		delete(mc.pending, seq)
 		mc.mu.Unlock()
 		mc.fail(fmt.Errorf("transport: send: %w", err))
-		return nil, fmt.Errorf("transport: send: %w", err)
+		return tcpResponse{}, fmt.Errorf("transport: send: %w", err)
 	}
 
 	resp, ok := <-ch
@@ -365,27 +519,32 @@ func (mc *muxConn) roundTrip(method string, payload []byte) (*wireResponse, erro
 		mc.mu.Lock()
 		err := mc.err
 		mc.mu.Unlock()
-		return nil, err
+		return tcpResponse{}, err
 	}
 	return resp, nil
 }
 
 // demux drains tagged responses off the connection and completes the
-// matching callers. A decode error (EOF, server close, corrupt stream)
-// fails every pending call.
-func (mc *muxConn) demux(dec *gob.Decoder) {
+// matching callers, each of which then owns its response's frame. A read or
+// decode error (EOF, server close, truncated or corrupt frame, a header past
+// maxFrame) fails every pending call.
+func (mc *muxConn) demux(br *bufio.Reader) {
 	for {
-		var resp wireResponse
-		if err := dec.Decode(&resp); err != nil {
-			mc.fail(fmt.Errorf("transport: connection closed by server: %w", err))
+		frame, err := readFrame(br)
+		var resp tcpResponse
+		if err == nil {
+			resp, err = parseResponse(frame)
+		}
+		if err != nil {
+			mc.fail(fmt.Errorf("transport: connection lost: %w", err))
 			return
 		}
 		mc.mu.Lock()
-		ch := mc.pending[resp.Seq]
-		delete(mc.pending, resp.Seq)
+		ch := mc.pending[resp.seq]
+		delete(mc.pending, resp.seq)
 		mc.mu.Unlock()
 		if ch != nil {
-			ch <- &resp
+			ch <- resp
 		}
 	}
 }
@@ -408,7 +567,7 @@ func (mc *muxConn) fail(err error) {
 	mc.dead = true
 	mc.err = err
 	pending := mc.pending
-	mc.pending = make(map[uint64]chan *wireResponse)
+	mc.pending = make(map[uint64]chan tcpResponse)
 	mc.mu.Unlock()
 	mc.conn.Close()
 	for _, ch := range pending {

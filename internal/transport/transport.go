@@ -5,14 +5,15 @@
 //   - Fabric: in-process endpoints connected through the simulated WAN
 //     (internal/simnet), so every call pays the region-to-region latency and
 //     bandwidth cost. All experiments run on this.
-//   - TCP (tcp.go): a real wire transport with gob framing, used by the
-//     cmd/wiera daemon and cmd/wieractl client.
+//   - TCP (tcp.go): a real wire transport, one fixed binary frame per call
+//     (sequence ID, method or status, payload), used by the cmd/wiera daemon
+//     and cmd/wieractl client.
 //
 // Payloads are opaque bytes; callers encode typed messages with the
 // Encode/Decode helpers. A message's type alone decides its encoding:
-// hot-path messages (put/get/batch/repair/ec) implement wire.Marshaler and
-// travel as internal/wire frames, everything else uses encoding/gob (see
-// DESIGN.md §13). A failed call comes back as a RemoteError carrying the
+// per-op messages (put/get/batch/repair/ec, the daemon's proxy envelope,
+// the coord lock) implement wire.Marshaler and travel as internal/wire
+// frames, everything else uses encoding/gob (see DESIGN.md §13). A failed call comes back as a RemoteError carrying the
 // handler error's status code and detail.
 //
 // Both implementations carry distributed-trace context across calls: when

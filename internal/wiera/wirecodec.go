@@ -1,24 +1,28 @@
 package wiera
 
 // wirecodec.go: hand-rolled binary encodings (internal/wire) for the
-// hot-path RPC messages — put/get/remove, replication updates and batches,
-// EC fragment fetches, and the anti-entropy repair exchange. Control-plane
-// messages (ring updates, policy changes, placement, heat, admin) stay on
-// gob: they are rare, and gob's self-describing streams are more tolerant
-// of struct evolution.
+// hot-path RPC messages — the seven Table 2 data requests and their
+// replies, the TCP front's ProxyRequest envelope, replication updates and
+// batches, EC fragment fetches, and the anti-entropy repair exchange.
+// Control-plane messages (ring updates, policy changes, placement replies,
+// heat, admin) stay on gob: they are rare, and gob's self-describing
+// streams are more tolerant of struct evolution.
 //
 // Field order is the wire contract: encoders and decoders below must walk
 // fields in the same sequence, and any layout change requires bumping
 // wire.Version (DESIGN.md §13).
 
 import (
+	"fmt"
+
 	"repro/internal/object"
 	"repro/internal/repair"
 	"repro/internal/wire"
 )
 
-// One-byte method tags. Never reuse a retired value — old peers may still
-// emit it during a rolling upgrade.
+// One-byte method tags from wiera's range of the wire tag table, 0x01–0x3F
+// (see the internal/wire package doc). Never reuse a retired value — old
+// peers may still emit it during a rolling upgrade.
 const (
 	tagPutRequest           = 0x01
 	tagPutResponse          = 0x02
@@ -42,7 +46,48 @@ const (
 	tagRepairPushRequest    = 0x14
 	tagRepairPushResponse   = 0x15
 	tagEmpty                = 0x16
+	tagVersionListRequest   = 0x17
+	tagPlacementRequest     = 0x18
+	tagProxyRequest         = 0x19
 )
+
+// RequestKey returns the key of an encoded Table 2 data request for method,
+// read from the leading string of its wire body without decoding the rest.
+// Every data request encodes Key first. A payload that is not that
+// request's wire frame is an error.
+func RequestKey(method string, payload []byte) (string, error) {
+	var want byte
+	switch method {
+	case MethodPut:
+		want = tagPutRequest
+	case MethodGet:
+		want = tagGetRequest
+	case MethodGetVersion:
+		want = tagGetVersionRequest
+	case MethodVersionList:
+		want = tagVersionListRequest
+	case MethodRemove:
+		want = tagRemoveRequest
+	case MethodRemoveVer:
+		want = tagRemoveVersionRequest
+	case MethodPlacement:
+		want = tagPlacementRequest
+	default:
+		return "", fmt.Errorf("wiera: %q is not a data method", method)
+	}
+	tag, r, err := wire.Open(payload)
+	if err != nil {
+		return "", fmt.Errorf("wiera: %s request: %w", method, err)
+	}
+	if tag != want {
+		return "", fmt.Errorf("wiera: %s request: %w: got 0x%02x want 0x%02x", method, wire.ErrTag, tag, want)
+	}
+	key := r.Bytes()
+	if err := r.Err(); err != nil {
+		return "", fmt.Errorf("wiera: %s request key: %w", method, err)
+	}
+	return string(key), nil
+}
 
 // ---------------------------------------------------------------------------
 // Shared field-group helpers. These take pointers and stay concrete so the
@@ -301,6 +346,50 @@ func (m *GetResponse) UnmarshalWire(body []byte) error {
 	m.Data = r.Bytes()
 	readMeta(&r, &m.Meta)
 	readStrings(&r, &m.HotReplicas)
+	return r.Close()
+}
+
+// ---------------------------------------------------------------------------
+// VersionListRequest / PlacementRequest
+
+func (m VersionListRequest) WireTag() byte { return tagVersionListRequest }
+func (m VersionListRequest) WireSize() int { return wire.SizeString(m.Key) }
+func (m VersionListRequest) AppendWire(dst []byte) []byte {
+	return wire.AppendString(dst, m.Key)
+}
+func (m *VersionListRequest) UnmarshalWire(body []byte) error {
+	r := wire.NewReader(body)
+	r.StringInto(&m.Key)
+	return r.Close()
+}
+
+func (m PlacementRequest) WireTag() byte { return tagPlacementRequest }
+func (m PlacementRequest) WireSize() int { return wire.SizeString(m.Key) }
+func (m PlacementRequest) AppendWire(dst []byte) []byte {
+	return wire.AppendString(dst, m.Key)
+}
+func (m *PlacementRequest) UnmarshalWire(body []byte) error {
+	r := wire.NewReader(body)
+	r.StringInto(&m.Key)
+	return r.Close()
+}
+
+// ---------------------------------------------------------------------------
+// ProxyRequest: the TCP front's envelope. Payload is the inner request's
+// frame and decodes aliasing the outer one.
+
+func (m ProxyRequest) WireTag() byte { return tagProxyRequest }
+func (m ProxyRequest) WireSize() int {
+	return wire.SizeString(m.InstanceID) + wire.SizeBytes(m.Payload)
+}
+func (m ProxyRequest) AppendWire(dst []byte) []byte {
+	dst = wire.AppendString(dst, m.InstanceID)
+	return wire.AppendBytes(dst, m.Payload)
+}
+func (m *ProxyRequest) UnmarshalWire(body []byte) error {
+	r := wire.NewReader(body)
+	r.StringInto(&m.InstanceID)
+	m.Payload = r.Bytes()
 	return r.Close()
 }
 
@@ -620,6 +709,9 @@ var (
 	_ wire.Unmarshaler = (*GetRequest)(nil)
 	_ wire.Unmarshaler = (*GetResponse)(nil)
 	_ wire.Unmarshaler = (*GetVersionRequest)(nil)
+	_ wire.Unmarshaler = (*VersionListRequest)(nil)
+	_ wire.Unmarshaler = (*PlacementRequest)(nil)
+	_ wire.Unmarshaler = (*ProxyRequest)(nil)
 	_ wire.Unmarshaler = (*RemoveRequest)(nil)
 	_ wire.Unmarshaler = (*RemoveVersionRequest)(nil)
 	_ wire.Unmarshaler = (*UpdateMsg)(nil)

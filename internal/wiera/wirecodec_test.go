@@ -3,6 +3,7 @@ package wiera
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -56,6 +57,11 @@ func hotMessages() []struct {
 		{"GetRequest", &GetRequest{Key: "k"}, func() wire.Unmarshaler { return &GetRequest{} }},
 		{"GetResponse", &GetResponse{Data: []byte("d"), Meta: meta, HotReplicas: []string{"n2", "n3"}}, func() wire.Unmarshaler { return &GetResponse{} }},
 		{"GetVersionRequest", &GetVersionRequest{Key: "k", Version: 9}, func() wire.Unmarshaler { return &GetVersionRequest{} }},
+		{"VersionListRequest", &VersionListRequest{Key: "k"}, func() wire.Unmarshaler { return &VersionListRequest{} }},
+		{"PlacementRequest", &PlacementRequest{Key: "k"}, func() wire.Unmarshaler { return &PlacementRequest{} }},
+		{"ProxyRequest", &ProxyRequest{InstanceID: "app", Payload: wire.Marshal(PutRequest{Key: "k", Data: []byte("data")})}, func() wire.Unmarshaler { return &ProxyRequest{} }},
+		{"ProxyRequest/get", &ProxyRequest{InstanceID: "app", Payload: wire.Marshal(GetRequest{Key: "k"})}, func() wire.Unmarshaler { return &ProxyRequest{} }},
+		{"ProxyRequest/empty", &ProxyRequest{}, func() wire.Unmarshaler { return &ProxyRequest{} }},
 		{"RemoveRequest", &RemoveRequest{Key: "k"}, func() wire.Unmarshaler { return &RemoveRequest{} }},
 		{"RemoveVersionRequest", &RemoveVersionRequest{Key: "k", Version: 3}, func() wire.Unmarshaler { return &RemoveVersionRequest{} }},
 		{"UpdateMsg", &upd, func() wire.Unmarshaler { return &UpdateMsg{} }},
@@ -155,11 +161,11 @@ func TestWireTruncationAndCorruption(t *testing.T) {
 // so a payload in the other one must error cleanly, in both directions.
 func TestDecodeWireFrameIntoNonWireType(t *testing.T) {
 	frame := wire.Marshal(GetRequest{Key: "k"})
-	var ctl VersionListRequest // gob-only type
+	var ctl HotDropMsg // gob-only type
 	if err := transport.Decode(frame, &ctl); err == nil {
 		t.Fatal("wire frame decoded into a non-wire type")
 	}
-	gobbed, err := transport.Encode(VersionListRequest{Key: "k"})
+	gobbed, err := transport.Encode(HotDropMsg{Key: "k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,5 +219,71 @@ func TestEncodeDecodeZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: %v allocs per AppendEncode+Decode, want 0", m.name, allocs)
 		}
+	}
+}
+
+// TestWireTags: wiera's tags are unique and inside the range the wire tag
+// table gives the package, 0x01–0x3F.
+func TestWireTags(t *testing.T) {
+	owner := map[byte]reflect.Type{}
+	for _, tc := range hotMessages() {
+		tag, typ := tc.msg.WireTag(), reflect.TypeOf(tc.msg)
+		if tag < 0x01 || tag > 0x3F {
+			t.Errorf("%s: tag 0x%02x outside wiera's range 0x01-0x3F", tc.name, tag)
+		}
+		if prev, ok := owner[tag]; ok && prev != typ {
+			t.Errorf("%s and %s share tag 0x%02x", typ, prev, tag)
+		}
+		owner[tag] = typ
+	}
+}
+
+// TestRequestKey: for every Table 2 data method the key read from the front
+// of the body equals the key a full decode finds, and a body that is not
+// that request's wire frame is an error.
+func TestRequestKey(t *testing.T) {
+	const key = "tn:gold:user/0042"
+	cases := []struct {
+		method string
+		req    wire.Marshaler
+		zero   wire.Unmarshaler
+	}{
+		{MethodPut, PutRequest{Key: key, Data: []byte("v"), Tags: []string{"t"}, From: "n1"}, &PutRequest{}},
+		{MethodGet, GetRequest{Key: key}, &GetRequest{}},
+		{MethodGetVersion, GetVersionRequest{Key: key, Version: 3}, &GetVersionRequest{}},
+		{MethodVersionList, VersionListRequest{Key: key}, &VersionListRequest{}},
+		{MethodRemove, RemoveRequest{Key: key}, &RemoveRequest{}},
+		{MethodRemoveVer, RemoveVersionRequest{Key: key, Version: 2}, &RemoveVersionRequest{}},
+		{MethodPlacement, PlacementRequest{Key: key}, &PlacementRequest{}},
+	}
+	for _, tc := range cases {
+		payload, err := transport.Encode(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := transport.Decode(payload, tc.zero); err != nil {
+			t.Fatalf("%s: full decode: %v", tc.method, err)
+		}
+		decoded := reflect.ValueOf(tc.zero).Elem().FieldByName("Key").String()
+		got, err := RequestKey(tc.method, payload)
+		if err != nil || got != decoded {
+			t.Fatalf("%s: RequestKey = %q, %v; full decode found %q", tc.method, got, err, decoded)
+		}
+		gobbed, err := transport.Encode(HotDropMsg{Key: key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range [][]byte{nil, []byte("junk"), gobbed, payload[:wire.HeaderLen+1]} {
+			if k, err := RequestKey(tc.method, bad); err == nil {
+				t.Fatalf("%s: body %x accepted, key %q", tc.method, bad, k)
+			}
+		}
+	}
+	// A frame of another data request is not this method's body.
+	if _, err := RequestKey(MethodPut, wire.Marshal(GetRequest{Key: key})); !errors.Is(err, wire.ErrTag) {
+		t.Fatalf("get frame under MethodPut: err = %v, want wire.ErrTag", err)
+	}
+	if _, err := RequestKey(MethodStartInstances, wire.Marshal(GetRequest{Key: key})); err == nil {
+		t.Fatal("control method accepted")
 	}
 }

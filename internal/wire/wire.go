@@ -1,7 +1,8 @@
 // Package wire is a hand-rolled, zero-alloc, length-prefixed binary codec
-// for the hot-path RPC messages (put/get/batch/repair/ec); control-plane
-// messages stay on gob. It also holds the table of status codes a reply
-// carries (status.go), whose details are bodies in the same encoding.
+// for every per-op RPC message (put/get/batch/repair/ec, the TCP front's
+// proxy envelope, the coord lock); control-plane messages stay on gob. It
+// also holds the table of status codes a reply carries (status.go), whose
+// details are bodies in the same encoding.
 //
 // Frame layout (DESIGN.md §13):
 //
@@ -10,6 +11,15 @@
 //	byte 2: version = 0x01
 //	byte 3: method tag (one byte per message type)
 //	bytes 4..: message body (varint lengths, fixed field order)
+//
+// Method tags are allotted to the packages that define messages in fixed
+// ranges, so no two messages share a tag; each package's tests check that
+// its tags are unique and inside its range:
+//
+//	0x01–0x3F  internal/wiera  data requests and replies, ProxyRequest,
+//	                           replication, EC fragments, repair
+//	0x40–0x4F  internal/coord  session and lock messages
+//	0x50–0xFF  unassigned
 //
 // The first byte 0xBD is deliberately chosen so a frame can never be
 // mistaken for a gob stream: gob's first byte is an unsigned length

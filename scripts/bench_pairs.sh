@@ -11,8 +11,9 @@
 # it: pair i is `--workload W --seed i --seconds 15 --trace 0` on both sides,
 # odd pairs parent first, even pairs change first, never two runs at once.
 # Nothing under bench/ and not BENCHMARK.json is touched; the runs' last
-# stdout lines are kept in .bench_build/pairs/<workload>/ and summarised by
-# scripts/benchpairs (medians, quartiles, wins, verdict under the bound).
+# stdout lines (and full result files) are kept in .bench_build/pairs/<workload>/
+# and summarised by scripts/benchpairs (medians, quartiles, wins, verdict
+# under the bound).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,11 +30,32 @@ rm -rf "$parent_dir" "$runs_dir"
 mkdir -p "$parent_dir" "$runs_dir"
 git archive "$parent_rev" | tar -x -C "$parent_dir"
 
+# A run that starts with the 1-minute load average above half the cores is
+# marked noisy and is no evidence, so each run first waits for a quiet box:
+# 0.4 of the cores, leaving headroom for the build run.sh does before it
+# reads the load.
+wait_quiet() {
+	while awk -v n="$(nproc)" '{ exit !($1 > n * 0.4) }' /proc/loadavg; do
+		sleep 5
+	done
+}
+
+# run.sh builds into a cache inside each checkout before it reads its
+# arguments, and the parent's cache starts empty: build both sides once up
+# front (`compare` with no directories builds, then exits with its usage),
+# so no measured run starts on the load of a cold build.
+for dir in "$parent_dir" "$PWD"; do
+	(cd "$dir" && bash bench/run.sh compare >/dev/null 2>&1) || true
+done
+
 # one <side> <checkout> <pair>: a run's stdout ends with its one-line JSON.
 one() {
+	wait_quiet
 	echo "== $workload pair $3/$pairs: $1 ==" >&2
 	(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$3" --seconds 15 --trace 0) |
 		tail -n 1 >"$runs_dir/$1_$3.json"
+	# The full result keeps the run's environment: load at start, noisy flag.
+	cp "$2/.bench_build/results/$workload.json" "$runs_dir/$1_$3.full.json"
 }
 
 for i in $(seq 1 "$pairs"); do

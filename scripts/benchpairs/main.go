@@ -81,6 +81,8 @@ type report struct {
 	Parent    string                  `json:"parent"`
 	Command   string                  `json:"command"`
 	Workloads map[string]workloadRows `json:"workloads"`
+	// Notes is the change's run ledger, written by hand and kept across folds.
+	Notes []string `json:"notes,omitempty"`
 }
 
 func main() {
