@@ -2,165 +2,67 @@ package repair
 
 import (
 	"bytes"
-	"encoding/gob"
-	"fmt"
-	"strings"
 	"sync"
 )
 
-// hintSep joins peer name and object key in a backend key. Unit separator:
-// it cannot appear in endpoint names or sane object keys, and a peer name
-// containing it would only shadow its own hints.
-const hintSep = "\x1f"
-
-// Backend persists hints. metastore.Store satisfies it exactly, giving
-// durable hints; memBackend (NewMemBackend) keeps them in memory for nodes
-// running without a metadata path.
-type Backend interface {
-	Put(key string, val []byte) error
-	Get(key string) ([]byte, error)
-	Delete(key string) error
-	Keys() ([]string, error)
-	Close() error
-}
-
-// memBackend is the in-memory Backend for non-durable nodes.
-type memBackend struct {
-	mu sync.Mutex
-	m  map[string][]byte
-}
-
-// NewMemBackend returns an empty in-memory hint backend.
-func NewMemBackend() Backend { return &memBackend{m: make(map[string][]byte)} }
-
-func (b *memBackend) Put(key string, val []byte) error {
-	b.mu.Lock()
-	b.m[key] = append([]byte(nil), val...)
-	b.mu.Unlock()
-	return nil
-}
-
-func (b *memBackend) Get(key string) ([]byte, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	v, ok := b.m[key]
-	if !ok {
-		return nil, fmt.Errorf("repair: no hint %q", key)
-	}
-	return append([]byte(nil), v...), nil
-}
-
-func (b *memBackend) Delete(key string) error {
-	b.mu.Lock()
-	delete(b.m, key)
-	b.mu.Unlock()
-	return nil
-}
-
-func (b *memBackend) Keys() ([]string, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.m))
-	for k := range b.m {
-		out = append(out, k)
-	}
-	return out, nil
-}
-
-func (b *memBackend) Close() error { return nil }
-
-// HintLog stores updates that failed to reach a peer, keyed (peer, key)
+// HintLog holds updates that failed to reach a peer, keyed (peer, key)
 // with last-writer-wins supersession: a newer version of a key replaces an
 // older queued hint, so a hot key partitioned away accumulates exactly one
-// hint per peer. Safe for concurrent use.
+// hint per peer. Hints live in memory only; a crash loses them and the
+// Merkle sync plus respawn bootstrap cover the gap. Safe for concurrent use.
 type HintLog struct {
 	mu      sync.Mutex
-	be      Backend
-	pending map[string]map[string]Entry // peer -> key -> queued summary
+	pending map[string]map[string]Update // peer -> key -> queued update
 	metrics *Metrics
 }
 
-// OpenHintLog loads existing hints from be (replaying a durable backend
-// after a restart) and reports the pending gauge through metrics (may be
-// nil).
-func OpenHintLog(be Backend, metrics *Metrics) (*HintLog, error) {
-	l := &HintLog{be: be, pending: make(map[string]map[string]Entry), metrics: metrics}
-	keys, err := be.Keys()
-	if err != nil {
-		return nil, err
-	}
-	for _, bk := range keys {
-		peer, _, ok := strings.Cut(bk, hintSep)
-		if !ok {
-			continue
-		}
-		raw, err := be.Get(bk)
-		if err != nil {
-			continue
-		}
-		var u Update
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&u); err != nil {
-			_ = be.Delete(bk) // torn record: drop rather than wedge replay
-			continue
-		}
-		l.addPending(peer, u.Entry())
-	}
-	l.gauge()
-	return l, nil
+// NewHintLog returns an empty log reporting the pending gauge through
+// metrics (may be nil).
+func NewHintLog(metrics *Metrics) *HintLog {
+	return &HintLog{pending: make(map[string]map[string]Update), metrics: metrics}
 }
 
-func (l *HintLog) addPending(peer string, e Entry) {
-	m := l.pending[peer]
-	if m == nil {
-		m = make(map[string]Entry)
-		l.pending[peer] = m
-	}
-	m[e.Key] = e
-}
-
-// gauge publishes the pending count; callers hold l.mu or have exclusive
-// access.
-func (l *HintLog) gauge() {
-	if l.metrics == nil {
-		return
-	}
+// count is the total queued hint count; callers hold l.mu.
+func (l *HintLog) count() int {
 	n := 0
 	for _, m := range l.pending {
 		n += len(m)
 	}
-	l.metrics.HintsPending.Set(float64(n))
+	return n
 }
 
-// Add queues u for peer unless an equal-or-newer hint for the same key is
-// already queued. Returns whether the hint was recorded.
-func (l *HintLog) Add(peer string, u Update) (bool, error) {
+// gauge publishes the pending count; callers hold l.mu.
+func (l *HintLog) gauge() {
+	if l.metrics != nil {
+		l.metrics.HintsPending.Set(float64(l.count()))
+	}
+}
+
+// Add queues a copy of u for peer unless an equal-or-newer hint for the
+// same key is already queued. Returns whether the hint was recorded. The
+// copy is deep: u.Data may alias a receive buffer the caller reuses.
+func (l *HintLog) Add(peer string, u Update) bool {
 	e := u.Entry()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if old, ok := l.pending[peer][e.Key]; ok && !newer(e, old) {
-		return false, nil
+	m := l.pending[peer]
+	if old, ok := m[e.Key]; ok && !newer(e, old.Entry()) {
+		return false
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(u); err != nil {
-		return false, fmt.Errorf("repair: encode hint: %w", err)
+	if m == nil {
+		m = make(map[string]Update)
+		l.pending[peer] = m
 	}
-	if err := l.be.Put(peer+hintSep+e.Key, buf.Bytes()); err != nil {
-		return false, err
-	}
-	l.addPending(peer, e)
+	m[e.Key] = Update{Meta: u.Meta.Clone(), Data: bytes.Clone(u.Data)}
 	l.gauge()
-	return true, nil
+	return true
 }
 
 // Pending returns the total queued hint count.
 func (l *HintLog) Pending() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := 0
-	for _, m := range l.pending {
-		n += len(m)
-	}
-	return n
+	return l.count()
 }
 
 // PendingFor returns the queued hint count for one peer.
@@ -183,27 +85,17 @@ func (l *HintLog) PeersWithHints() []string {
 	return out
 }
 
-// take loads up to limit hints queued for peer.
+// take returns up to limit hints queued for peer. Queued updates are never
+// mutated, so the batch shares their slices with the log.
 func (l *HintLog) take(peer string, limit int) []Update {
 	l.mu.Lock()
-	keys := make([]string, 0, limit)
-	for k := range l.pending[peer] {
-		if len(keys) == limit {
+	defer l.mu.Unlock()
+	out := make([]Update, 0, min(limit, len(l.pending[peer])))
+	for _, u := range l.pending[peer] {
+		if len(out) == limit {
 			break
 		}
-		keys = append(keys, k)
-	}
-	l.mu.Unlock()
-	out := make([]Update, 0, len(keys))
-	for _, k := range keys {
-		raw, err := l.be.Get(peer + hintSep + k)
-		if err != nil {
-			continue
-		}
-		var u Update
-		if gob.NewDecoder(bytes.NewReader(raw)).Decode(&u) == nil {
-			out = append(out, u)
-		}
+		out = append(out, u)
 	}
 	return out
 }
@@ -216,11 +108,10 @@ func (l *HintLog) ack(peer string, delivered []Update) {
 	for _, u := range delivered {
 		e := u.Entry()
 		cur, ok := l.pending[peer][e.Key]
-		if !ok || newer(cur, e) {
+		if !ok || newer(cur.Entry(), e) {
 			continue
 		}
 		delete(l.pending[peer], e.Key)
-		_ = l.be.Delete(peer + hintSep + e.Key)
 	}
 	l.gauge()
 }
@@ -242,11 +133,11 @@ func (l *HintLog) ReplayFor(peer string, push func([]Update) (int, error)) (int,
 		replayed += len(batch)
 		if l.metrics != nil {
 			l.metrics.HintsReplayed.Add(int64(len(batch)))
-			var bytes int64
+			var size int64
 			for _, u := range batch {
-				bytes += updateWireSize(u)
+				size += updateWireSize(u)
 			}
-			l.metrics.BytesReplayed.Add(bytes)
+			l.metrics.BytesReplayed.Add(size)
 		}
 	}
 }
@@ -257,20 +148,10 @@ func (l *HintLog) DropPeer(peer string) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	m := l.pending[peer]
-	for k := range m {
-		_ = l.be.Delete(peer + hintSep + k)
-	}
 	delete(l.pending, peer)
 	if l.metrics != nil && len(m) > 0 {
 		l.metrics.HintsDropped.Add(int64(len(m)))
 	}
 	l.gauge()
 	return len(m)
-}
-
-// Close closes the backing store.
-func (l *HintLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.be.Close()
 }

@@ -10,9 +10,9 @@
 //     in a fixed-geometry hash tree. Two replicas locate divergent key
 //     ranges in O(log n) digest rounds and exchange only the differing
 //     versions instead of full key lists (see merkle.go, session.go).
-//   - Hinted handoff: an update that cannot reach a peer is persisted as a
-//     hint (in internal/metastore when the node runs durable) and replayed
-//     with exponential backoff once the peer answers pings again (hints.go).
+//   - Hinted handoff: an update that cannot reach a peer is kept as an
+//     in-memory hint and replayed with exponential backoff once the peer
+//     answers pings again (hints.go).
 //   - A background daemon that periodically picks a peer, replays due
 //     hints, and runs one Merkle sync session (daemon.go).
 //

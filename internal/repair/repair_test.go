@@ -2,13 +2,11 @@ package repair
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/metastore"
 	"repro/internal/object"
 	"repro/internal/telemetry"
 )
@@ -229,20 +227,17 @@ func TestSyncBeatsFullExchangeAt10kKeys(t *testing.T) {
 func TestHintLogSupersedesAndReplays(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg, "n1", "us-east")
-	l, err := OpenHintLog(NewMemBackend(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := NewHintLog(m)
 	mk := func(ver, mtime int64) Update {
 		return Update{Meta: object.Meta{Key: "hot", Version: object.Version(ver), ModifiedAt: time.Unix(0, mtime), Origin: "a"}, Data: []byte("x")}
 	}
-	if ok, _ := l.Add("peer1", mk(1, 10)); !ok {
+	if !l.Add("peer1", mk(1, 10)) {
 		t.Fatal("first hint rejected")
 	}
-	if ok, _ := l.Add("peer1", mk(2, 20)); !ok {
+	if !l.Add("peer1", mk(2, 20)) {
 		t.Fatal("newer hint rejected")
 	}
-	if ok, _ := l.Add("peer1", mk(1, 10)); ok {
+	if l.Add("peer1", mk(1, 10)) {
 		t.Fatal("stale hint must be superseded")
 	}
 	if l.Pending() != 1 || l.PendingFor("peer1") != 1 {
@@ -271,42 +266,38 @@ func TestHintLogSupersedesAndReplays(t *testing.T) {
 	}
 }
 
-func TestHintLogDurableAcrossReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hints.db")
-	be, err := metastore.Open(path)
-	if err != nil {
-		t.Fatal(err)
+// TestHintLogAddCopiesUpdate: a queued hint is the log's own copy. The
+// caller may reuse the buffers behind Data and the Meta slices (a put's
+// Data can alias a wire frame's receive buffer) without changing what a
+// later replay delivers.
+func TestHintLogAddCopiesUpdate(t *testing.T) {
+	l := NewHintLog(nil)
+	u := Update{
+		Meta: object.Meta{Key: "k", Version: 1, Origin: "a", ModifiedAt: time.Unix(0, 5),
+			Tags: []string{"tag"}, ECK: 2, ECM: 1, ECFrags: []int{0, 2}},
+		Data: []byte("orig"),
 	}
-	l, err := OpenHintLog(be, nil)
-	if err != nil {
-		t.Fatal(err)
+	if !l.Add("peer1", u) {
+		t.Fatal("hint rejected")
 	}
-	u := Update{Meta: object.Meta{Key: "k", Version: 3, Origin: "a", ModifiedAt: time.Unix(0, 7)}, Data: []byte("v")}
-	if ok, err := l.Add("peerX", u); !ok || err != nil {
-		t.Fatalf("Add = %v, %v", ok, err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	copy(u.Data, "XXXX")
+	u.Meta.Tags[0] = "mutated"
+	u.Meta.ECFrags[0], u.Meta.ECFrags[1] = 7, 7
 
-	be2, err := metastore.Open(path)
-	if err != nil {
+	var got []Update
+	if _, err := l.ReplayFor("peer1", func(us []Update) (int, error) {
+		got = append(got, us...)
+		return len(us), nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := OpenHintLog(be2, nil)
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != 1 {
+		t.Fatalf("replayed %d hints, want 1", len(got))
 	}
-	defer l2.Close()
-	if l2.PendingFor("peerX") != 1 {
-		t.Fatal("hint lost across reopen")
-	}
-	got := l2.take("peerX", 10)
-	if len(got) != 1 || got[0].Meta.Version != 3 || string(got[0].Data) != "v" {
-		t.Fatalf("reloaded hint = %+v", got)
-	}
-	if dropped := l2.DropPeer("peerX"); dropped != 1 {
-		t.Fatalf("DropPeer = %d, want 1", dropped)
+	g := got[0]
+	if string(g.Data) != "orig" || g.Meta.Tags[0] != "tag" || g.Meta.ECFrags[0] != 0 || g.Meta.ECFrags[1] != 2 {
+		t.Fatalf("replayed hint aliases the caller's buffers: data=%q tags=%v frags=%v",
+			g.Data, g.Meta.Tags, g.Meta.ECFrags)
 	}
 }
 
@@ -365,12 +356,9 @@ func TestDaemonReplaysHintsWhenPeerReturns(t *testing.T) {
 	local, remote := newMemStore(), newMemStore()
 	local.put("k", 1, 100, "local", []byte("v"))
 	cl := &testCluster{peers: map[string]*memStore{"r1": remote}, down: map[string]bool{"r1": true}}
-	hints, err := OpenHintLog(NewMemBackend(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hints := NewHintLog(nil)
 	u, _ := local.Load("k")
-	if ok, _ := hints.Add("r1", u); !ok {
+	if !hints.Add("r1", u) {
 		t.Fatal("hint not queued")
 	}
 	d := NewDaemon(clk, local, hints, cl, DefaultGeometry, time.Second, nil)
@@ -403,13 +391,24 @@ func TestDaemonDropsHintsForDepartedPeer(t *testing.T) {
 	local := newMemStore()
 	local.put("k", 1, 1, "l", nil)
 	cl := &testCluster{peers: map[string]*memStore{}, down: map[string]bool{}}
-	hints, _ := OpenHintLog(NewMemBackend(), nil)
+	m := NewMetrics(telemetry.NewRegistry(), "n1", "us-east")
+	hints := NewHintLog(m)
 	u, _ := local.Load("k")
 	hints.Add("gone", u)
-	d := NewDaemon(clk, local, hints, cl, DefaultGeometry, time.Second, nil)
+	d := NewDaemon(clk, local, hints, cl, DefaultGeometry, time.Second, m)
 	d.RunOnce()
 	if hints.Pending() != 0 {
 		t.Fatal("hints for departed peer must be dropped")
+	}
+	if got := m.HintsDropped.Value(); got != 1 {
+		t.Fatalf("repair_hints_dropped_total = %d, want 1", got)
+	}
+	hints.Add("gone", u)
+	if dropped := hints.DropPeer("gone"); dropped != 1 {
+		t.Fatalf("DropPeer = %d, want 1", dropped)
+	}
+	if dropped := hints.DropPeer("gone"); dropped != 0 {
+		t.Fatalf("second DropPeer = %d, want 0", dropped)
 	}
 }
 
@@ -418,8 +417,7 @@ func TestDaemonSyncRoundRobin(t *testing.T) {
 	local, r1 := newMemStore(), newMemStore()
 	r1.put("only-r1", 2, 50, "r1", []byte("z"))
 	cl := &testCluster{peers: map[string]*memStore{"r1": r1}, down: map[string]bool{}}
-	hints, _ := OpenHintLog(NewMemBackend(), nil)
-	d := NewDaemon(clk, local, hints, cl, DefaultGeometry, time.Second, nil)
+	d := NewDaemon(clk, local, NewHintLog(nil), cl, DefaultGeometry, time.Second, nil)
 	st := d.RunOnce()
 	if st.KeysRepaired != 1 {
 		t.Fatalf("KeysRepaired = %d, want 1", st.KeysRepaired)

@@ -184,7 +184,6 @@ func (in *Instance) transferVersion(ctx context.Context, key string, v object.Ve
 	if !dst.Volatile() {
 		_ = in.objects.SetDirty(key, v, false)
 	}
-	in.persistMeta(key)
 	return nil
 }
 
@@ -225,7 +224,6 @@ func (in *Instance) deleteMatching(pred policy.Predicate) error {
 		if len(in.Locations(m.meta.Key, m.meta.Version)) == 0 {
 			_ = in.objects.RemoveVersion(m.meta.Key, m.meta.Version)
 		}
-		in.persistMeta(m.meta.Key)
 	}
 	return nil
 }

@@ -1,11 +1,10 @@
 // Package tiera implements a Tiera instance (paper Sec 2): a policy-driven
 // storage container spanning multiple cloud storage tiers inside one data
 // center. An instance owns a set of tiers (declared in its policy
-// specification), a versioned object index, an optional persistent metadata
-// store (the BerkeleyDB substitute), and the compiled local policy whose
-// insert/timer/filled/object-monitor events drive data placement: write-back
-// and write-through caching, backup on fill thresholds, cold-data demotion,
-// and tier growth.
+// specification), an in-memory versioned object index, and the compiled
+// local policy whose insert/timer/filled/object-monitor events drive data
+// placement: write-back and write-through caching, backup on fill
+// thresholds, cold-data demotion, and tier growth.
 //
 // Wiera (internal/wiera) composes instances across regions; this package is
 // purely intra-DC.
@@ -22,7 +21,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/cost"
-	"repro/internal/metastore"
 	"repro/internal/object"
 	"repro/internal/policy"
 	"repro/internal/simnet"
@@ -73,9 +71,6 @@ type Config struct {
 	Clock clock.Clock
 	// Accountant, when set, receives request charges from all tiers.
 	Accountant *cost.Accountant
-	// MetaPath, when non-empty, persists object metadata to this file so an
-	// instance can recover its index after a crash.
-	MetaPath string
 	// ScanInterval is the period of the object-monitor scan loop started by
 	// Start (cold-data checks). Defaults to 10s of clock time.
 	ScanInterval time.Duration
@@ -103,7 +98,6 @@ type Instance struct {
 	tierOrder []string // declaration order: tier1 first
 
 	objects *object.Store
-	meta    *metastore.Store // nil when not persisting
 
 	mu           sync.Mutex
 	fillLatched  map[string]bool // filled-event edge detection, by tier label
@@ -171,16 +165,6 @@ func New(cfg Config) (*Instance, error) {
 	sortExtraStable(inst.tierOrder)
 	if len(inst.tiers) == 0 {
 		return nil, fmt.Errorf("tiera: spec %q declares no tiers", cfg.Spec.Name)
-	}
-	if cfg.MetaPath != "" {
-		ms, err := metastore.Open(cfg.MetaPath)
-		if err != nil {
-			return nil, err
-		}
-		inst.meta = ms
-		if err := inst.loadMeta(); err != nil {
-			return nil, err
-		}
 	}
 	inst.scanInterval = cfg.ScanInterval
 	if inst.scanInterval <= 0 {
@@ -390,7 +374,6 @@ func (in *Instance) putInternal(ctx context.Context, key string, data []byte, ta
 			return object.Meta{}, err
 		}
 	}
-	in.persistMeta(key)
 	in.checkFilled()
 	final, err := in.objects.GetVersion(key, meta.Version)
 	if err != nil {
@@ -518,11 +501,7 @@ func (in *Instance) Remove(ctx context.Context, key string) error {
 	for _, v := range versions {
 		in.deletePayload(ctx, key, v)
 	}
-	if err := in.objects.Remove(key); err != nil {
-		return err
-	}
-	in.unpersistMeta(key)
-	return nil
+	return in.objects.Remove(key)
 }
 
 // RemoveVersion deletes one version of key.
@@ -531,11 +510,7 @@ func (in *Instance) RemoveVersion(ctx context.Context, key string, v object.Vers
 		return err
 	}
 	in.deletePayload(ctx, key, v)
-	if err := in.objects.RemoveVersion(key, v); err != nil {
-		return err
-	}
-	in.persistMeta(key)
-	return nil
+	return in.objects.RemoveVersion(key, v)
 }
 
 func (in *Instance) deletePayload(ctx context.Context, key string, v object.Version) {
@@ -566,7 +541,6 @@ func (in *Instance) ApplyRemote(ctx context.Context, meta object.Meta, data []by
 	if err := in.objects.SetTier(meta.Key, meta.Version, in.tierOrder[0]); err != nil {
 		return false, err
 	}
-	in.persistMeta(meta.Key)
 	in.checkFilled()
 	return true, nil
 }
@@ -583,11 +557,20 @@ func (in *Instance) Locations(key string, v object.Version) []string {
 	return out
 }
 
-// Close stops background loops and closes the metadata store.
+// CrashVolatile simulates a process crash for failure-injection tests:
+// volatile tiers lose their contents; durable tiers survive. The caller
+// typically follows with operations that observe recovery behavior.
+func (in *Instance) CrashVolatile() {
+	for _, label := range in.tierOrder {
+		type crasher interface{ Crash() }
+		if c, ok := in.tiers[label].(crasher); ok {
+			c.Crash()
+		}
+	}
+}
+
+// Close stops background loops.
 func (in *Instance) Close() error {
 	in.Stop()
-	if in.meta != nil {
-		return in.meta.Close()
-	}
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -315,47 +314,6 @@ func TestApplyRemoteLWW(t *testing.T) {
 	data, _, _ = inst.Get(context.Background(), "k")
 	if string(data) != "r1" {
 		t.Fatalf("payload overwritten by losing update: %q", data)
-	}
-}
-
-func TestMetadataPersistence(t *testing.T) {
-	dir := t.TempDir()
-	metaPath := filepath.Join(dir, "meta.db")
-	spec, _ := policy.Builtin("LowLatencyInstance")
-	params := map[string]policy.Value{"t": policy.DurationVal(time.Second)}
-	inst, err := New(Config{
-		Name: "p", Region: simnet.USEast, Spec: spec, Params: params,
-		Clock: fastClock(), MetaPath: metaPath,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst.Put(context.Background(), "k1", []byte("v1"))
-	inst.Put(context.Background(), "k1", []byte("v1b"))
-	inst.Put(context.Background(), "k2", []byte("v2"))
-	inst.Remove(context.Background(), "k2")
-	if err := inst.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Re-open: metadata (versions) must be recovered.
-	inst2, err := New(Config{
-		Name: "p", Region: simnet.USEast, Spec: spec, Params: params,
-		Clock: fastClock(), MetaPath: metaPath,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst2.Close()
-	vs, err := inst2.VersionList("k1")
-	if err != nil || len(vs) != 2 {
-		t.Fatalf("recovered versions = %v, %v", vs, err)
-	}
-	if _, err := inst2.VersionList("k2"); err == nil {
-		t.Fatal("removed key recovered")
-	}
-	m, err := inst2.Objects().Latest("k1")
-	if err != nil || m.Version != 2 {
-		t.Fatalf("recovered latest = %+v, %v", m, err)
 	}
 }
 

@@ -162,11 +162,7 @@ func (in *Instance) transformOne(meta object.Meta, encrypt bool) error {
 	} else {
 		compressed = true
 	}
-	if err := in.objects.SetTransforms(meta.Key, meta.Version, compressed, encrypted); err != nil {
-		return err
-	}
-	in.persistMeta(meta.Key)
-	return nil
+	return in.objects.SetTransforms(meta.Key, meta.Version, compressed, encrypted)
 }
 
 // untransform reverses any payload transformations for a read.

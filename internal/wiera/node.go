@@ -58,8 +58,6 @@ type NodeConfig struct {
 	Primary string
 	// Accountant receives tier request charges.
 	Accountant *cost.Accountant
-	// MetaPath persists local metadata when non-empty.
-	MetaPath string
 	// ExtraTiers installs pre-built tiers into the local instance, keyed by
 	// tier label — the paper's modular instances (Sec 3.2.2): another
 	// instance adapted as a storage tier.
@@ -151,8 +149,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	local, err := tiera.New(tiera.Config{
 		Name: cfg.Name + "/local", Region: cfg.Region, Spec: cfg.LocalSpec,
 		Params: cfg.Params.Policy, Clock: clk, Accountant: cfg.Accountant,
-		MetaPath: cfg.MetaPath, ExtraTiers: cfg.ExtraTiers,
-		Metrics: cfg.Fabric.Metrics(),
+		ExtraTiers: cfg.ExtraTiers, Metrics: cfg.Fabric.Metrics(),
 	})
 	if err != nil {
 		return nil, err
@@ -229,13 +226,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.queue = newUpdateQueue(n, cfg.Params.Queue.Flush, cfg.Params.Queue.Supersede)
 	if cfg.Params.Repair.AntiEntropy >= 0 {
-		rm, err := newRepairManager(n, cfg)
-		if err != nil {
-			local.Close()
-			cfg.Fabric.Remove(cfg.Name)
-			return nil, err
-		}
-		n.repair = rm
+		n.repair = newRepairManager(n, cfg)
 	}
 	n.latMon = newThresholdMonitor(n, "put", cfg.Params.MonitorWindow)
 	n.reqMon = newRequestsMonitor(n)
@@ -1222,9 +1213,9 @@ func (n *Node) Crash() {
 	n.sloEngine.Stop()
 	n.heat.stopLoop()
 	if n.repair != nil {
-		// Stop the daemon but leave the hint backend unflushed: a crash
-		// takes no clean shutdown path, and durable hints replay on respawn.
-		n.repair.daemon.Stop()
+		// Hints are in memory and die with the node; the respawned node
+		// bootstraps from its peers and the Merkle sync covers the rest.
+		n.repair.stop()
 	}
 	n.fabric.Remove(n.name)
 	unregisterNode(n.name)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metastore"
 	"repro/internal/object"
 	"repro/internal/repair"
 	"repro/internal/transport"
@@ -26,52 +25,33 @@ type repairManager struct {
 	inflight map[string]bool // keys with a read repair already scheduled
 }
 
-// newRepairManager assembles the subsystem. Hints persist in a metastore
-// next to the node's metadata when the node runs durable; otherwise they
-// live in memory (a crash loses them, and the Merkle sync covers the gap).
-func newRepairManager(n *Node, cfg NodeConfig) (*repairManager, error) {
-	var be repair.Backend
-	if cfg.MetaPath != "" {
-		ms, err := metastore.Open(cfg.MetaPath + ".hints")
-		if err != nil {
-			return nil, err
-		}
-		be = ms
-	} else {
-		be = repair.NewMemBackend()
-	}
+// newRepairManager assembles the subsystem. Hints live in memory: a crash
+// loses them, and the Merkle sync plus the respawned node's bootstrap from
+// its peers cover the gap.
+func newRepairManager(n *Node, cfg NodeConfig) *repairManager {
 	m := &repairManager{
 		n:        n,
 		metrics:  repair.NewMetrics(n.fabric.Metrics(), n.name, string(n.region)),
 		geo:      repair.DefaultGeometry,
 		inflight: make(map[string]bool),
 	}
-	hints, err := repair.OpenHintLog(be, m.metrics)
-	if err != nil {
-		be.Close()
-		return nil, err
-	}
-	m.hints = hints
-	m.daemon = repair.NewDaemon(n.clk, nodeStore{n}, hints, nodeCluster{n}, m.geo, cfg.Params.Repair.AntiEntropy, m.metrics)
+	m.hints = repair.NewHintLog(m.metrics)
+	m.daemon = repair.NewDaemon(n.clk, nodeStore{n}, m.hints, nodeCluster{n}, m.geo, cfg.Params.Repair.AntiEntropy, m.metrics)
 	m.daemon.AttachJournal(n.fabric.Events(), n.name)
 	if cfg.Params.Repair.AntiEntropy == 0 {
 		m.daemon.DisableSync() // hinted handoff and read repair only
 	}
-	return m, nil
+	return m
 }
 
 func (m *repairManager) start() { m.daemon.Start() }
 
-func (m *repairManager) stop() {
-	m.daemon.Stop()
-	_ = m.hints.Close()
-}
+func (m *repairManager) stop() { m.daemon.Stop() }
 
 // addHint records an update that failed to reach peer; the daemon replays
-// it once the peer answers pings again. Errors (a full disk under the hint
-// store) are absorbed: the Merkle sync is the backstop.
+// it once the peer answers pings again.
 func (m *repairManager) addHint(peer string, msg UpdateMsg) {
-	_, _ = m.hints.Add(peer, repair.Update{Meta: msg.Meta, Data: msg.Data})
+	m.hints.Add(peer, repair.Update{Meta: msg.Meta, Data: msg.Data})
 }
 
 // scheduleKeyRepair asynchronously reconciles one key with every peer: pull
