@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/spawn"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -205,9 +206,9 @@ const serverWindow = 256
 
 // TCPServer serves transport handlers on a real TCP listener. It is the
 // deployment-grade counterpart of the in-process Fabric, used by cmd/wiera.
-// Requests on one connection are served concurrently (each in its own
-// goroutine, bounded by serverWindow); responses are written back tagged
-// with the request's sequence ID, in completion order.
+// Requests on one connection are served concurrently (each on a warm
+// goroutine from internal/spawn, bounded by serverWindow); responses are
+// written back tagged with the request's sequence ID, in completion order.
 type TCPServer struct {
 	ln      net.Listener
 	addr    string
@@ -301,7 +302,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		}
 		sem <- struct{}{}
 		handlers.Add(1)
-		go func() {
+		spawn.Go(func() {
 			defer handlers.Done()
 			defer func() { <-sem }()
 			out, err := s.server.dispatch(s.handler, s.addr, tcpRegionLabel, req.method, req.payload)
@@ -319,7 +320,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			if werr != nil {
 				conn.Close() // wake the read loop; remaining handlers fail fast
 			}
-		}()
+		})
 	}
 }
 

@@ -27,12 +27,14 @@ Wiera BenchEventualThree {
 // TestNodeOpAllocBudget pins what one put and one get allocate on a node of
 // a three-region eventual deployment with telemetry on: the policy engine,
 // the flight record and the tier key must not bring back per-op maps, action
-// calls or slice growth. The budgets are absolute; the parent of the change
-// that introduced them measured about 32 per put and 7 per get.
+// calls or slice growth, and a closure handed to another goroutine must not
+// capture a variable the op reassigns (that moves it to the heap on every
+// call). The budgets are what the op allocates, with no slack: one more
+// allocation is a regression to explain.
 func TestNodeOpAllocBudget(t *testing.T) {
 	const (
-		putBudget = 14
-		getBudget = 6
+		putBudget = 7
+		getBudget = 4
 		runs      = 400
 	)
 	c := newCluster(t, simnet.USEast, simnet.USWest, simnet.EUWest)
@@ -71,5 +73,41 @@ func TestNodeOpAllocBudget(t *testing.T) {
 	}
 	if gets > getBudget {
 		t.Errorf("Node.Get allocates %.1f times per op, budget %d", gets, getBudget)
+	}
+}
+
+// TestMultiPrimariesPutAllocBudget pins what one MultiPrimaries put
+// allocates on a three-region deployment with telemetry on, counting
+// everything the put sets off: the coord lock, the local store, the
+// synchronous copy to both peers (whose handlers the fabric runs inline)
+// and the asynchronous release. Latency is off, so no compressed background
+// timer fires inside the measurement.
+func TestMultiPrimariesPutAllocBudget(t *testing.T) {
+	const (
+		putBudget = 44 // measures 43; its parent, with a fresh goroutine per peer, 45
+		runs      = 400
+	)
+	c := newClusterOn(t, zeroLatencyClock{}, simnet.USEast, simnet.USWest, simnet.EUWest)
+	nodes := c.start(t, "allocmp", "MultiPrimariesConsistency", map[string]string{"t": "100h"})
+	n := c.node(t, nodes[0].Name)
+	ctx := context.Background()
+	val := make([]byte, 4<<10)
+	keys := make([]string, 16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user%04d", i)
+		if _, err := n.Put(ctx, keys[i], val, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	puts := testing.AllocsPerRun(runs, func() {
+		if _, err := n.Put(ctx, keys[i%len(keys)], val, nil); err != nil {
+			t.Error(err)
+		}
+		i++
+	})
+	t.Logf("MultiPrimaries Node.Put %.1f allocs/op", puts)
+	if puts > putBudget {
+		t.Errorf("MultiPrimaries Node.Put allocates %.1f times per op, budget %d", puts, putBudget)
 	}
 }

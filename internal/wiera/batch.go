@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"repro/internal/spawn"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -122,34 +123,24 @@ func (b *batcher) fanOut(ctx context.Context, msgs []UpdateMsg) []bool {
 		return failed
 	}
 	b.flushes.Inc()
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	for _, p := range peers {
-		wg.Add(1)
-		go func(p PeerInfo) {
-			defer wg.Done()
-			start := b.n.clk.Now()
-			fidx := b.pushPeer(ctx, p.Name, msgs)
-			if len(fidx) == 0 {
-				elapsed := b.n.clk.Since(start)
-				b.n.latMon.observe(elapsed)
-				b.n.ReplLatency.Record(elapsed)
-			}
+	fidx := make([][]int, len(peers))
+	eachPeer(peers, func(i int, p PeerInfo) {
+		start := b.n.clk.Now()
+		fidx[i] = b.pushPeer(ctx, p.Name, msgs)
+		if len(fidx[i]) == 0 {
+			elapsed := b.n.clk.Since(start)
+			b.n.latMon.observe(elapsed)
+			b.n.ReplLatency.Record(elapsed)
+		}
+	})
+	for pi, idx := range fidx {
+		for _, i := range idx {
+			failed[i] = true
 			if b.n.repair != nil {
-				for _, i := range fidx {
-					b.n.repair.addHint(p.Name, msgs[i])
-				}
+				b.n.repair.addHint(peers[pi].Name, msgs[i])
 			}
-			mu.Lock()
-			for _, i := range fidx {
-				failed[i] = true
-			}
-			mu.Unlock()
-		}(p)
+		}
 	}
-	wg.Wait()
 	return failed
 }
 
@@ -195,13 +186,15 @@ func (b *batcher) pushPeer(ctx context.Context, peer string, msgs []UpdateMsg) [
 // async path did.
 func (b *batcher) pushAsync(target string, msg UpdateMsg) {
 	if !b.enabled() {
-		// Per-key ablation: one ApplyUpdate RPC per update, as before.
-		n := b.n
-		go func() {
-			if err := n.callPeer(context.Background(), target, MethodApplyUpdate, msg, nil); err != nil && n.repair != nil {
-				n.repair.addHint(target, msg)
+		// Per-key ablation: one ApplyUpdate RPC per update, as before. The
+		// closure captures a copy, so msg itself stays off the heap on the
+		// batched path.
+		n, m := b.n, msg
+		spawn.Go(func() {
+			if err := n.callPeer(context.Background(), target, MethodApplyUpdate, m, nil); err != nil && n.repair != nil {
+				n.repair.addHint(target, m)
 			}
-		}()
+		})
 		return
 	}
 	b.amu.Lock()
@@ -212,7 +205,7 @@ func (b *batcher) pushAsync(target string, msg UpdateMsg) {
 	}
 	b.aactive[target] = true
 	b.amu.Unlock()
-	go b.asyncLoop(target)
+	spawn.Go(func() { b.asyncLoop(target) })
 }
 
 // asyncLoop drains a peer's coalesced async updates until none remain.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/object"
 	"repro/internal/policy"
+	"repro/internal/spawn"
 )
 
 // globalPutExec executes a global policy's insert-event responses for one
@@ -59,7 +60,7 @@ func (e *globalPutExec) Do(call *policy.ActionCall) error {
 		// paper's ~400 ms multi-primary put pays lock + broadcast only).
 		key := e.key
 		n := e.n
-		go func() { _ = n.locks.Unlock(context.Background(), key) }()
+		spawn.Go(func() { n.releaseLock(key) })
 		return nil
 	case "store":
 		to, err := call.StringArg("to")
@@ -158,9 +159,26 @@ func (e *globalPutExec) Assign(path string, v policy.Value) error {
 // failed put cannot deadlock the key.
 func (e *globalPutExec) releaseLockIfHeld() {
 	if e.lockHeld && e.n.locks != nil {
-		_ = e.n.locks.Unlock(context.Background(), e.key)
+		e.n.releaseLock(e.key)
 		e.lockHeld = false
 	}
+}
+
+// releaseLock frees key's global lock. A release that fails is not retried:
+// the node's coordination session never expires (NewNode) and holds are
+// counted, so the key stays locked for every other region and their puts
+// fail after lockWait. The failure is counted
+// (wiera_lock_release_failures_total) and journaled with the key, so an
+// operator can find which key is stuck.
+func (n *Node) releaseLock(key string) {
+	err := n.locks.Unlock(context.Background(), key)
+	if err == nil {
+		return
+	}
+	n.releaseFailures.Inc()
+	n.fabric.Events().Record("lock.release_failed", n.name,
+		fmt.Sprintf("wiera: release of the lock on key %q failed: %v", key, err),
+		map[string]string{"key": key})
 }
 
 // globalGetExec executes get-event responses: forwarding reads to another

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/object"
+	"repro/internal/spawn"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -329,8 +330,10 @@ func (h *heatTracker) afterPut(key string, meta object.Meta, data []byte) {
 	if !ok {
 		return
 	}
-	d := append([]byte(nil), data...)
-	go h.installTo(targets, meta, d)
+	// Copies: capturing the parameter meta would move it to the heap on
+	// every put, hot key or not.
+	m, d := meta, append([]byte(nil), data...)
+	spawn.Go(func() { h.installTo(targets, m, d) })
 }
 
 // replicasFor reports the advertised replica set for a promoted key (nil

@@ -17,6 +17,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/repair"
 	"repro/internal/simnet"
+	"repro/internal/spawn"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
@@ -130,8 +131,11 @@ type Node struct {
 	freshReads *telemetry.Counter
 	putErrors  *telemetry.Counter
 	getErrors  *telemetry.Counter
-	queueDepth *telemetry.Gauge
-	closed     bool
+	// releaseFailures counts global-lock releases the coordination service
+	// refused or never received (releaseLock).
+	releaseFailures *telemetry.Counter
+	queueDepth      *telemetry.Gauge
+	closed          bool
 }
 
 // NewNode builds and registers a node on the fabric.
@@ -196,6 +200,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		"Wiera operations that returned an error to the application.", "op", "node", "region")
 	n.putErrors = opErrs.With("put", cfg.Name, region)
 	n.getErrors = opErrs.With("get", cfg.Name, region)
+	n.releaseFailures = reg.Counter("wiera_lock_release_failures_total",
+		"Global-lock releases that failed, leaving the key locked.", "node", "region").
+		With(cfg.Name, region)
 	n.flightRec = cfg.Fabric.Flight()
 	n.queueDepth = reg.Gauge("wiera_queue_depth",
 		"Keys with updates queued for lazy propagation.", "node", "region").
@@ -592,7 +599,10 @@ func (n *Node) Get(ctx context.Context, key string) (retData []byte, _ object.Me
 		// full copy); regenerate our own fragments from parity instead.
 		if n.repair != nil {
 			if meta.IsEC() {
-				go n.ecm.applyRepair(repair.Update{Meta: meta})
+				// A copy: capturing meta itself, which this function
+				// reassigns, would move it to the heap on every get.
+				u := repair.Update{Meta: meta}
+				spawn.Go(func() { n.ecm.applyRepair(u) })
 				sc.fa.AddHop(flight.Hop{Kind: flight.HopRepair, Name: "ec-regenerate"})
 			} else {
 				n.repair.absorb(meta, data)
@@ -682,19 +692,16 @@ func (n *Node) Remove(ctx context.Context, key string) error {
 	if err != nil {
 		return err
 	}
-	errs := make(chan error, len(peers))
-	for _, p := range peers {
-		go func(p PeerInfo) {
-			errs <- n.callPeerRaw(ctx, p.Name, MethodRemove, payload, nil)
-		}(p)
-	}
-	var firstErr error
-	for range peers {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
+	errs := make([]error, len(peers))
+	eachPeer(peers, func(i int, p PeerInfo) {
+		errs[i] = n.callPeerRaw(ctx, p.Name, MethodRemove, payload, nil)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return firstErr
+	return nil
 }
 
 // RemoveVersion deletes one version locally.
@@ -792,30 +799,44 @@ func (n *Node) fanOutSync(ctx context.Context, msg UpdateMsg) error {
 	if err != nil {
 		return err
 	}
-	type result struct {
-		peer string
-		err  error
-	}
-	results := make(chan result, len(peers))
-	for _, p := range peers {
-		go func(p PeerInfo) {
-			results <- result{peer: p.Name, err: n.callPeerRaw(ctx, p.Name, MethodApplyUpdate, payload, nil)}
-		}(p)
-	}
+	errs := make([]error, len(peers))
+	eachPeer(peers, func(i int, p PeerInfo) {
+		errs[i] = n.callPeerRaw(ctx, p.Name, MethodApplyUpdate, payload, nil)
+	})
 	var firstErr error
-	for range peers {
-		r := <-results
-		if r.err == nil {
+	for i, err := range errs {
+		if err == nil {
 			continue
 		}
 		if firstErr == nil {
-			firstErr = r.err
+			firstErr = err
 		}
 		if n.repair != nil {
-			n.repair.addHint(r.peer, msg)
+			n.repair.addHint(peers[i].Name, msg)
 		}
 	}
 	return firstErr
+}
+
+// eachPeer runs f(i, peers[i]) for every peer at once and returns when all
+// have returned: peers[1:] on pool goroutines (internal/spawn), peers[0] on
+// the caller, which would otherwise sit idle waiting. f files its result at
+// index i of a slice the caller owns.
+func eachPeer(peers []PeerInfo, f func(i int, p PeerInfo)) {
+	if len(peers) == 0 {
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(peers) - 1)
+	for i := 1; i < len(peers); i++ {
+		p := peers[i]
+		spawn.Go(func() {
+			defer wg.Done()
+			f(i, p)
+		})
+	}
+	f(0, peers[0])
+	wg.Wait()
 }
 
 // handle is the node's RPC dispatcher. ctx carries the caller's trace

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/object"
 	"repro/internal/repair"
+	"repro/internal/spawn"
 	"repro/internal/transport"
 )
 
@@ -67,14 +68,14 @@ func (m *repairManager) scheduleKeyRepair(key string) {
 	m.inflight[key] = true
 	m.mu.Unlock()
 	m.metrics.ReadRepairs.Inc()
-	go func() {
+	spawn.Go(func() {
 		defer func() {
 			m.mu.Lock()
 			delete(m.inflight, key)
 			m.mu.Unlock()
 		}()
 		m.repairKey(key)
-	}()
+	})
 }
 
 func (m *repairManager) repairKey(key string) {
@@ -106,11 +107,11 @@ func (m *repairManager) repairKey(key string) {
 // the background (the local-miss read path: the next read of key is served
 // locally).
 func (m *repairManager) absorb(meta object.Meta, data []byte) {
-	go func() {
+	spawn.Go(func() {
 		if ok, err := m.n.local.ApplyRemote(context.Background(), meta, data); err == nil && ok {
 			m.metrics.KeysRepaired.Inc()
 		}
-	}()
+	})
 }
 
 // handle serves the four repair RPCs out of the node's dispatcher.

@@ -24,6 +24,7 @@ type cluster struct {
 	net    *simnet.Network
 	fabric *transport.Fabric
 	coord  *coord.Server
+	zk     *transport.Endpoint // the coordination service's endpoint
 	server *Server
 	tss    map[simnet.Region]*TieraServer
 }
@@ -37,10 +38,21 @@ func newCluster(t *testing.T, regions ...simnet.Region) *cluster {
 // the factor, so monitors comparing clock durations need headroom.
 func newClusterScaled(t *testing.T, factor float64, regions ...simnet.Region) *cluster {
 	t.Helper()
+	return newClusterOn(t, clock.NewScaled(factor), regions...) // factor 2000: 70ms WAN RTT -> 35us real
+}
+
+// zeroLatencyClock is real time in which simulated WAN and tier latency cost
+// nothing: Sleep returns at once, while background timers keep their real
+// periods instead of firing compressed.
+type zeroLatencyClock struct{ clock.Real }
+
+func (zeroLatencyClock) Sleep(time.Duration) {}
+
+func newClusterOn(t *testing.T, clk clock.Clock, regions ...simnet.Region) *cluster {
+	t.Helper()
 	if len(regions) == 0 {
 		regions = simnet.DefaultRegions()
 	}
-	clk := clock.NewScaled(factor) // factor 2000: 70ms WAN RTT -> 35us real
 	net := simnet.New(clk)
 	fabric := transport.NewFabric(net)
 	cs := coord.NewServer(clk)
@@ -53,7 +65,7 @@ func newClusterScaled(t *testing.T, factor float64, regions ...simnet.Region) *c
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &cluster{clk: clk, net: net, fabric: fabric, coord: cs, server: srv,
+	c := &cluster{clk: clk, net: net, fabric: fabric, coord: cs, zk: zkEP, server: srv,
 		tss: make(map[simnet.Region]*TieraServer)}
 	for _, r := range regions {
 		ts, err := NewTieraServer(fabric, r, srv, "zk")
@@ -191,6 +203,102 @@ func TestMultiPrimariesSynchronousReplication(t *testing.T) {
 			t.Fatalf("lock still held by %d", c.coord.Holder("k"))
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSyncCopyRunsPeersInParallel: with one-way costs a < b to the two
+// peers, a MultiPrimaries put's synchronous copy costs about b's round trip,
+// not a's plus b's; eachPeer, which it runs on, likewise takes the longest
+// of its calls. The clock's sleeps really wait, so a serial loop over the
+// peers shows up as the sum.
+func TestSyncCopyRunsPeersInParallel(t *testing.T) {
+	// Serial would exceed parallel by 2a; the limit between them leaves a of
+	// headroom for the lock, the tier and the scheduler, each of whose real
+	// delays the clock multiplies by its factor.
+	const a, b = 200 * time.Millisecond, 300 * time.Millisecond
+	c := newClusterScaled(t, 10, simnet.USEast, simnet.USWest, simnet.EUWest)
+	oneWay := map[simnet.Region]time.Duration{simnet.USWest: a, simnet.EUWest: b}
+	for r, d := range oneWay {
+		c.net.SetRTT(simnet.USEast, r, 2*d)
+	}
+	var n *Node
+	for _, p := range c.start(t, "par", "MultiPrimariesConsistency", nil) {
+		if p.Region == simnet.USEast {
+			n = c.node(t, p.Name)
+		}
+	}
+	parallel, serial := 2*b, 2*a+2*b
+	limit := (parallel + serial) / 2
+	// The fastest of three runs: scheduling noise only ever adds.
+	fastest := func(run func()) time.Duration {
+		best := time.Duration(1 << 62)
+		for i := 0; i < 3; i++ {
+			start := c.clk.Now()
+			run()
+			if d := c.clk.Since(start); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	put := fastest(func() {
+		if _, err := n.Put(context.Background(), "k", []byte("v"), nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if put < parallel || put >= limit {
+		t.Errorf("MultiPrimaries put took %v: want about %v (the slower peer), under %v (serial: %v)", put, parallel, limit, serial)
+	}
+	peers := n.Peers()
+	fan := fastest(func() {
+		eachPeer(peers, func(_ int, p PeerInfo) { c.clk.Sleep(2 * oneWay[p.Region]) })
+	})
+	t.Logf("put %v, eachPeer %v (parallel %v, serial %v)", put, fan, parallel, serial)
+	if fan < parallel || fan >= limit {
+		t.Errorf("eachPeer took %v: want about %v (the slower call), under %v (serial: %v)", fan, parallel, limit, serial)
+	}
+}
+
+// TestFailedReleaseIsCounted: a release the coordination service refuses
+// leaves the key locked for every other region, so the node counts it and
+// journals it with the key instead of dropping the error.
+func TestFailedReleaseIsCounted(t *testing.T) {
+	c := newCluster(t, simnet.USEast, simnet.USWest, simnet.EUWest)
+	coordHandler := c.coord.Handler()
+	c.zk.Serve(func(ctx context.Context, method string, payload []byte) ([]byte, error) {
+		if method == "coord.release" {
+			return nil, fmt.Errorf("release refused")
+		}
+		return coordHandler(ctx, method, payload)
+	})
+	nodes := c.start(t, "rel", "MultiPrimariesConsistency", nil)
+	n := c.node(t, nodes[0].Name)
+	if _, err := n.Put(context.Background(), "stuck", []byte("v"), nil); err != nil {
+		t.Fatal(err)
+	}
+	// The release is asynchronous: wait for its failure to be filed.
+	deadline := time.Now().Add(5 * time.Second)
+	for n.releaseFailures.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the failed release was not counted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := n.releaseFailures.Value(); got != 1 {
+		t.Fatalf("release failures = %d, want 1", got)
+	}
+	if c.coord.Holder("stuck") == 0 {
+		t.Fatal("the key is unlocked although its release failed")
+	}
+	var found bool
+	for _, ev := range c.fabric.Events().Events(0) {
+		if ev.Type == "lock.release_failed" && ev.Attrs["key"] == "stuck" &&
+			strings.Contains(ev.Msg, `"stuck"`) && strings.Contains(ev.Msg, "release refused") {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("no lock.release_failed event naming the key and the cause")
 	}
 }
 
