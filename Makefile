@@ -108,9 +108,12 @@ eccost:
 scaleout:
 	$(GO) run ./cmd/wierabench -exp scaleout
 
-# Telemetry overhead: instrumented vs bare client PUT/GET.
+# Telemetry overhead: instrumented vs bare client PUT/GET; then the TCP
+# transport's serial round trip against its floor, a raw loopback ping-pong
+# of the same frames, on one P as the benchmark's two processes share a core.
 bench:
 	$(GO) test -bench=BenchmarkClient -benchmem ./internal/wiera/
+	$(GO) test -run '^$$' -bench 'TCPRoundTrip|LoopbackPingPong' -cpu 1 -benchmem ./internal/transport/
 
 # Anti-entropy partition/heal experiment (quick mode).
 convergence:

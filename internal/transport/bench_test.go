@@ -1,7 +1,11 @@
 package transport
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
+	"io"
+	"net"
 	"testing"
 
 	"repro/internal/clock"
@@ -31,6 +35,15 @@ func BenchmarkFabricCallSameRegion(b *testing.B) {
 	}
 }
 
+// roundTripSizes are the echo payloads the TCP benchmarks run at: a small
+// message, tcp_read_heavy's value, and a frame past the read buffer.
+var roundTripSizes = []struct {
+	name string
+	size int
+}{{"128B", 128}, {"4KiB", 4 << 10}, {"128KiB", 128 << 10}}
+
+// BenchmarkTCPRoundTrip times one serial echo call over the TCP transport,
+// client and server in this process. BenchmarkLoopbackPingPong is its floor.
 func BenchmarkTCPRoundTrip(b *testing.B) {
 	srv, err := ListenTCP("127.0.0.1:0", func(_ context.Context, _ string, p []byte) ([]byte, error) { return p, nil })
 	if err != nil {
@@ -39,14 +52,101 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 	defer srv.Close()
 	cli := DialTCP(srv.Addr())
 	defer cli.Close()
-	payload := make([]byte, 1024)
-	b.SetBytes(1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := cli.Call(context.Background(), "", "echo", payload); err != nil {
-			b.Fatal(err)
+	for _, rs := range roundTripSizes {
+		b.Run(rs.name, func(b *testing.B) {
+			payload := make([]byte, rs.size)
+			b.SetBytes(int64(rs.size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cli.Call(context.Background(), "", "echo", payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLoopbackPingPong is the floor under BenchmarkTCPRoundTrip: the
+// same request and response frames over a raw loopback connection, one
+// goroutine per side, each frame sent in one Write and read into a reused
+// buffer. It has no mux, no handler and no allocation per round trip, only
+// the two syscalls and two wake-ups per side that no transport can avoid.
+func BenchmarkLoopbackPingPong(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	for _, rs := range roundTripSizes {
+		b.Run(rs.name, func(b *testing.B) {
+			payload := make([]byte, rs.size)
+			request := encodeFrame(func(fw *frameWriter) error { return fw.writeRequest(1, "echo", payload) })
+			response := encodeFrame(func(fw *frameWriter) error { return fw.writeResponse(1, wire.CodeOK, "", nil, payload) })
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			peer, err := ln.Accept()
+			if err != nil {
+				b.Fatal(err)
+			}
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				answerFrames(peer, response)
+			}()
+			defer func() {
+				conn.Close() // answerFrames reads EOF and returns
+				<-served
+				peer.Close()
+			}()
+			br := bufio.NewReaderSize(conn, readBufSize)
+			var buf []byte
+			b.SetBytes(int64(rs.size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := conn.Write(request); err != nil {
+					b.Fatal(err)
+				}
+				if buf, err = readFrameInto(br, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// answerFrames writes response for every frame it reads off conn, until
+// the connection closes.
+func answerFrames(conn net.Conn, response []byte) {
+	br := bufio.NewReaderSize(conn, readBufSize)
+	var buf []byte
+	for {
+		var err error
+		if buf, err = readFrameInto(br, buf); err != nil {
+			return
+		}
+		if _, err := conn.Write(response); err != nil {
+			return
 		}
 	}
+}
+
+// readFrameInto reads the next frame, after its length, into buf, which
+// it grows when the frame does not fit.
+func readFrameInto(br *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := br.Peek(frameLenSize)
+	if err != nil {
+		return buf, err
+	}
+	n := int(binary.BigEndian.Uint32(hdr))
+	_, _ = br.Discard(frameLenSize)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	_, err = io.ReadFull(br, buf[:n])
+	return buf[:n], err
 }
 
 // benchMsg mirrors the shape of the hot put/get messages. The transport

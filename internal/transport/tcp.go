@@ -43,9 +43,9 @@ const (
 	// it closes the connection before anything is allocated.
 	maxFrame = 64 << 20
 
-	// maxHeader is the most the writers append in one piece: length,
-	// sequence ID, code and one uvarint.
-	maxHeader = frameLenSize + seqSize + 1 + binary.MaxVarintLen64
+	// readBufSize is each connection's read buffer: a frame of up to this
+	// size comes off the socket in one read.
+	readBufSize = 64 << 10
 )
 
 // errFrameTooLarge reports a frame longer than maxFrame.
@@ -59,44 +59,46 @@ func responseLen(msg string, detail, payload []byte) int {
 	return seqSize + 1 + wire.SizeString(msg) + wire.SizeBytes(detail) + len(payload)
 }
 
-// headerSpace returns bw's free buffer space, at least maxHeader bytes of
-// it, for a frame header to be appended into and then written. A header
-// array on the stack would move to the heap, because bufio.Writer.Write
-// may hand its argument to the connection.
-func headerSpace(bw *bufio.Writer) []byte {
-	if bw.Available() < maxHeader {
-		_ = bw.Flush() // sticky: see writeRequest
-	}
-	return bw.AvailableBuffer()
+// frameWriter writes one connection's frames, each in a single writev
+// whatever its size: a frame that left as header and payload in two writes
+// would wake its peer twice. The header — with a request's method, or a
+// response's error text and detail — is appended into head, which the
+// writer reuses, and the payload goes out in place from the caller's slice,
+// so writing a frame allocates nothing and copies no payload. The caller
+// holds the connection's send lock and has checked the frame's length
+// against maxFrame.
+type frameWriter struct {
+	w    io.Writer
+	head []byte
+	vec  [2][]byte // bufs' backing array: head, payload
+	bufs net.Buffers
 }
 
-// writeRequest writes one request frame into bw; the caller holds the
-// connection's send lock and has checked requestLen against maxFrame. A
-// bufio.Writer keeps its first write error and returns it from every later
-// call, so the caller's Flush reports any failure here.
-func writeRequest(bw *bufio.Writer, seq uint64, method string, payload []byte) {
-	h := headerSpace(bw)
-	h = binary.BigEndian.AppendUint32(h, uint32(requestLen(method, payload)))
+func (fw *frameWriter) writeRequest(seq uint64, method string, payload []byte) error {
+	h := binary.BigEndian.AppendUint32(fw.head[:0], uint32(requestLen(method, payload)))
 	h = binary.BigEndian.AppendUint64(h, seq)
-	h = wire.AppendUvarint(h, uint64(len(method)))
-	_, _ = bw.Write(h)
-	_, _ = bw.WriteString(method)
-	_, _ = bw.Write(payload)
+	h = wire.AppendString(h, method)
+	return fw.write(h, payload)
 }
 
-// writeResponse writes one response frame into bw, under the same rules as
-// writeRequest.
-func writeResponse(bw *bufio.Writer, seq uint64, code wire.Code, msg string, detail, payload []byte) {
-	h := headerSpace(bw)
-	h = binary.BigEndian.AppendUint32(h, uint32(responseLen(msg, detail, payload)))
+func (fw *frameWriter) writeResponse(seq uint64, code wire.Code, msg string, detail, payload []byte) error {
+	h := binary.BigEndian.AppendUint32(fw.head[:0], uint32(responseLen(msg, detail, payload)))
 	h = binary.BigEndian.AppendUint64(h, seq)
 	h = append(h, byte(code))
-	h = wire.AppendUvarint(h, uint64(len(msg)))
-	_, _ = bw.Write(h)
-	_, _ = bw.WriteString(msg)
-	_, _ = bw.Write(wire.AppendUvarint(headerSpace(bw), uint64(len(detail))))
-	_, _ = bw.Write(detail)
-	_, _ = bw.Write(payload)
+	h = wire.AppendString(h, msg)
+	h = wire.AppendBytes(h, detail)
+	return fw.write(h, payload)
+}
+
+// write sends head and payload as one frame. WriteTo consumes bufs,
+// clearing each element of vec it has written, so bufs is rebuilt over vec
+// for every frame.
+func (fw *frameWriter) write(head, payload []byte) error {
+	fw.head = head
+	fw.vec = [2][]byte{head, payload}
+	fw.bufs = fw.vec[:]
+	_, err := fw.bufs.WriteTo(fw.w)
+	return err
 }
 
 // readFrame reads the next frame, after its length, into a new buffer of
@@ -206,9 +208,10 @@ const serverWindow = 256
 
 // TCPServer serves transport handlers on a real TCP listener. It is the
 // deployment-grade counterpart of the in-process Fabric, used by cmd/wiera.
-// Requests on one connection are served concurrently (each on a warm
-// goroutine from internal/spawn, bounded by serverWindow); responses are
-// written back tagged with the request's sequence ID, in completion order.
+// Requests on one connection are served concurrently, each on the warm
+// goroutine from internal/spawn that read it, bounded by serverWindow;
+// responses are written back tagged with the request's sequence ID, in
+// completion order.
 type TCPServer struct {
 	ln      net.Listener
 	addr    string
@@ -267,7 +270,10 @@ func (s *TCPServer) acceptLoop() {
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
-		go s.serveConn(conn)
+		c := &serverConn{s: s, conn: conn, br: bufio.NewReaderSize(conn, readBufSize),
+			fw: frameWriter{w: conn}, sem: make(chan struct{}, serverWindow)}
+		c.next = c.serveNext
+		spawn.Go(c.next)
 	}
 }
 
@@ -275,53 +281,74 @@ func (s *TCPServer) acceptLoop() {
 // daemon's frontend is not region-pinned the way Fabric endpoints are.
 const tcpRegionLabel = "tcp"
 
-func (s *TCPServer) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	var (
-		handlers sync.WaitGroup
-		writeMu  sync.Mutex // guards bw: responses interleave frame-atomically
-	)
-	defer func() {
-		conn.Close()
-		handlers.Wait() // late handlers must not write into the next conn's map slot
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	sem := make(chan struct{}, serverWindow)
-	for {
-		frame, err := readFrame(br)
-		if err != nil {
-			return // EOF, broken connection, or a frame past maxFrame
-		}
-		req, err := parseRequest(frame)
-		if err != nil {
-			return // a corrupt frame: nothing after it can be trusted
-		}
-		sem <- struct{}{}
-		handlers.Add(1)
-		spawn.Go(func() {
-			defer handlers.Done()
-			defer func() { <-sem }()
-			out, err := s.server.dispatch(s.handler, s.addr, tcpRegionLabel, req.method, req.payload)
-			if err == nil && responseLen("", nil, out) > maxFrame {
-				err = fmt.Errorf("%w: response of %d bytes", errFrameTooLarge, len(out))
-			}
-			var re RemoteError
-			if err != nil {
-				re, out = remoteError(err), nil
-			}
-			writeMu.Lock()
-			writeResponse(bw, req.seq, re.Code, re.Msg, re.Detail, out)
-			werr := bw.Flush()
-			writeMu.Unlock()
-			if werr != nil {
-				conn.Close() // wake the read loop; remaining handlers fail fast
-			}
-		})
+// serverConn is one accepted connection. At any time one goroutine reads
+// it; each request runs on the goroutine that read it.
+type serverConn struct {
+	s    *TCPServer
+	conn net.Conn
+	br   *bufio.Reader
+	next func() // serveNext, bound once so handing reading on allocates nothing
+
+	sem      chan struct{} // handler slots
+	handlers sync.WaitGroup
+
+	writeMu sync.Mutex // guards fw: responses interleave frame-atomically
+	fw      frameWriter
+}
+
+// serveNext reads the next request, hands reading on to a warm pool
+// goroutine, and then serves the request on this one: a request costs no
+// hand-off of its own, and the next frame is read while its handler runs,
+// so the connection still pipelines. The reader that meets EOF, a broken
+// connection or a bad frame closes the connection instead.
+func (c *serverConn) serveNext() {
+	frame, err := readFrame(c.br)
+	var req tcpRequest
+	if err == nil {
+		req, err = parseRequest(frame)
 	}
+	if err != nil {
+		// EOF, a broken connection, a frame past maxFrame, or a corrupt
+		// frame, after which nothing on the stream can be trusted.
+		c.close()
+		return
+	}
+	c.sem <- struct{}{}
+	c.handlers.Add(1)
+	spawn.Go(c.next)
+	c.serve(req)
+	<-c.sem
+	c.handlers.Done()
+}
+
+// serve runs one request's handler and writes its response.
+func (c *serverConn) serve(req tcpRequest) {
+	s := c.s
+	out, err := s.server.dispatch(s.handler, s.addr, tcpRegionLabel, req.method, req.payload)
+	if err == nil && responseLen("", nil, out) > maxFrame {
+		err = fmt.Errorf("%w: response of %d bytes", errFrameTooLarge, len(out))
+	}
+	var re RemoteError
+	if err != nil {
+		re, out = remoteError(err), nil
+	}
+	c.writeMu.Lock()
+	werr := c.fw.writeResponse(req.seq, re.Code, re.Msg, re.Detail, out)
+	c.writeMu.Unlock()
+	if werr != nil {
+		c.conn.Close() // wake the reader; remaining handlers fail fast
+	}
+}
+
+// close closes the connection once its reader has stopped, waits for the
+// handlers still running, and forgets it.
+func (c *serverConn) close() {
+	c.conn.Close()
+	c.handlers.Wait() // late handlers must not write into the next conn's map slot
+	c.s.mu.Lock()
+	delete(c.s.conns, c.conn)
+	c.s.mu.Unlock()
+	c.s.wg.Done()
 }
 
 // Close stops accepting and closes all live connections.
@@ -357,15 +384,15 @@ type TCPClient struct {
 	closed bool
 }
 
-// muxConn is one multiplexed connection: a shared buffered writer guarded
-// by sendMu, a demux goroutine draining responses, and per-sequence
+// muxConn is one multiplexed connection: a shared frame writer guarded by
+// sendMu, a demux goroutine draining responses, and per-sequence
 // completion channels.
 type muxConn struct {
 	conn   net.Conn
 	window chan struct{} // in-flight slots
 
-	sendMu sync.Mutex // guards bw
-	bw     *bufio.Writer
+	sendMu sync.Mutex // guards fw
+	fw     frameWriter
 
 	mu      sync.Mutex
 	nextSeq uint64
@@ -373,6 +400,11 @@ type muxConn struct {
 	dead    bool
 	err     error // why the conn died (set once, before channels close)
 }
+
+// respChans holds idle completion channels (capacity 1). A channel goes
+// back only after its caller received a response on it: one that fail
+// closed is never reused.
+var respChans = sync.Pool{New: func() any { return make(chan tcpResponse, 1) }}
 
 // DialTCP returns a client for the server at addr. The connection is
 // opened lazily on the first Call.
@@ -427,10 +459,10 @@ func (c *TCPClient) acquire() (*muxConn, error) {
 	mc := &muxConn{
 		conn:    conn,
 		window:  make(chan struct{}, clientWindow),
-		bw:      bufio.NewWriter(conn),
+		fw:      frameWriter{w: conn},
 		pending: make(map[uint64]chan tcpResponse),
 	}
-	go mc.demux(bufio.NewReader(conn))
+	go mc.demux(bufio.NewReaderSize(conn, readBufSize))
 
 	c.mu.Lock()
 	if c.closed {
@@ -491,11 +523,12 @@ func (mc *muxConn) roundTrip(method string, payload []byte) (tcpResponse, error)
 	mc.window <- struct{}{}
 	defer func() { <-mc.window }()
 
-	ch := make(chan tcpResponse, 1)
+	ch := respChans.Get().(chan tcpResponse)
 	mc.mu.Lock()
 	if mc.dead {
 		err := mc.err
 		mc.mu.Unlock()
+		respChans.Put(ch) // never registered
 		return tcpResponse{}, err
 	}
 	mc.nextSeq++
@@ -504,8 +537,7 @@ func (mc *muxConn) roundTrip(method string, payload []byte) (tcpResponse, error)
 	mc.mu.Unlock()
 
 	mc.sendMu.Lock()
-	writeRequest(mc.bw, seq, method, payload)
-	err := mc.bw.Flush()
+	err := mc.fw.writeRequest(seq, method, payload)
 	mc.sendMu.Unlock()
 	if err != nil {
 		mc.mu.Lock()
@@ -522,6 +554,7 @@ func (mc *muxConn) roundTrip(method string, payload []byte) (tcpResponse, error)
 		mc.mu.Unlock()
 		return tcpResponse{}, err
 	}
+	respChans.Put(ch)
 	return resp, nil
 }
 

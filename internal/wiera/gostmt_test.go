@@ -17,7 +17,6 @@ import (
 // pool goroutine rather than a fresh stack it would regrow by copying.
 var longLivedGo = map[string]string{
 	"transport.ListenTCP":                    "the accept loop, one per server",
-	"transport.(*TCPServer).acceptLoop":      "serveConn, one read loop per connection",
 	"transport.(*TCPClient).acquire":         "demux, one response loop per dialed connection",
 	"wiera.(*updateQueue).start":             "the queue's flush loop, one per node",
 	"wiera.(*heatTracker).start":             "the promotion/demotion loop, one per node",
