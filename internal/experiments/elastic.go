@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/internal/simnet"
-	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/wiera"
 	"repro/internal/ycsb"
 )
@@ -139,8 +139,7 @@ func (r *elasticRun) phase(clients int, dur time.Duration, shift int, pace time.
 	clk := r.d.Clk
 	deadline := clk.Now().Add(dur)
 	start := clk.Now()
-	hist := stats.NewHistogram()
-	var histMu sync.Mutex
+	hist := telemetry.NewHistogram()
 	var ops atomic.Int64
 	var wg sync.WaitGroup
 	ctx := context.Background()
@@ -173,9 +172,7 @@ func (r *elasticRun) phase(clients int, dur time.Duration, shift int, pace time.
 				}
 				t0 := clk.Now()
 				if _, _, err := r.cli.Get(ctx, ycsb.Key(idx)); err == nil {
-					histMu.Lock()
 					hist.Record(clk.Now().Sub(t0))
-					histMu.Unlock()
 					ops.Add(1)
 				}
 			}

@@ -7,9 +7,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/policy"
 	"repro/internal/simnet"
-	"repro/internal/stats"
 	"repro/internal/wiera"
 	"repro/internal/ycsb"
 )
@@ -20,7 +20,7 @@ import (
 // back) and one transient (ignored).
 type Fig7Result struct {
 	// Series is the application-perceived put latency over time (ms).
-	Series []stats.Point
+	Series []Point
 	// Changes is the applied policy-change log.
 	Changes []wiera.ChangeEvent
 	// Phase means (ms): strong consistency under normal conditions,
@@ -104,6 +104,7 @@ Wiera MultiPrimariesConsistency {
 	if err != nil {
 		return nil, err
 	}
+	timeline := &putTimeline{nodeStore: nodeStore{west}, clk: d.Clk}
 
 	// One YCSB-A client per region with a disjoint keyspace (each region's
 	// application instance loads its own records, so lock contention does
@@ -115,9 +116,13 @@ Wiera MultiPrimariesConsistency {
 		if err != nil {
 			return nil, err
 		}
+		var store ycsb.Store = nodeStore{node}
+		if node == west {
+			store = timeline
+		}
 		w := shrunkWorkload(ycsb.WorkloadA, 64, 1024)
 		w.Prefix = string(pi.Region) + "/"
-		cli, err := ycsb.NewClient(w, nodeStore{node}, opts.Seed+int64(i))
+		cli, err := ycsb.NewClient(w, store, opts.Seed+int64(i))
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +198,7 @@ Wiera MultiPrimariesConsistency {
 	close(stop)
 	wg.Wait()
 
-	res.Series = west.PutSeries.Points()
+	res.Series = timeline.points
 	res.Changes = d.Server.ChangeLog()
 	for _, ch := range res.Changes {
 		if ch.What != "consistency" {
@@ -220,7 +225,7 @@ Wiera MultiPrimariesConsistency {
 	return res, nil
 }
 
-func meanInWindow(points []stats.Point, from, to time.Time) float64 {
+func meanInWindow(points []Point, from, to time.Time) float64 {
 	sum, n := 0.0, 0
 	for _, p := range points {
 		if p.At.After(from) && p.At.Before(to) {
@@ -284,6 +289,35 @@ func (s nodeStore) Put(key string, value []byte) error {
 func (s nodeStore) Get(key string) ([]byte, error) {
 	data, _, err := s.n.Get(context.Background(), key)
 	return data, err
+}
+
+// Point is one (time, value) sample on a timeline.
+type Point struct {
+	At    time.Time
+	Value float64
+}
+
+// putTimeline is a nodeStore that records the latency (ms), on clk, of
+// every put that succeeds: the timeline Fig 7 and the SLO switch plot.
+type putTimeline struct {
+	nodeStore
+	clk clock.Clock
+
+	mu     sync.Mutex
+	points []Point
+}
+
+// Put implements ycsb.Store.
+func (s *putTimeline) Put(key string, value []byte) error {
+	start := s.clk.Now()
+	err := s.nodeStore.Put(key, value)
+	if err == nil {
+		now := s.clk.Now()
+		s.mu.Lock()
+		s.points = append(s.points, Point{At: now, Value: float64(now.Sub(start)) / float64(time.Millisecond)})
+		s.mu.Unlock()
+	}
+	return err
 }
 
 // shrunkWorkload copies a standard workload with a smaller keyspace and

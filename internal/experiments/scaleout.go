@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/simnet"
-	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/wiera"
 	"repro/internal/ycsb"
 )
@@ -215,7 +215,7 @@ func scaleoutJoin(opts Options, keys int, res *ScaleoutResult) error {
 	}
 
 	// Steady-state put latency baseline.
-	steady := stats.NewHistogram()
+	steady := telemetry.NewHistogram()
 	for i := 0; i < keys/4; i++ {
 		t0 := d.Clk.Now()
 		if _, err := cli.Put(ctx, ycsb.Key(i), []byte("steady")); err != nil {
@@ -229,7 +229,7 @@ func scaleoutJoin(opts Options, keys int, res *ScaleoutResult) error {
 	// that must be readable afterwards.
 	var mu sync.Mutex
 	acked := make(map[string]string)
-	joinHist := stats.NewHistogram()
+	joinHist := telemetry.NewHistogram()
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	const writers = 4

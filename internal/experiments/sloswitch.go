@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/simnet"
-	"repro/internal/stats"
 	"repro/internal/wiera"
 	"repro/internal/ycsb"
 )
@@ -21,7 +20,7 @@ import (
 // then recovers once the budget stops burning.
 type SLOSwitchResult struct {
 	// Series is the US-West put-latency timeline (ms).
-	Series []stats.Point
+	Series []Point
 	// Changes is the applied policy-change log; every consistency change
 	// must carry Via == "slo".
 	Changes []wiera.ChangeEvent
@@ -107,6 +106,7 @@ Wiera MultiPrimariesConsistency {
 	if err != nil {
 		return nil, err
 	}
+	timeline := &putTimeline{nodeStore: nodeStore{west}, clk: d.Clk}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -115,9 +115,13 @@ Wiera MultiPrimariesConsistency {
 		if err != nil {
 			return nil, err
 		}
+		var store ycsb.Store = nodeStore{node}
+		if node == west {
+			store = timeline
+		}
 		w := shrunkWorkload(ycsb.WorkloadA, 64, 1024)
 		w.Prefix = string(pi.Region) + "/"
-		cli, err := ycsb.NewClient(w, nodeStore{node}, opts.Seed+int64(i))
+		cli, err := ycsb.NewClient(w, store, opts.Seed+int64(i))
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +199,7 @@ Wiera MultiPrimariesConsistency {
 	close(stop)
 	wg.Wait()
 
-	res.Series = west.PutSeries.Points()
+	res.Series = timeline.points
 	res.Changes = d.Server.ChangeLog()
 	res.AllViaSLO = true
 	for _, ch := range res.Changes {

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/internal/simnet"
-	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/tenant"
 	"repro/internal/wiera"
 	"repro/internal/ycsb"
@@ -104,7 +104,7 @@ func (r *tenancyRun) victimPhase(dur, pace time.Duration, shift int) (float64, f
 	clk := r.d.Clk
 	deadline := clk.Now().Add(dur)
 	start := clk.Now()
-	hist := stats.NewHistogram()
+	hist := telemetry.NewHistogram()
 	z := ycsb.NewZipfian(r.records, ycsb.ZipfianConstant, r.seed+int64(shift)*7919)
 	rng := rand.New(rand.NewSource(r.seed + int64(shift)))
 	ctx := context.Background()

@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // RequestKind is one emulated web interaction.
@@ -104,7 +105,7 @@ type EmulatorResult struct {
 	Errors     int64
 	Duration   time.Duration // clock time
 	Throughput float64       // requests/sec of clock time
-	Latency    *stats.Histogram
+	Latency    *telemetry.Histogram
 	PerKind    map[RequestKind]int64
 }
 
@@ -149,11 +150,11 @@ func RunEmulator(cfg EmulatorConfig) (*EmulatorResult, error) {
 		return nil, errors.New("rubis: database not populated")
 	}
 	res := &EmulatorResult{
-		Latency: stats.NewHistogram(),
+		Latency: telemetry.NewHistogram(),
 		PerKind: make(map[RequestKind]int64),
 	}
 	var mu sync.Mutex
-	var errCount stats.Counter
+	var errCount atomic.Int64
 
 	start := cfg.Clock.Now()
 	var wg sync.WaitGroup
@@ -167,7 +168,7 @@ func RunEmulator(cfg EmulatorConfig) (*EmulatorResult, error) {
 				opStart := cfg.Clock.Now()
 				err := runRequest(cfg, rng, kind, users, items)
 				if err != nil {
-					errCount.Inc()
+					errCount.Add(1)
 					continue
 				}
 				res.Latency.Record(cfg.Clock.Since(opStart))
@@ -180,7 +181,7 @@ func RunEmulator(cfg EmulatorConfig) (*EmulatorResult, error) {
 	wg.Wait()
 	res.Duration = cfg.Clock.Since(start)
 	res.Requests = cfg.Clients * cfg.RequestsPerClient
-	res.Errors = errCount.Value()
+	res.Errors = errCount.Load()
 	if res.Duration > 0 {
 		res.Throughput = float64(res.Requests-int(res.Errors)) / res.Duration.Seconds()
 	}

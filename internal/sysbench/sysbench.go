@@ -12,10 +12,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/wfs"
 )
 
@@ -88,8 +89,8 @@ type Result struct {
 	Ops      int
 	Duration time.Duration // clock time
 	IOPS     float64
-	ReadLat  *stats.Histogram
-	WriteLat *stats.Histogram
+	ReadLat  *telemetry.Histogram
+	WriteLat *telemetry.Histogram
 	Errors   int64
 }
 
@@ -148,8 +149,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}()
 
-	res := &Result{ReadLat: stats.NewHistogram(), WriteLat: stats.NewHistogram()}
-	var errCount stats.Counter
+	res := &Result{ReadLat: telemetry.NewHistogram(), WriteLat: telemetry.NewHistogram()}
+	var errCount atomic.Int64
 	blocksPerFile := cfg.FileSize / int64(cfg.BlockSize)
 	if blocksPerFile == 0 {
 		return nil, errors.New("sysbench: file smaller than block size")
@@ -197,7 +198,7 @@ func Run(cfg Config) (*Result, error) {
 					}
 				}
 				if err != nil {
-					errCount.Inc()
+					errCount.Add(1)
 				}
 			}
 		}(th, ops)
@@ -205,7 +206,7 @@ func Run(cfg Config) (*Result, error) {
 	wg.Wait()
 	res.Duration = cfg.Clock.Since(start)
 	res.Ops = cfg.Ops
-	res.Errors = errCount.Value()
+	res.Errors = errCount.Load()
 	if res.Duration > 0 {
 		res.IOPS = float64(cfg.Ops-int(res.Errors)) / res.Duration.Seconds()
 	}

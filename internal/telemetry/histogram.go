@@ -11,8 +11,7 @@ import (
 // from a memory-tier hit to a Glacier restore; anything above the last
 // finite bound lands in the overflow bucket. Fixed buckets mean Record is a
 // binary search plus a handful of atomic adds — no allocation, no lock, and
-// memory stays constant no matter how many samples arrive (unlike the old
-// raw-sample stats.Histogram).
+// memory stays constant no matter how many samples arrive.
 const (
 	numBuckets   = 96
 	bucketStart  = 10 * time.Microsecond

@@ -438,8 +438,30 @@ func (in *Instance) Get(ctx context.Context, key string) ([]byte, object.Meta, e
 		span.SetError(err)
 		return nil, object.Meta{}, err
 	}
-	return in.getVersion(ctx, meta)
+	data, m, err := in.getVersion(ctx, meta)
+	if errors.Is(err, errNoPayload) {
+		// A put registers its version before the payload reaches a tier, and
+		// a crash can lose a version held only in memory. Either way the
+		// newest version still stored answers the get.
+		vs, _ := in.objects.VersionList(key)
+		for i := len(vs) - 1; i >= 0; i-- {
+			if vs[i] >= meta.Version {
+				continue
+			}
+			prev, perr := in.objects.GetVersion(key, vs[i])
+			if perr != nil {
+				continue
+			}
+			if pdata, pm, perr := in.getVersion(ctx, prev); perr == nil {
+				return pdata, pm, nil
+			}
+		}
+	}
+	return data, m, err
 }
+
+// errNoPayload reports a version whose payload no tier holds.
+var errNoPayload = errors.New("missing from all tiers")
 
 // GetVersion returns a specific version's payload and metadata.
 func (in *Instance) GetVersion(ctx context.Context, key string, v object.Version) ([]byte, object.Meta, error) {
@@ -483,8 +505,8 @@ func (in *Instance) getVersion(ctx context.Context, meta object.Meta) ([]byte, o
 		}
 		return data, m, nil
 	}
-	return nil, object.Meta{}, fmt.Errorf("tiera: payload for %s missing from all tiers",
-		object.VersionKey(meta.Key, meta.Version))
+	return nil, object.Meta{}, fmt.Errorf("tiera: payload for %s %w",
+		object.VersionKey(meta.Key, meta.Version), errNoPayload)
 }
 
 // VersionList returns available versions of key (Table 2).

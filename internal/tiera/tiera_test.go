@@ -280,6 +280,56 @@ func TestVersioning(t *testing.T) {
 	}
 }
 
+// TestGetDuringOverwrite reads a key while it is being overwritten on a
+// disk tier. A put registers its version before the payload reaches the
+// tier, so a get in that window must serve the previous version instead
+// of failing.
+func TestGetDuringOverwrite(t *testing.T) {
+	spec, err := policy.Parse(`Tiera Disk { tier1: {name: ebs-ssd, size: 4G, iops: 500}; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := New(Config{Name: "test/disk", Region: simnet.USEast, Spec: spec, Clock: clock.NewScaled(100)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { inst.Close() })
+	ctx := context.Background()
+	if _, err := inst.Put(ctx, "k", []byte("v0")); err != nil {
+		t.Fatal(err)
+	}
+	const puts = 200
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= puts; i++ {
+			if _, err := inst.Put(ctx, "k", []byte(fmt.Sprintf("v%d", i))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	gets := 0
+	for {
+		select {
+		case <-done:
+			if gets == 0 {
+				t.Fatal("no get overlapped the puts")
+			}
+			return
+		default:
+		}
+		data, _, err := inst.Get(ctx, "k")
+		if err != nil {
+			t.Fatalf("get %d during overwrite: %v", gets, err)
+		}
+		if !bytes.HasPrefix(data, []byte("v")) {
+			t.Fatalf("get %d during overwrite = %q", gets, data)
+		}
+		gets++
+	}
+}
+
 func TestTags(t *testing.T) {
 	inst := newLowLatency(t)
 	meta, err := inst.PutTagged(context.Background(), "tmp-file", []byte("x"), []string{"tmp"})

@@ -3,6 +3,7 @@ package wiera
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/simnet"
@@ -105,6 +106,12 @@ func TestMultiPrimariesPutAllocBudget(t *testing.T) {
 			t.Error(err)
 		}
 		i++
+		// AllocsPerRun measures on one P, where the put's release waits in
+		// the run queue behind the next put. Yield so it runs, and its
+		// worker parks, within the op that started it: otherwise a run of
+		// puts that never yields drains the warm pool, and how many fresh
+		// goroutines it then starts depends on when the scheduler preempts.
+		runtime.Gosched()
 	})
 	t.Logf("MultiPrimaries Node.Put %.1f allocs/op", puts)
 	if puts > putBudget {

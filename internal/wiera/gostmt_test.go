@@ -16,15 +16,13 @@ import (
 // request handler — runs through spawn.Go or eachPeer instead, on a warm
 // pool goroutine rather than a fresh stack it would regrow by copying.
 var longLivedGo = map[string]string{
-	"transport.ListenTCP":                    "the accept loop, one per server",
-	"transport.(*TCPClient).acquire":         "demux, one response loop per dialed connection",
-	"wiera.(*updateQueue).start":             "the queue's flush loop, one per node",
-	"wiera.(*heatTracker).start":             "the promotion/demotion loop, one per node",
-	"wiera.(*Server).Start":                  "the heartbeat loop, one per server",
-	"wiera.(*thresholdMonitor).evaluate":     "a policy-change request, at most one in flight per monitor",
-	"wiera.(*requestsMonitor).evaluateEvent": "a policy-change request, at most one in flight per monitor",
-	"wiera.(*sloMonitor).evaluate":           "a policy-change request, at most one in flight per monitor",
-	"wiera.(*Node).handle":                   "MethodShutdown closes the node, once per node",
+	"transport.ListenTCP":             "the accept loop, one per server",
+	"transport.(*TCPClient).acquire":  "demux, one response loop per dialed connection",
+	"wiera.(*updateQueue).start":      "the queue's flush loop, one per node",
+	"wiera.(*heatTracker).start":      "the promotion/demotion loop, one per node",
+	"wiera.(*Server).Start":           "the heartbeat loop, one per server",
+	"wiera.(*changeTrigger).evaluate": "a policy-change request, at most one in flight per monitor",
+	"wiera.(*Node).handle":            "MethodShutdown closes the node, once per node",
 }
 
 // TestNoPerOpGoStatements fails on a `go` statement in the non-test files of

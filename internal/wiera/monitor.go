@@ -1,15 +1,11 @@
 package wiera
 
 import (
-	"fmt"
-	"os"
 	"sync"
 	"time"
 
 	"repro/internal/policy"
 )
-
-const debugMonitor = false
 
 // monitorWindow is the observation window of the requests monitor (the
 // paper's experiment checks the put history of the last 30 seconds).
@@ -38,15 +34,108 @@ func (c *changeCapture) Do(call *policy.ActionCall) error {
 // Assign implements policy.Executor.
 func (c *changeCapture) Assign(string, policy.Value) error { return nil }
 
+// changeTrigger is the state machine every monitor fires its threshold
+// events through. The threshold.period attribute is how long the event body
+// has continuously selected the same change ("the period of the
+// violation"): the trigger learns the selection by firing the event with an
+// unbounded period, times it in a streak, and then fires again with the true
+// streak, requesting whatever change that selects. Thresholds such as 800 ms
+// or 30 s therefore live purely in the policy text. At most one request per
+// trigger is in flight; a committed change resets the trigger.
+type changeTrigger struct {
+	n   *Node
+	via string // the monitor the server's change log attributes changes to
+
+	mu      sync.Mutex
+	streaks map[string]streak // by streak id
+	pending bool
+}
+
+// streak is one selection and when it began to hold.
+type streak struct {
+	held  string
+	start time.Time
+}
+
+func newChangeTrigger(n *Node, via string) *changeTrigger {
+	return &changeTrigger{n: n, via: via, streaks: make(map[string]streak)}
+}
+
+// reset clears every streak and the pending request (called when a policy
+// change commits).
+func (t *changeTrigger) reset() {
+	t.mu.Lock()
+	clear(t.streaks)
+	t.pending = false
+	t.mu.Unlock()
+}
+
+// evaluate runs ev for one measurement. bind sets the monitor's threshold.*
+// attributes other than threshold.period; id names the streak the
+// measurement ages. src, when set, is the instance that forwarded the most
+// puts: instance_forward_most resolves to it, and the streak holds it rather
+// than the target, so a change of busiest source restarts the streak.
+func (t *changeTrigger) evaluate(ev *policy.CompiledEvent, id, src string, bind func(*policy.MapEnv)) {
+	now := t.n.clk.Now()
+	env := policy.NewMapEnv()
+	bind(env)
+	env.Set("threshold.period", policy.DurationVal(probePeriod))
+	probe := &changeCapture{}
+	if _, err := ev.Fire(env, probe); err != nil {
+		return
+	}
+	held := probe.to
+	if held != "" && src != "" {
+		held = src
+	}
+	t.mu.Lock()
+	s, ok := t.streaks[id]
+	if !ok || s.held != held {
+		s = streak{held: held, start: now}
+		t.streaks[id] = s
+	}
+	pending := t.pending
+	t.mu.Unlock()
+	if held == "" || pending {
+		return
+	}
+
+	env.Set("threshold.period", policy.DurationVal(now.Sub(s.start)))
+	c := &changeCapture{}
+	if _, err := ev.Fire(env, c); err != nil || c.to == "" {
+		return
+	}
+	what, to := c.what, c.to
+	if to == "instance_forward_most" {
+		to = src
+	}
+	if (what == "consistency" && to == t.n.PolicyName()) || (what == "primary_instance" && to == t.n.name) {
+		return // already in force
+	}
+	t.mu.Lock()
+	if t.pending {
+		t.mu.Unlock()
+		return
+	}
+	t.pending = true
+	t.mu.Unlock()
+	// Asynchronous: the request round-trips to the Wiera server, which
+	// freezes this node's gate; blocking here would deadlock the triggering
+	// operation (it still occupies the gate) or stall the SLO engine's tick.
+	go func() {
+		if err := t.n.requestPolicyChangeVia(what, to, t.via); err != nil {
+			t.mu.Lock()
+			t.pending = false
+			t.mu.Unlock()
+		}
+	}()
+}
+
 // thresholdMonitor implements LatencyMonitoring (paper Sec 4.3): a
 // dedicated evaluator signalled after each operation *and* each background
-// replication fan-out. Semantics of the threshold.period attribute: the
-// duration for which the policy body has continuously selected the same
-// change target ("the period of the violation"). The monitor discovers the
-// target by probing the body with an unbounded period, so the 800 ms
-// threshold itself lives purely in the policy text.
+// replication fan-out, feeding threshold events of its type ("put") the
+// window's representative latency as threshold.latency.
 type thresholdMonitor struct {
-	n       *Node
 	monitor string // threshold.type this monitor feeds ("put")
 	// window (the monitorWindow option) is how long a latency sample stays
 	// representative. The monitor evaluates against the window *maximum*, so
@@ -63,22 +152,23 @@ type thresholdMonitor struct {
 	// events are the node's threshold events of this monitor's type. The
 	// node's control events are fixed at creation, so a policy without one
 	// never reads the window and observe keeps none.
-	events []*policy.CompiledEvent
+	events  []*policy.CompiledEvent
+	trigger *changeTrigger
 
-	mu            sync.Mutex
-	samples       latencyWindow
-	streakTarget  string
-	streakStart   time.Time
-	pendingChange bool
+	mu      sync.Mutex
+	samples latencyWindow
 }
 
 func newThresholdMonitor(n *Node, monitor string, window time.Duration) *thresholdMonitor {
 	return &thresholdMonitor{
-		n: n, monitor: monitor, window: window,
-		events:      thresholdEvents(n, monitor),
-		streakStart: n.clk.Now(),
+		monitor: monitor, window: window,
+		events:  thresholdEvents(n, monitor),
+		trigger: newChangeTrigger(n, "latency"),
 	}
 }
+
+// reset clears the trigger (called when a policy change commits).
+func (m *thresholdMonitor) reset() { m.trigger.reset() }
 
 // thresholdEvents returns the node's threshold events fed by monitor.
 func thresholdEvents(n *Node, monitor string) []*policy.CompiledEvent {
@@ -91,30 +181,24 @@ func thresholdEvents(n *Node, monitor string) []*policy.CompiledEvent {
 	return out
 }
 
-// reset clears streak and pending state (called when a policy change
-// commits).
-func (m *thresholdMonitor) reset() {
-	m.mu.Lock()
-	m.streakTarget = ""
-	m.streakStart = m.n.clk.Now()
-	m.pendingChange = false
-	m.mu.Unlock()
-}
-
 // observe feeds one latency sample (an operation or a replication
 // fan-out) to every matching threshold event.
 func (m *thresholdMonitor) observe(latency time.Duration) {
 	if len(m.events) == 0 {
 		return
 	}
-	now := m.n.clk.Now()
+	now := m.trigger.n.clk.Now()
 	m.mu.Lock()
 	m.samples.push(latencySample{at: now, d: latency})
 	m.samples.expire(now.Add(-m.window))
 	windowMax := m.samples.max()
 	m.mu.Unlock()
+	bind := func(env *policy.MapEnv) {
+		env.Set("threshold.type", policy.IdentVal(m.monitor))
+		env.Set("threshold.latency", policy.DurationVal(windowMax))
+	}
 	for _, ev := range m.events {
-		m.evaluate(ev, windowMax)
+		m.trigger.evaluate(ev, "", "", bind)
 	}
 }
 
@@ -216,61 +300,6 @@ func (w *latencyWindow) max() time.Duration {
 	return agg.max()
 }
 
-func (m *thresholdMonitor) evaluate(ev *policy.CompiledEvent, latency time.Duration) {
-	now := m.n.clk.Now()
-	// Probe: which target would this sample choose, ignoring period?
-	probeEnv := policy.NewMapEnv()
-	probeEnv.Set("threshold.type", policy.IdentVal(m.monitor))
-	probeEnv.Set("threshold.latency", policy.DurationVal(latency))
-	probeEnv.Set("threshold.period", policy.DurationVal(probePeriod))
-	probe := &changeCapture{}
-	if _, err := ev.Fire(probeEnv, probe); err != nil {
-		return
-	}
-
-	m.mu.Lock()
-	if probe.to != m.streakTarget {
-		m.streakTarget = probe.to
-		m.streakStart = now
-	}
-	streak := now.Sub(m.streakStart)
-	pending := m.pendingChange
-	m.mu.Unlock()
-
-	if probe.to == "" || pending {
-		return
-	}
-	// Real evaluation with the true violation period.
-	realEnv := policy.NewMapEnv()
-	realEnv.Set("threshold.type", policy.IdentVal(m.monitor))
-	realEnv.Set("threshold.latency", policy.DurationVal(latency))
-	realEnv.Set("threshold.period", policy.DurationVal(streak))
-	capture := &changeCapture{}
-	if _, err := ev.Fire(realEnv, capture); err != nil || capture.to == "" {
-		return
-	}
-	if capture.what == "consistency" && capture.to == m.n.PolicyName() {
-		return // already on the requested policy
-	}
-	m.mu.Lock()
-	m.pendingChange = true
-	m.mu.Unlock()
-	if debugMonitor {
-		fmt.Fprintf(os.Stderr, "[mon %s] FIRE at %s: windowMax=%v streak=%v target=%s\n",
-			m.n.name, now.Format("15:04:05.000"), latency, streak, capture.to)
-	}
-	// Asynchronous: the request round-trips to the Wiera server, which
-	// freezes this node's gate; blocking here would deadlock the
-	// triggering operation (it still occupies the gate).
-	go func() {
-		if err := m.n.requestPolicyChangeVia(capture.what, capture.to, "latency"); err != nil {
-			m.mu.Lock()
-			m.pendingChange = false
-			m.mu.Unlock()
-		}
-	}()
-}
-
 // requestsMonitor implements RequestsMonitoring (paper Sec 4.3 / Fig
 // 5(b)): the primary tracks, over a sliding window, how many puts arrived
 // directly from applications versus forwarded from each other instance.
@@ -280,32 +309,29 @@ type requestsMonitor struct {
 	n *Node
 	// events are the node's "primary" threshold events; without one nothing
 	// reads the counts and the observe calls keep none (see thresholdMonitor).
-	events []*policy.CompiledEvent
+	events  []*policy.CompiledEvent
+	trigger *changeTrigger
 
-	mu            sync.Mutex
-	direct        timeFIFO
-	forwarded     map[string]*timeFIFO
-	streakSource  string
-	streakStart   time.Time
-	pendingChange bool
+	mu        sync.Mutex
+	direct    timeFIFO
+	forwarded map[string]*timeFIFO
 }
 
 func newRequestsMonitor(n *Node) *requestsMonitor {
 	return &requestsMonitor{
-		n: n, events: thresholdEvents(n, "primary"),
-		forwarded: make(map[string]*timeFIFO), streakStart: n.clk.Now(),
+		n: n, events: thresholdEvents(n, "primary"), trigger: newChangeTrigger(n, "primary"),
+		forwarded: make(map[string]*timeFIFO),
 	}
 }
 
-// reset clears pending state (called when the primary changes).
+// reset clears the counts and the trigger (called when the primary
+// changes).
 func (m *requestsMonitor) reset() {
 	m.mu.Lock()
 	m.direct = timeFIFO{}
 	m.forwarded = make(map[string]*timeFIFO)
-	m.streakSource = ""
-	m.streakStart = m.n.clk.Now()
-	m.pendingChange = false
 	m.mu.Unlock()
+	m.trigger.reset()
 }
 
 // observeDirect records a put received directly from an application.
@@ -355,8 +381,13 @@ func (m *requestsMonitor) observe(src string) {
 	if maxSrc == "" {
 		return
 	}
+	bind := func(env *policy.MapEnv) {
+		env.Set("threshold.type", policy.IdentVal("primary"))
+		env.Set("threshold.forwarded", policy.NumberVal(float64(maxF)))
+		env.Set("threshold.fromClients", policy.NumberVal(float64(direct)))
+	}
 	for _, ev := range m.events {
-		m.evaluateEvent(ev, maxF, maxSrc, direct)
+		m.trigger.evaluate(ev, "", maxSrc, bind)
 	}
 }
 
@@ -381,59 +412,4 @@ func (q *timeFIFO) expire(cut time.Time) {
 		q.ts = q.ts[:copy(q.ts, q.ts[q.head:])]
 		q.head = 0
 	}
-}
-
-func (m *requestsMonitor) evaluateEvent(ev *policy.CompiledEvent, maxF int, maxSrc string, direct int) {
-	now := m.n.clk.Now()
-	bind := func(env *policy.MapEnv, period time.Duration) {
-		env.Set("threshold.type", policy.IdentVal("primary"))
-		env.Set("threshold.forwarded", policy.NumberVal(float64(maxF)))
-		env.Set("threshold.fromClients", policy.NumberVal(float64(direct)))
-		env.Set("threshold.period", policy.DurationVal(period))
-	}
-	probeEnv := policy.NewMapEnv()
-	bind(probeEnv, probePeriod)
-	probe := &changeCapture{}
-	if _, err := ev.Fire(probeEnv, probe); err != nil {
-		return
-	}
-	streakKey := ""
-	if probe.to != "" {
-		streakKey = maxSrc // the condition holds in favor of maxSrc
-	}
-	m.mu.Lock()
-	if streakKey != m.streakSource {
-		m.streakSource = streakKey
-		m.streakStart = now
-	}
-	streak := now.Sub(m.streakStart)
-	pending := m.pendingChange
-	m.mu.Unlock()
-	if streakKey == "" || pending {
-		return
-	}
-
-	realEnv := policy.NewMapEnv()
-	bind(realEnv, streak)
-	capture := &changeCapture{}
-	if _, err := ev.Fire(realEnv, capture); err != nil || capture.to == "" {
-		return
-	}
-	target := capture.to
-	if target == "instance_forward_most" {
-		target = maxSrc
-	}
-	if capture.what == "primary_instance" && target == m.n.name {
-		return // already primary here
-	}
-	m.mu.Lock()
-	m.pendingChange = true
-	m.mu.Unlock()
-	go func() {
-		if err := m.n.requestPolicyChangeVia(capture.what, target, "primary"); err != nil {
-			m.mu.Lock()
-			m.pendingChange = false
-			m.mu.Unlock()
-		}
-	}()
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/flight"
 	"repro/internal/policy"
 )
 
@@ -86,13 +87,25 @@ func monitorFixture(t testing.TB, window time.Duration) (*thresholdMonitor, *clo
 	return newThresholdMonitor(n, "put", window), sim
 }
 
+// streakOf reads streak id under the trigger's lock: the selection it holds
+// ("" and the zero time for no streak) and when that selection began.
+func (t *changeTrigger) streakOf(id string) (string, time.Time) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.streaks[id]
+	return s.held, s.start
+}
+
+func (t *changeTrigger) isPending() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.pending
+}
+
 func TestThresholdMonitorEmptyWindowNoStreak(t *testing.T) {
 	m, _ := monitorFixture(t, 10*time.Second)
 	// No samples observed: nothing may have set a streak target.
-	m.mu.Lock()
-	target := m.streakTarget
-	m.mu.Unlock()
-	if target != "" {
+	if target, _ := m.trigger.streakOf(""); target != "" {
 		t.Fatalf("streak target %q before any sample", target)
 	}
 }
@@ -107,19 +120,13 @@ func TestThresholdMonitorSecondMaxGatesStreak(t *testing.T) {
 	m.observe(20 * time.Millisecond)
 	sim.Advance(100 * time.Millisecond)
 	m.observe(5 * time.Second) // isolated spike
-	m.mu.Lock()
-	target := m.streakTarget
-	m.mu.Unlock()
-	if target == "EventualConsistency" {
+	if target, _ := m.trigger.streakOf(""); target == "EventualConsistency" {
 		t.Fatal("isolated spike set the violation streak (second-max rule broken)")
 	}
 	// A second slow sample makes it a trend: second-max is now violating.
 	sim.Advance(100 * time.Millisecond)
 	m.observe(4 * time.Second)
-	m.mu.Lock()
-	target = m.streakTarget
-	m.mu.Unlock()
-	if target != "EventualConsistency" {
+	if target, _ := m.trigger.streakOf(""); target != "EventualConsistency" {
 		t.Fatalf("sustained violation streak target = %q, want EventualConsistency", target)
 	}
 }
@@ -131,9 +138,7 @@ func TestThresholdMonitorStreakRestartsOnTargetChange(t *testing.T) {
 		m.observe(2 * time.Second)
 		sim.Advance(time.Second)
 	}
-	m.mu.Lock()
-	firstStart := m.streakStart
-	m.mu.Unlock()
+	_, firstStart := m.trigger.streakOf("")
 	// Let the slow samples age out, then observe fast: the probed branch
 	// flips to MultiPrimaries and the streak clock must restart.
 	sim.Advance(11 * time.Second)
@@ -141,9 +146,7 @@ func TestThresholdMonitorStreakRestartsOnTargetChange(t *testing.T) {
 		m.observe(5 * time.Millisecond)
 		sim.Advance(100 * time.Millisecond)
 	}
-	m.mu.Lock()
-	target, start := m.streakTarget, m.streakStart
-	m.mu.Unlock()
+	target, start := m.trigger.streakOf("")
 	if target != "MultiPrimariesConsistency" {
 		t.Fatalf("recovered streak target = %q", target)
 	}
@@ -158,37 +161,87 @@ func TestThresholdMonitorResetAfterSwitch(t *testing.T) {
 		m.observe(2 * time.Second)
 		sim.Advance(time.Second)
 	}
-	m.mu.Lock()
-	m.pendingChange = true // as if a change request was issued
-	m.mu.Unlock()
+	m.trigger.mu.Lock()
+	m.trigger.pending = true // as if a change request was issued
+	m.trigger.mu.Unlock()
 
-	before := sim.Now()
 	sim.Advance(time.Second)
 	m.reset() // commitChange calls this once the switch lands
 
-	m.mu.Lock()
-	target, pending, start := m.streakTarget, m.pendingChange, m.streakStart
-	m.mu.Unlock()
-	if target != "" {
-		t.Fatalf("streak target %q after reset", target)
+	if target, start := m.trigger.streakOf(""); target != "" || !start.IsZero() {
+		t.Fatalf("streak %q from %v survived reset", target, start)
 	}
-	if pending {
-		t.Fatal("pendingChange survived reset")
-	}
-	if !start.After(before) {
-		t.Fatal("streak start not re-anchored at reset time")
+	if m.trigger.isPending() {
+		t.Fatal("pending request survived reset")
 	}
 	// Samples observed before the switch may remain; the streak must restart
 	// from scratch on the next observation.
 	m.observe(2 * time.Second)
-	m.mu.Lock()
-	target, start = m.streakTarget, m.streakStart
-	m.mu.Unlock()
+	target, start := m.trigger.streakOf("")
 	if target != "EventualConsistency" {
 		t.Fatalf("post-reset streak target = %q", target)
 	}
 	if got := sim.Now().Sub(start); got != 0 {
 		t.Fatalf("post-reset streak age = %v, want 0", got)
+	}
+}
+
+// TestSLOTriggerStreaksPerObjective feeds the SLOSwitch control events
+// alternating statuses of two objectives: put-latency burns its budget
+// throughout, while get-latency wavers between recovering and neutral. The
+// burning objective's streak must age across the other's evaluations, which
+// restart only their own; reset then clears both and the pending request.
+func TestSLOTriggerStreaksPerObjective(t *testing.T) {
+	spec, err := policy.Builtin("SLOSwitch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := policy.Compile(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := clock.NewSim(time.Time{})
+	// Already on the burning branch's target, so no evaluation issues an
+	// RPC; the run stays under the builtin's 30 s period, so the recovering
+	// branch never fires either.
+	n := &Node{clk: sim, policyName: "EventualConsistency"}
+	n.controlEvents = prog.ByKind(policy.KindThreshold)
+	m := newSLOMonitor(n)
+
+	burnStart := sim.Now()
+	for i := 0; i < 8; i++ {
+		m.observe(flight.Status{Objective: "put-latency", Burn: 10, Firing: true})
+		sim.Advance(time.Second)
+		burn := 0.5 // recovering: selects MultiPrimariesConsistency
+		if i%2 == 1 {
+			burn = 1.5 // neither branch: selects nothing
+		}
+		m.observe(flight.Status{Objective: "get-latency", Burn: burn})
+		if _, start := m.trigger.streakOf("get-latency"); !start.Equal(sim.Now()) {
+			t.Fatalf("round %d: get-latency streak began %v, want a restart at %v", i, start, sim.Now())
+		}
+		sim.Advance(time.Second)
+	}
+	held, start := m.trigger.streakOf("put-latency")
+	if held != "EventualConsistency" {
+		t.Fatalf("put-latency streak holds %q, want EventualConsistency", held)
+	}
+	if !start.Equal(burnStart) {
+		t.Fatalf("put-latency streak is %v old, want %v: another objective restarted it",
+			sim.Now().Sub(start), sim.Now().Sub(burnStart))
+	}
+
+	m.trigger.mu.Lock()
+	m.trigger.pending = true
+	m.trigger.mu.Unlock()
+	m.reset()
+	for _, id := range []string{"put-latency", "get-latency"} {
+		if held, start := m.trigger.streakOf(id); held != "" || !start.IsZero() {
+			t.Fatalf("%s streak %q from %v survived reset", id, held, start)
+		}
+	}
+	if m.trigger.isPending() {
+		t.Fatal("pending request survived reset")
 	}
 }
 

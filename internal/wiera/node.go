@@ -18,7 +18,6 @@ import (
 	"repro/internal/repair"
 	"repro/internal/simnet"
 	"repro/internal/spawn"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
 	"repro/internal/tier"
@@ -124,9 +123,6 @@ type Node struct {
 	// degraded network.
 	ReplLatency *telemetry.Histogram
 
-	// PutSeries records (time, put latency ms) for timeline figures.
-	PutSeries *stats.Series
-
 	staleReads *telemetry.Counter
 	freshReads *telemetry.Counter
 	putErrors  *telemetry.Counter
@@ -181,7 +177,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		policyName: cfg.GlobalSpec.Name,
 		primary:    cfg.Primary,
 		gate:       newOpGate(),
-		PutSeries:  stats.NewSeries(cfg.Name + "/put"),
 	}
 	// All node-level counters live on the fabric's registry: the same
 	// children back NodeStats (collectStats) and the /metrics endpoint.
@@ -466,7 +461,6 @@ func (s *opScope) end(err *error, payload *[]byte) {
 		elapsed := now.Sub(s.begun)
 		hist.RecordTrace(elapsed, s.span.TraceIDString())
 		if s.op == "put" {
-			n.PutSeries.Append(now, float64(elapsed)/float64(time.Millisecond))
 			n.latMon.observe(now.Sub(s.admitted))
 			n.reqMon.observeDirect()
 		}

@@ -1,9 +1,6 @@
 package wiera
 
 import (
-	"sync"
-	"time"
-
 	"repro/internal/flight"
 	"repro/internal/policy"
 )
@@ -22,23 +19,12 @@ import (
 //
 // Bound attributes: threshold.slo (objective name), threshold.burnRate
 // (min of the fast/slow window burn rates), threshold.violation (whether
-// the multi-window alert is firing), threshold.period (how long the body
-// has continuously selected the same change target — same semantics as the
-// other monitors). A nil *sloMonitor no-ops, so nodes without objectives
-// pay nothing.
+// the multi-window alert is firing), threshold.period (as for the other
+// monitors, through the same changeTrigger, with one streak per objective).
+// A nil *sloMonitor no-ops, so nodes without objectives pay nothing.
 type sloMonitor struct {
-	n *Node
-
-	mu            sync.Mutex
-	streaks       map[string]*sloStreak // per objective name
-	pendingChange bool
-}
-
-// sloStreak tracks how long one objective's evaluations have continuously
-// selected the same change target.
-type sloStreak struct {
-	target string
-	start  time.Time
+	events  []*policy.CompiledEvent
+	trigger *changeTrigger
 }
 
 // declaredSLOs lists the objectives the slo* options declare: sloPut and
@@ -67,19 +53,15 @@ func declaredSLOs(p Params) []flight.Objective {
 }
 
 func newSLOMonitor(n *Node) *sloMonitor {
-	return &sloMonitor{n: n, streaks: make(map[string]*sloStreak)}
+	return &sloMonitor{events: thresholdEvents(n, "slo"), trigger: newChangeTrigger(n, "slo")}
 }
 
-// reset clears streak and pending state (called when a policy change
-// commits or the primary moves).
+// reset clears the trigger (called when a policy change commits or the
+// primary moves).
 func (m *sloMonitor) reset() {
-	if m == nil {
-		return
+	if m != nil {
+		m.trigger.reset()
 	}
-	m.mu.Lock()
-	m.streaks = make(map[string]*sloStreak)
-	m.pendingChange = false
-	m.mu.Unlock()
 }
 
 // observe is the SLO engine's OnStatus callback.
@@ -87,70 +69,13 @@ func (m *sloMonitor) observe(st flight.Status) {
 	if m == nil {
 		return
 	}
-	for _, ev := range m.n.controlEvents {
-		if ev.Kind != policy.KindThreshold || ev.Monitor != "slo" {
-			continue
-		}
-		m.evaluate(ev, st)
-	}
-}
-
-func (m *sloMonitor) evaluate(ev *policy.CompiledEvent, st flight.Status) {
-	now := m.n.clk.Now()
-	bind := func(env *policy.MapEnv, period time.Duration) {
+	bind := func(env *policy.MapEnv) {
 		env.Set("threshold.type", policy.IdentVal("slo"))
 		env.Set("threshold.slo", policy.IdentVal(st.Objective))
 		env.Set("threshold.burnRate", policy.NumberVal(st.Burn))
 		env.Set("threshold.violation", policy.BoolVal(st.Firing))
-		env.Set("threshold.period", policy.DurationVal(period))
 	}
-
-	// Probe: which target would this status choose, ignoring period?
-	probeEnv := policy.NewMapEnv()
-	bind(probeEnv, probePeriod)
-	probe := &changeCapture{}
-	if _, err := ev.Fire(probeEnv, probe); err != nil {
-		return
+	for _, ev := range m.events {
+		m.trigger.evaluate(ev, st.Objective, "", bind)
 	}
-
-	m.mu.Lock()
-	sk := m.streaks[st.Objective]
-	if sk == nil {
-		sk = &sloStreak{start: now}
-		m.streaks[st.Objective] = sk
-	}
-	if probe.to != sk.target {
-		sk.target = probe.to
-		sk.start = now
-	}
-	streak := now.Sub(sk.start)
-	pending := m.pendingChange
-	m.mu.Unlock()
-
-	if probe.to == "" || pending {
-		return
-	}
-	// Real evaluation with the true streak duration.
-	realEnv := policy.NewMapEnv()
-	bind(realEnv, streak)
-	capture := &changeCapture{}
-	if _, err := ev.Fire(realEnv, capture); err != nil || capture.to == "" {
-		return
-	}
-	if capture.what == "consistency" && capture.to == m.n.PolicyName() {
-		return // already on the requested policy
-	}
-	m.mu.Lock()
-	m.pendingChange = true
-	m.mu.Unlock()
-	// Asynchronous for the same reason as the other monitors: the change
-	// request round-trips to the Wiera server, which freezes this node's
-	// gate, and the engine tick must not block behind it.
-	go func() {
-		if err := m.n.requestPolicyChangeVia(capture.what, capture.to, "slo"); err != nil {
-			m.mu.Lock()
-			m.pendingChange = false
-			m.mu.Unlock()
-		}
-	}()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,7 +13,6 @@ import (
 	"repro/internal/coord"
 	"repro/internal/policy"
 	"repro/internal/simnet"
-	"repro/internal/stats"
 	"repro/internal/transport"
 )
 
@@ -961,8 +961,7 @@ Wiera EventualConsistency {
 	// Writers hammer while the server swaps the consistency model twice.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	var putErrs stats.Counter
-	var putOK stats.Counter
+	var putErrs, putOK atomic.Int64
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -974,9 +973,9 @@ Wiera EventualConsistency {
 				default:
 				}
 				if _, err := west.Put(context.Background(), fmt.Sprintf("w%d-k%d", w, i%16), []byte("v"), nil); err != nil {
-					putErrs.Inc()
+					putErrs.Add(1)
 				} else {
-					putOK.Inc()
+					putOK.Add(1)
 				}
 			}
 		}(w)
@@ -995,10 +994,10 @@ Wiera EventualConsistency {
 	}
 	close(stop)
 	wg.Wait()
-	if putErrs.Value() > 0 {
-		t.Fatalf("%d puts failed during policy changes", putErrs.Value())
+	if putErrs.Load() > 0 {
+		t.Fatalf("%d puts failed during policy changes", putErrs.Load())
 	}
-	if putOK.Value() == 0 {
+	if putOK.Load() == 0 {
 		t.Fatal("no puts completed")
 	}
 	// Final state: multi-primaries (i=2 set it back).

@@ -9,9 +9,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // OpKind is one benchmark operation type.
@@ -213,9 +214,9 @@ type Client struct {
 
 	// ReadLatency and WriteLatency collect per-operation service times;
 	// Errors counts failed operations.
-	ReadLatency  *stats.Histogram
-	WriteLatency *stats.Histogram
-	Errors       stats.Counter
+	ReadLatency  *telemetry.Histogram
+	WriteLatency *telemetry.Histogram
+	Errors       atomic.Int64
 }
 
 // NewClient builds a client for workload w against store. Seed controls
@@ -228,8 +229,8 @@ func NewClient(w Workload, store Store, seed int64) (*Client, error) {
 		workload: w, store: store,
 		rng:          rand.New(rand.NewSource(seed)),
 		inserted:     w.RecordCount,
-		ReadLatency:  stats.NewHistogram(),
-		WriteLatency: stats.NewHistogram(),
+		ReadLatency:  telemetry.NewHistogram(),
+		WriteLatency: telemetry.NewHistogram(),
 	}
 	switch w.Distribution {
 	case "uniform":
@@ -338,7 +339,7 @@ func (c *Client) RunOne(now nowFunc) bool {
 		}
 	}
 	if err != nil {
-		c.Errors.Inc()
+		c.Errors.Add(1)
 		return false
 	}
 	return true

@@ -170,7 +170,7 @@ func TestClientLoadAndRun(t *testing.T) {
 	}
 	ok := c.RunOps(500, nil)
 	if ok != 500 {
-		t.Fatalf("ok = %d, errors = %d", ok, c.Errors.Value())
+		t.Fatalf("ok = %d, errors = %d", ok, c.Errors.Load())
 	}
 	reads := c.ReadLatency.Count()
 	writes := c.WriteLatency.Count()
@@ -228,8 +228,8 @@ func TestClientErrors(t *testing.T) {
 	c.Load()
 	store.fail = true
 	ok := c.RunOps(10, nil)
-	if ok != 0 || c.Errors.Value() != 10 {
-		t.Fatalf("ok = %d, errors = %d", ok, c.Errors.Value())
+	if ok != 0 || c.Errors.Load() != 10 {
+		t.Fatalf("ok = %d, errors = %d", ok, c.Errors.Load())
 	}
 }
 
