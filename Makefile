@@ -2,12 +2,13 @@
 
 GO ?= go
 
-.PHONY: ci verify vet build test race fuzz-wire smoke-obsplane smoke-tenancy bench bench-smoke perf perf-compare perf-pairs clean convergence scaleout batchflush eccost elastic tenancy
+.PHONY: ci verify vet build test race allocs fuzz-wire smoke-obsplane smoke-tenancy bench bench-smoke perf perf-compare perf-pairs clean
 
-ci: vet build bench-smoke race fuzz-wire smoke-obsplane smoke-tenancy
+ci: vet build bench-smoke race allocs fuzz-wire smoke-obsplane smoke-tenancy
 
-# One-stop pre-commit check: static analysis, full build, race-checked tests.
-verify: vet build bench-smoke race
+# One-stop pre-commit check: static analysis, full build, race-checked tests,
+# alloc budgets.
+verify: vet build bench-smoke race allocs
 
 vet:
 	$(GO) vet ./...
@@ -33,6 +34,12 @@ RACE_LEAVES = ./internal/flight/ ./internal/telemetry/ ./internal/watch/ ./inter
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 $(RACE_LEAVES)
+
+# The alloc-budget tests count every allocation in the process, so they run
+# without -race, and three times: work an earlier run leaves behind is
+# counted against the next one's ops.
+allocs:
+	$(GO) test -count=3 -run AllocBudget ./internal/wiera/ ./internal/transport/
 
 # End-to-end observability smoke: boots a 2-worker daemon, drives traffic,
 # and asserts /healthz answers, /cluster/metrics carries a resolvable
@@ -82,39 +89,9 @@ clean:
 smoke-tenancy:
 	./scripts/smoke_tenancy.sh
 
-# Multi-tenant isolation experiment (quick mode): a noisy tenant at >=10x
-# its IOPS quota vs a paced victim; admission must throttle the aggressor
-# and the victim's p99 must hold the stated bound with no lost acked writes.
-tenancy:
-	$(GO) run ./cmd/wierabench -exp tenancy
-
-# Elastic autoscaling experiment (quick mode): 12x load swing with hot-spot
-# shift; the pool must grow, promote/demote hot keys, and shed capacity.
-elastic:
-	$(GO) run ./cmd/wierabench -exp elastic
-
-# Replication group-commit experiment (quick mode): per-key vs batched flush
-# fan-out plus the flush-under-partition audit.
-batchflush:
-	$(GO) run ./cmd/wierabench -exp batchflush
-
-# Erasure-coding cost experiment (quick mode): 3x replication vs EC(4+2)
-# storage bytes and $/month, plus the region-loss reconstruction audit.
-eccost:
-	$(GO) run ./cmd/wierabench -exp eccost
-
-# Sharding scale-out experiment (quick mode): YCSB-B throughput vs pool
-# size plus a live worker-join audit.
-scaleout:
-	$(GO) run ./cmd/wierabench -exp scaleout
-
 # Telemetry overhead: instrumented vs bare client PUT/GET; then the TCP
 # transport's serial round trip against its floor, a raw loopback ping-pong
 # of the same frames, on one P as the benchmark's two processes share a core.
 bench:
 	$(GO) test -bench=BenchmarkClient -benchmem ./internal/wiera/
 	$(GO) test -run '^$$' -bench 'TCPRoundTrip|LoopbackPingPong' -cpu 1 -benchmem ./internal/transport/
-
-# Anti-entropy partition/heal experiment (quick mode).
-convergence:
-	$(GO) run ./cmd/wierabench -exp convergence

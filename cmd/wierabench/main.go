@@ -5,12 +5,10 @@
 //
 // Usage:
 //
-//	wierabench [-exp all|fig7|sloswitch|fig8|table3|fig9|table4|sec53|fig10|fig11|fig12|convergence|scaleout|batchflush|eccost|elastic|tenancy] [-full] [-seed N] [-watchdog]
+//	wierabench [-exp all|fig7|sloswitch|fig8|table3|fig9|table4|sec53|fig10|fig11|fig12|convergence|scaleout|batchflush|eccost|elastic|tenancy] [-full] [-seed N]
 //
 // By default experiments run in quick mode (seconds each); -full uses the
-// paper-scale durations. -watchdog runs the runtime watchdog alongside the
-// experiments and reports any goroutine/heap/scheduler-lag trips at the
-// end — a leak in a harness shows up as a trip instead of an OOM.
+// paper-scale durations.
 package main
 
 import (
@@ -21,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/watch"
 )
 
 // experiment couples a name with its runner.
@@ -40,20 +37,7 @@ func main() {
 	expFlag := flag.String("exp", "all", "experiment to run: all, fig7, sloswitch, fig8, table3, fig9, table4, sec53, fig10, fig11, fig12, convergence, scaleout, batchflush, eccost, elastic, tenancy, ablation-consistency, ablation-queue, ablation-blocksize")
 	full := flag.Bool("full", false, "run at paper-scale durations instead of quick mode")
 	seed := flag.Int64("seed", 1, "random seed")
-	watchdog := flag.Bool("watchdog", false, "run the runtime watchdog during experiments and report trips")
 	flag.Parse()
-
-	var journal *watch.Journal
-	if *watchdog {
-		journal = watch.NewJournal(nil, 0)
-		dog := watch.NewWatchdog(watch.WatchdogConfig{
-			Interval: time.Second,
-			Journal:  journal,
-			Scope:    "wierabench",
-		})
-		dog.Start()
-		defer dog.Stop()
-	}
 
 	opts := experiments.Options{Quick: !*full, Seed: *seed}
 	all := []experiment{
@@ -108,15 +92,6 @@ func main() {
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "wierabench: unknown experiment %q\n", *expFlag)
 		os.Exit(2)
-	}
-	if journal != nil {
-		trips := journal.Events(0)
-		if len(trips) == 0 {
-			fmt.Println("watchdog: no runtime trips")
-		}
-		for _, e := range trips {
-			fmt.Printf("watchdog: %s %s\n", e.Type, e.Msg)
-		}
 	}
 	if failed > 0 {
 		os.Exit(1)

@@ -268,62 +268,37 @@ func AblationBlockSize(opts Options) (*AblationBlockSizeResult, error) {
 	}
 	res := &AblationBlockSizeResult{}
 	for _, bs := range []int{4 * 1024, 16 * 1024, 64 * 1024} {
-		d, err := NewSimDeployment(simnet.AzureUSEast, simnet.USEast)
+		iops, err := blockSizeRun(opts, ops, bs)
 		if err != nil {
-			return nil, err
-		}
-		bps := 11.8e6 // Standard D2's small-message throughput
-		d.Net.SetBandwidth(simnet.AzureUSEast, simnet.USEast, bps)
-		d.Net.SetBandwidth(simnet.USEast, simnet.AzureUSEast, bps)
-		src := `
-Wiera RemoteMemory {
-	Region1 = {name: ForwardingInstance, region: azure-us-east, primary: true,
-		tier1 = {name: ebs-ssd, size: 4G}};
-	Region2 = {name: ForwardingInstance, region: us-east,
-		tier1 = {name: memory, size: 4G}};
-	event(insert.into) : response {
-		if (local_instance.isPrimary == true) {
-			store(what: insert.object, to: local_instance);
-			copy(what: insert.object, to: all_regions);
-		} else {
-			forward(what: insert.object, to: primary_instance);
-		}
-	}
-	event(get.from) : response {
-		forward(what: get.key, to: us-east);
-	}
-}`
-		if _, err := d.Server.StartInstances(wiera.StartInstancesRequest{
-			InstanceID: "bs", PolicySrc: src, Params: map[string]string{},
-		}); err != nil {
-			d.Close()
-			return nil, err
-		}
-		azure, err := d.Node("bs/azure-us-east")
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		fs := wfs.New(wfs.NodeBackend{Node: azure}, wfs.WithBlockSize(bs))
-		cfg := sysbench.Config{
-			FS: fs, Clock: d.Clk, Files: 2, FileSize: 512 * 1024,
-			BlockSize: bs, Threads: 16, Ops: ops, Mode: sysbench.RndRead, Seed: opts.Seed,
-		}
-		if err := sysbench.Prepare(cfg); err != nil {
-			d.Close()
-			return nil, err
-		}
-		out, err := sysbench.Run(cfg)
-		if err != nil {
-			d.Close()
 			return nil, err
 		}
 		res.Rows = append(res.Rows, BlockSizeRow{
-			BlockSize: bs, IOPS: out.IOPS, MBps: out.IOPS * float64(bs) / 1e6,
+			BlockSize: bs, IOPS: iops, MBps: iops * float64(bs) / 1e6,
 		})
-		d.Close()
 	}
 	return res, nil
+}
+
+// blockSizeRun measures SysBench IOPS on remote memory over Standard D2's
+// small-message throughput with wfs blocks of bs bytes.
+func blockSizeRun(opts Options, ops, bs int) (float64, error) {
+	d, fs, err := remoteMemory("bs", 11.8e6, 0, wfs.WithBlockSize(bs))
+	if err != nil {
+		return 0, err
+	}
+	defer d.Close()
+	cfg := sysbench.Config{
+		FS: fs, Clock: d.Clk, Files: 2, FileSize: 512 * 1024,
+		BlockSize: bs, Threads: 16, Ops: ops, Mode: sysbench.RndRead, Seed: opts.Seed,
+	}
+	if err := sysbench.Prepare(cfg); err != nil {
+		return 0, err
+	}
+	out, err := sysbench.Run(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return out.IOPS, nil
 }
 
 // Render prints the block size sweep.

@@ -3,12 +3,13 @@
 // in-process Wiera deployment over the simulated WAN, runs the paper's
 // workload, and returns a result carrying both the measured numbers and
 // the paper's reported values, plus a text rendering of the same rows or
-// series the paper reports. The bench targets in the repository root and
-// the cmd/wierabench binary call these.
+// series the paper reports. The package's tests and the cmd/wierabench
+// binary call these.
 package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -37,6 +38,10 @@ type Deployment struct {
 	Coord  *coord.Server
 	Server *wiera.Server
 	TSs    map[simnet.Region]*wiera.TieraServer
+
+	// extra is what a harness built beside the Wiera stack (azureDisk's
+	// Tiera instance); Close closes it first.
+	extra []io.Closer
 
 	sim     *clock.Sim // non-nil when driven by AutoAdvance
 	stopAdv func()
@@ -107,6 +112,9 @@ func (d *Deployment) Node(name string) (*wiera.Node, error) {
 // node shutdown still exchanges messages over the simulated network and
 // would otherwise block on a frozen virtual clock.
 func (d *Deployment) Close() {
+	for _, c := range d.extra {
+		c.Close()
+	}
 	for _, ts := range d.TSs {
 		ts.Close()
 	}

@@ -6,11 +6,21 @@ import "testing"
 // qualitative shape claims against the paper. The heavier timelines are
 // skipped under -short.
 
-func TestFig7DynamicConsistency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig7 timeline takes ~25s")
+// harness is what every experiment result provides.
+type harness interface {
+	Render() string
+	ShapeHolds() error
+}
+
+// checkShape runs one harness in Quick mode with seed, logs its rendering,
+// and fails t unless it ran and its shape holds. A non-empty slow skips the
+// run under -short, giving slow as the reason.
+func checkShape[R harness](t *testing.T, run func(Options) (R, error), seed int64, slow string) {
+	t.Helper()
+	if slow != "" && testing.Short() {
+		t.Skip(slow)
 	}
-	res, err := Fig7(Options{Quick: true, Seed: 1})
+	res, err := run(Options{Quick: true, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,176 +28,64 @@ func TestFig7DynamicConsistency(t *testing.T) {
 	if err := res.ShapeHolds(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestFig7DynamicConsistency(t *testing.T) {
+	checkShape(t, Fig7, 1, "fig7 timeline takes ~25s")
 }
 
 func TestSLOSwitch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sloswitch timeline takes ~25s")
-	}
-	res, err := SLOSwitch(Options{Quick: true, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Render())
-	if err := res.ShapeHolds(); err != nil {
-		t.Fatal(err)
-	}
+	checkShape(t, SLOSwitch, 9, "sloswitch timeline takes ~25s")
 }
 
 func TestFig8Table3ChangePrimary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig8 waves take ~30s")
-	}
-	res, err := Fig8Table3(Options{Quick: true, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Render())
-	if err := res.ShapeHolds(); err != nil {
-		t.Fatal(err)
-	}
+	checkShape(t, Fig8Table3, 2, "fig8 waves take ~30s")
 }
 
 func TestFig9TierLatency(t *testing.T) {
-	res, err := Fig9(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Render())
-	if err := res.ShapeHolds(); err != nil {
-		t.Fatal(err)
-	}
+	checkShape(t, Fig9, 0, "")
 }
 
 func TestTable4Pricing(t *testing.T) {
-	res, err := Table4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Render())
-	if err := res.ShapeHolds(); err != nil {
-		t.Fatal(err)
-	}
+	checkShape(t, func(Options) (*Table4Result, error) { return Table4() }, 0, "")
 }
 
 func TestSec53ColdDataSavings(t *testing.T) {
-	res, err := Sec53ColdData(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Render())
-	if err := res.ShapeHolds(); err != nil {
-		t.Fatal(err)
-	}
+	checkShape(t, Sec53ColdData, 0, "")
 }
 
 func TestFig10CentralizedTier(t *testing.T) {
-	res, err := Fig10(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Render())
-	if err := res.ShapeHolds(); err != nil {
-		t.Fatal(err)
-	}
+	checkShape(t, Fig10, 0, "")
 }
 
 func TestFig11SysBenchIOPS(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig11 sweep takes ~15s")
-	}
-	res, err := Fig11(Options{Quick: true, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Render())
-	if err := res.ShapeHolds(); err != nil {
-		t.Fatal(err)
-	}
+	checkShape(t, Fig11, 3, "fig11 sweep takes ~15s")
 }
 
 func TestFig12RUBiSThroughput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig12 sweep takes ~90s")
-	}
-	res, err := Fig12(Options{Quick: true, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Render())
-	if err := res.ShapeHolds(); err != nil {
-		t.Fatal(err)
-	}
+	checkShape(t, Fig12, 4, "fig12 sweep takes ~90s")
 }
 
 func TestConvergenceAntiEntropy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("convergence partition/heal run takes ~20s")
-	}
-	res, err := Convergence(Options{Quick: true, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Render())
-	if err := res.ShapeHolds(); err != nil {
-		t.Fatal(err)
-	}
+	checkShape(t, Convergence, 8, "convergence partition/heal run takes ~20s")
 }
 
 func TestAblationConsistency(t *testing.T) {
-	res, err := AblationConsistency(Options{Quick: true, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Render())
-	if err := res.ShapeHolds(); err != nil {
-		t.Fatal(err)
-	}
+	checkShape(t, AblationConsistency, 5, "")
 }
 
 func TestBatchFlush(t *testing.T) {
-	res, err := BatchFlush(Options{Quick: true, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Render())
-	if err := res.ShapeHolds(); err != nil {
-		t.Fatal(err)
-	}
+	checkShape(t, BatchFlush, 8, "")
 }
 
 func TestAblationQueue(t *testing.T) {
-	res, err := AblationQueue(Options{Quick: true, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Render())
-	if err := res.ShapeHolds(); err != nil {
-		t.Fatal(err)
-	}
+	checkShape(t, AblationQueue, 6, "")
 }
 
 func TestAblationBlockSize(t *testing.T) {
-	if testing.Short() {
-		t.Skip("block size sweep takes ~15s")
-	}
-	res, err := AblationBlockSize(Options{Quick: true, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Render())
-	if err := res.ShapeHolds(); err != nil {
-		t.Fatal(err)
-	}
+	checkShape(t, AblationBlockSize, 7, "block size sweep takes ~15s")
 }
 
 func TestScaleoutSharding(t *testing.T) {
-	res, err := Scaleout(Options{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Render())
-	if err := res.ShapeHolds(); err != nil {
-		t.Fatal(err)
-	}
+	checkShape(t, Scaleout, 1, "")
 }

@@ -42,7 +42,7 @@ func Fig11(opts Options) (*Fig11Result, error) {
 	// The local-disk bar is identical for every VM size (the whole point
 	// of the figure: Azure throttles attached disks to 500 IOPS regardless
 	// of size), so measure it once.
-	local, err := fig11Local(opts, ops)
+	local, err := fig11Run(opts, ops, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fig11 local: %w", err)
 	}
@@ -51,7 +51,7 @@ func Fig11(opts Options) (*Fig11Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		remote, err := fig11Remote(opts, ops, spec)
+		remote, err := fig11Run(opts, ops, &spec)
 		if err != nil {
 			return nil, fmt.Errorf("fig11 %s remote: %w", vm, err)
 		}
@@ -63,50 +63,71 @@ func Fig11(opts Options) (*Fig11Result, error) {
 	return res, nil
 }
 
-// fig11Local measures the Azure attached disk: a single-tier Tiera
-// instance whose disk is throttled to 500 IOPS (host cache off, O_DIRECT —
-// the paper's MySQL-style setting).
-func fig11Local(opts Options, ops int) (float64, error) {
-	d, err := NewSimDeployment(simnet.AzureUSEast)
+// fig11Run measures SysBench IOPS on the Azure disk (vm == nil) or on
+// remote memory through Wiera over the VM's network throttle.
+func fig11Run(opts Options, ops int, vm *cloudsim.Spec) (float64, error) {
+	d, fs, err := sec54Path("fig11", vm, 0)
 	if err != nil {
 		return 0, err
 	}
 	defer d.Close()
-	src := `Tiera AzureDisk { tier1: {name: ebs-ssd, size: 4G, iops: 500}; }`
-	spec, err := policy.Parse(src)
-	if err != nil {
-		return 0, err
-	}
-	inst, err := tiera.New(tiera.Config{
-		Name: "fig11/disk", Region: simnet.AzureUSEast, Spec: spec, Clock: d.Clk,
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer inst.Close()
-	fs := wfs.New(wfs.TieraBackend{Inst: inst})
 	return runSysbench(fs, d, ops, opts.Seed)
 }
 
-// fig11Remote measures remote memory through Wiera: the Azure node holds a
-// local disk, all gets forward to the AWS US-East memory instance 2 ms
-// away, and the inter-DC path carries the VM size's small-message
-// throughput cap.
-func fig11Remote(opts Options, ops int, vm cloudsim.Spec) (float64, error) {
+// sec54Path builds one storage path of Sec 5.4 as instance id: the Azure
+// disk when vm is nil, otherwise remote memory over vm's network throttle.
+func sec54Path(id string, vm *cloudsim.Spec, primaryIOPS int) (*Deployment, *wfs.FS, error) {
+	if vm == nil {
+		return azureDisk(id + "/disk")
+	}
+	return remoteMemory(id, vm.SmallMsgMBps*1e6, primaryIOPS)
+}
+
+// azureDisk builds the Sec 5.4 Azure attached disk on a virtual clock: a
+// single-tier Tiera instance, named name, whose disk is throttled to 500
+// IOPS (host cache off, O_DIRECT — the paper's MySQL-style setting).
+// Closing the deployment closes the instance.
+func azureDisk(name string) (*Deployment, *wfs.FS, error) {
+	d, err := NewSimDeployment(simnet.AzureUSEast)
+	if err != nil {
+		return nil, nil, err
+	}
+	spec, err := policy.Parse(`Tiera AzureDisk { tier1: {name: ebs-ssd, size: 4G, iops: 500}; }`)
+	if err != nil {
+		d.Close()
+		return nil, nil, err
+	}
+	inst, err := tiera.New(tiera.Config{
+		Name: name, Region: simnet.AzureUSEast, Spec: spec, Clock: d.Clk,
+	})
+	if err != nil {
+		d.Close()
+		return nil, nil, err
+	}
+	d.extra = append(d.extra, inst)
+	return d, wfs.New(wfs.TieraBackend{Inst: inst}), nil
+}
+
+// remoteMemory builds the Sec 5.4 remote-memory path on a virtual clock as
+// instance id: the Azure node holds a local disk (capped at primaryIOPS,
+// 0 for none), all gets forward to the AWS US-East memory instance 2 ms
+// away, and the inter-DC path carries bps each way (Azure's inter-VM
+// network throttle). The file system runs over the Azure node.
+func remoteMemory(id string, bps float64, primaryIOPS int, fsOpts ...wfs.Option) (*Deployment, *wfs.FS, error) {
 	d, err := NewSimDeployment(simnet.AzureUSEast, simnet.USEast)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	defer d.Close()
-	// Azure's inter-VM network throttle, both directions of the data path.
-	bps := vm.SmallMsgMBps * 1e6
 	d.Net.SetBandwidth(simnet.AzureUSEast, simnet.USEast, bps)
 	d.Net.SetBandwidth(simnet.USEast, simnet.AzureUSEast, bps)
-
-	policySrc := `
+	iops := ""
+	if primaryIOPS > 0 {
+		iops = fmt.Sprintf(", iops: %d", primaryIOPS)
+	}
+	policySrc := fmt.Sprintf(`
 Wiera RemoteMemory {
 	Region1 = {name: ForwardingInstance, region: azure-us-east, primary: true,
-		tier1 = {name: ebs-ssd, size: 4G}};
+		tier1 = {name: ebs-ssd, size: 4G%s}};
 	Region2 = {name: ForwardingInstance, region: us-east,
 		tier1 = {name: memory, size: 4G}};
 	event(insert.into) : response {
@@ -120,18 +141,19 @@ Wiera RemoteMemory {
 	event(get.from) : response {
 		forward(what: get.key, to: us-east);
 	}
-}`
+}`, iops)
 	if _, err := d.Server.StartInstances(wiera.StartInstancesRequest{
-		InstanceID: "fig11", PolicySrc: policySrc, Params: map[string]string{},
+		InstanceID: id, PolicySrc: policySrc, Params: map[string]string{},
 	}); err != nil {
-		return 0, err
+		d.Close()
+		return nil, nil, err
 	}
-	azure, err := d.Node("fig11/azure-us-east")
+	azure, err := d.Node(id + "/azure-us-east")
 	if err != nil {
-		return 0, err
+		d.Close()
+		return nil, nil, err
 	}
-	fs := wfs.New(wfs.NodeBackend{Node: azure})
-	return runSysbench(fs, d, ops, opts.Seed)
+	return d, wfs.New(wfs.NodeBackend{Node: azure}, fsOpts...), nil
 }
 
 func runSysbench(fs *wfs.FS, d *Deployment, ops int, seed int64) (float64, error) {

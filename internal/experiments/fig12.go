@@ -5,12 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/cloudsim"
-	"repro/internal/policy"
 	"repro/internal/rubis"
-	"repro/internal/simnet"
-	"repro/internal/tiera"
-	"repro/internal/wfs"
-	"repro/internal/wiera"
 )
 
 // Fig12Row is one Azure VM size's RUBiS throughput for both storage paths.
@@ -68,66 +63,12 @@ func Fig12(opts Options) (*Fig12Result, error) {
 // configuration; otherwise the remote-memory path with the VM's network
 // throttle.
 func fig12Run(opts Options, users, items, clients, reqs int, vm *cloudsim.Spec) (float64, error) {
-	var fs *wfs.FS
-	var d *Deployment
-	var err error
-	if vm == nil {
-		d, err = NewSimDeployment(simnet.AzureUSEast)
-		if err != nil {
-			return 0, err
-		}
-		defer d.Close()
-		src := `Tiera AzureDisk { tier1: {name: ebs-ssd, size: 4G, iops: 500}; }`
-		spec, err := policy.Parse(src)
-		if err != nil {
-			return 0, err
-		}
-		inst, err := tiera.New(tiera.Config{
-			Name: "fig12/disk", Region: simnet.AzureUSEast, Spec: spec, Clock: d.Clk,
-		})
-		if err != nil {
-			return 0, err
-		}
-		defer inst.Close()
-		fs = wfs.New(wfs.TieraBackend{Inst: inst})
-	} else {
-		d, err = NewSimDeployment(simnet.AzureUSEast, simnet.USEast)
-		if err != nil {
-			return 0, err
-		}
-		defer d.Close()
-		bps := vm.SmallMsgMBps * 1e6
-		d.Net.SetBandwidth(simnet.AzureUSEast, simnet.USEast, bps)
-		d.Net.SetBandwidth(simnet.USEast, simnet.AzureUSEast, bps)
-		policySrc := `
-Wiera RemoteMemory {
-	Region1 = {name: ForwardingInstance, region: azure-us-east, primary: true,
-		tier1 = {name: ebs-ssd, size: 4G, iops: 500}};
-	Region2 = {name: ForwardingInstance, region: us-east,
-		tier1 = {name: memory, size: 4G}};
-	event(insert.into) : response {
-		if (local_instance.isPrimary == true) {
-			store(what: insert.object, to: local_instance);
-			copy(what: insert.object, to: all_regions);
-		} else {
-			forward(what: insert.object, to: primary_instance);
-		}
+	// The remote path's primary keeps its disk tier capped at 500 IOPS.
+	d, fs, err := sec54Path("fig12", vm, 500)
+	if err != nil {
+		return 0, err
 	}
-	event(get.from) : response {
-		forward(what: get.key, to: us-east);
-	}
-}`
-		if _, err := d.Server.StartInstances(wiera.StartInstancesRequest{
-			InstanceID: "fig12", PolicySrc: policySrc, Params: map[string]string{},
-		}); err != nil {
-			return 0, err
-		}
-		azure, err := d.Node("fig12/azure-us-east")
-		if err != nil {
-			return 0, err
-		}
-		fs = wfs.New(wfs.NodeBackend{Node: azure})
-	}
+	defer d.Close()
 
 	db, err := rubis.OpenDB(fs)
 	if err != nil {

@@ -52,26 +52,78 @@ type PhaseMark struct {
 // (800 ms / period threshold), YCSB workload A clients in every region,
 // and three injected delays.
 func Fig7(opts Options) (*Fig7Result, error) {
-	// Period threshold: the paper uses 30 s; Quick mode shrinks it (and
-	// every phase) 3x. The latency threshold stays 800 ms.
-	period := 30 * time.Second
-	factor := 10.0
-	if opts.Quick {
-		period = 10 * time.Second
-	}
-	monitorWindow := period / 4
-	dynSrc := strings.ReplaceAll(mustBuiltinSource("DynamicConsistency"), "30s",
-		fmt.Sprintf("%ds", int(period.Seconds())))
-
-	d, err := NewDeployment(factor)
+	// The latency threshold stays 800 ms at every period.
+	period := mpPeriod(opts)
+	r, err := startMPTimeline(opts, "fig7", "DynamicConsistency", map[string]string{
+		"monitorWindow": fmt.Sprintf("%dms", (period / 4).Milliseconds()),
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer d.Close()
+	defer r.d.Close()
+	d := r.d
 
-	// The paper's Fig 7 runs four regions: US-West, US-East, EU-West,
-	// Asia-East — the builtin's three plus Asia-East.
-	policySrc := `
+	res := &Fig7Result{PaperStrongMs: 400, PaperEventualMs: 10}
+
+	// Let load-phase latencies age out of the monitor window before the
+	// measured timeline begins.
+	r.sleep(1.2)
+
+	// Phase 1: normal operation under strong consistency.
+	normalFrom := r.mark("normal")
+	r.sleep(1.5)
+	normalTo := d.Clk.Now()
+
+	// Delay (a): sustained beyond the period threshold.
+	delayAOn := r.mark("delay-a-on")
+	d.Net.InjectRegionLag(simnet.USWest, 1200*time.Millisecond)
+	r.sleep(3.5)
+	d.Net.InjectRegionLag(simnet.USWest, 0)
+	// Detection + the policy change take over a period; measure the
+	// eventual-consistency phase from well inside the delay window.
+	eventualFrom, eventualTo := delayAOn.Add(time.Duration(2.5*float64(period))), r.mark("delay-a-off")
+	// Recovery: quiet period, switch back.
+	r.sleep(3.0)
+
+	// Delay (b): second sustained delay.
+	r.mark("delay-b-on")
+	d.Net.InjectRegionLag(simnet.USWest, 1200*time.Millisecond)
+	r.sleep(3.5)
+	d.Net.InjectRegionLag(simnet.USWest, 0)
+	r.mark("delay-b-off")
+	r.sleep(3.0)
+
+	// Delay (c): transient — shorter than the period threshold.
+	transientFrom := r.mark("delay-c-on")
+	d.Net.InjectRegionLag(simnet.USWest, 1200*time.Millisecond)
+	r.sleep(0.25)
+	d.Net.InjectRegionLag(simnet.USWest, 0)
+	r.mark("delay-c-off")
+	// Wait out the window so a (wrong) late switch would still be caught.
+	r.sleep(1.5)
+	transientTo := r.mark("end")
+
+	res.Series, res.Changes = r.finish()
+	res.DebugPhases = r.phases
+	res.SwitchesToEventual, res.SwitchesToStrong = consistencySwitches(res.Changes)
+	res.TransientIgnored = true
+	for _, ch := range res.Changes {
+		if ch.What == "consistency" && ch.At.After(transientFrom) && ch.At.Before(transientTo) {
+			res.TransientIgnored = false
+		}
+	}
+	res.StrongMeanMs = meanInWindow(res.Series, normalFrom, normalTo)
+	// Eventual-phase samples: inside delay (a), after the switch landed.
+	// Use the second half of the delay window to skip the transition.
+	mid := eventualFrom.Add(eventualTo.Sub(eventualFrom) / 2)
+	res.EventualMeanMs = meanInWindow(res.Series, mid, eventualTo)
+	return res, nil
+}
+
+// mpFourRegionSrc is the paper's Fig 7 deployment: US-West, US-East,
+// EU-West and Asia-East (the builtin's three plus Asia-East) under
+// MultiPrimariesConsistency.
+const mpFourRegionSrc = `
 Wiera MultiPrimariesConsistency {
 	Region1 = {name: LowLatencyInstance, region: us-west,
 		tier1 = {name: memory, size: 5G}, tier2 = {name: ebs-ssd, size: 5G}};
@@ -88,53 +140,93 @@ Wiera MultiPrimariesConsistency {
 		release(what: insert.key);
 	}
 }`
+
+// mpTimeline is the run Fig 7 and the SLO switch share: mpFourRegionSrc
+// with a control policy on a 10x scaled clock, one paced YCSB-A client per
+// region, and US-West's puts timed on the deployment clock.
+type mpTimeline struct {
+	d        *Deployment
+	period   time.Duration
+	west     *wiera.Node
+	timeline *putTimeline
+	phases   []PhaseMark
+	stop     chan struct{}
+	wg       sync.WaitGroup
+}
+
+// mpPeriod is the control policy's period threshold: the paper's 30 s, or
+// 10 s in Quick mode, which shrinks every phase 3x.
+func mpPeriod(opts Options) time.Duration {
+	if opts.Quick {
+		return 10 * time.Second
+	}
+	return 30 * time.Second
+}
+
+// startMPTimeline deploys the run as instance id and starts its clients.
+// control names the builtin control policy; its 30 s period threshold is
+// rewritten to the run's period and passed as "dynamic", beside "t" and
+// params.
+func startMPTimeline(opts Options, id, control string, params map[string]string) (*mpTimeline, error) {
+	period := mpPeriod(opts)
+	params["t"] = "2s"
+	params["dynamic"] = strings.ReplaceAll(mustBuiltinSource(control), "30s",
+		fmt.Sprintf("%ds", int(period.Seconds())))
+
+	d, err := NewDeployment(10)
+	if err != nil {
+		return nil, err
+	}
+	r := &mpTimeline{d: d, period: period, stop: make(chan struct{})}
+	if err := r.start(opts, id, params); err != nil {
+		close(r.stop)
+		r.wg.Wait()
+		d.Close()
+		return nil, err
+	}
+	return r, nil
+}
+
+func (r *mpTimeline) start(opts Options, id string, params map[string]string) error {
+	d := r.d
 	nodes, err := d.Server.StartInstances(wiera.StartInstancesRequest{
-		InstanceID: "fig7",
-		PolicySrc:  policySrc,
-		Params: map[string]string{
-			"t": "2s", "dynamic": dynSrc,
-			"monitorWindow": fmt.Sprintf("%dms", monitorWindow.Milliseconds()),
-		},
+		InstanceID: id, PolicySrc: mpFourRegionSrc, Params: params,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-
-	west, err := d.Node("fig7/us-west")
-	if err != nil {
-		return nil, err
+	if r.west, err = d.Node(id + "/us-west"); err != nil {
+		return err
 	}
-	timeline := &putTimeline{nodeStore: nodeStore{west}, clk: d.Clk}
+	r.timeline = &putTimeline{nodeStore: nodeStore{r.west}, clk: d.Clk}
 
 	// One YCSB-A client per region with a disjoint keyspace (each region's
 	// application instance loads its own records, so lock contention does
 	// not dominate the latency signal the monitor watches).
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
 	for i, pi := range nodes {
 		node, err := d.Node(pi.Name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var store ycsb.Store = nodeStore{node}
-		if node == west {
-			store = timeline
+		if node == r.west {
+			store = r.timeline
 		}
 		w := shrunkWorkload(ycsb.WorkloadA, 64, 1024)
 		w.Prefix = string(pi.Region) + "/"
 		cli, err := ycsb.NewClient(w, store, opts.Seed+int64(i))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := cli.Load(); err != nil {
-			return nil, err
+			return err
 		}
-		wg.Add(1)
+		r.wg.Add(1)
 		go func(cli *ycsb.Client) {
-			defer wg.Done()
+			defer r.wg.Done()
 			for {
 				select {
-				case <-stop:
+				case <-r.stop:
 					return
 				default:
 					cli.RunOne(d.Clk.Now)
@@ -146,83 +238,41 @@ Wiera MultiPrimariesConsistency {
 			}
 		}(cli)
 	}
+	return nil
+}
 
-	res := &Fig7Result{PaperStrongMs: 400, PaperEventualMs: 10}
-	sleep := func(mult float64) { d.Clk.Sleep(time.Duration(mult * float64(period))) }
-	type window struct{ from, to time.Time }
-	mark := func(name string) time.Time {
-		now := d.Clk.Now()
-		res.DebugPhases = append(res.DebugPhases, PhaseMark{Name: name, At: now})
-		return now
-	}
-	markStart := func() time.Time { return mark("normal") }
+// sleep waits mult periods on the deployment clock.
+func (r *mpTimeline) sleep(mult float64) { r.d.Clk.Sleep(time.Duration(mult * float64(r.period))) }
 
-	// Let load-phase latencies age out of the monitor window before the
-	// measured timeline begins.
-	sleep(1.2)
+// mark records a phase boundary at the current time and returns it.
+func (r *mpTimeline) mark(name string) time.Time {
+	now := r.d.Clk.Now()
+	r.phases = append(r.phases, PhaseMark{Name: name, At: now})
+	return now
+}
 
-	// Phase 1: normal operation under strong consistency.
-	normalFrom := markStart()
-	sleep(1.5)
-	normalTo := d.Clk.Now()
+// finish stops the clients and returns US-West's put timeline and the
+// applied policy changes.
+func (r *mpTimeline) finish() ([]Point, []wiera.ChangeEvent) {
+	close(r.stop)
+	r.wg.Wait()
+	return r.timeline.points, r.d.Server.ChangeLog()
+}
 
-	// Delay (a): sustained beyond the period threshold.
-	delayAOn := mark("delay-a-on")
-	d.Net.InjectRegionLag(simnet.USWest, 1200*time.Millisecond)
-	sleep(3.5)
-	d.Net.InjectRegionLag(simnet.USWest, 0)
-	// Detection + the policy change take over a period; measure the
-	// eventual-consistency phase from well inside the delay window.
-	eventualA := window{from: delayAOn.Add(time.Duration(2.5 * float64(period))), to: mark("delay-a-off")}
-	// Recovery: quiet period, switch back.
-	sleep(3.0)
-
-	// Delay (b): second sustained delay.
-	mark("delay-b-on")
-	d.Net.InjectRegionLag(simnet.USWest, 1200*time.Millisecond)
-	sleep(3.5)
-	d.Net.InjectRegionLag(simnet.USWest, 0)
-	mark("delay-b-off")
-	sleep(3.0)
-
-	// Delay (c): transient — shorter than the period threshold.
-	transientFrom := mark("delay-c-on")
-	d.Net.InjectRegionLag(simnet.USWest, 1200*time.Millisecond)
-	sleep(0.25)
-	d.Net.InjectRegionLag(simnet.USWest, 0)
-	mark("delay-c-off")
-	// Wait out the window so a (wrong) late switch would still be caught.
-	sleep(1.5)
-	transientTo := mark("end")
-
-	close(stop)
-	wg.Wait()
-
-	res.Series = timeline.points
-	res.Changes = d.Server.ChangeLog()
-	for _, ch := range res.Changes {
+// consistencySwitches counts the applied consistency changes each way.
+func consistencySwitches(changes []wiera.ChangeEvent) (toEventual, toStrong int) {
+	for _, ch := range changes {
 		if ch.What != "consistency" {
 			continue
 		}
 		switch ch.To {
 		case "EventualConsistency":
-			res.SwitchesToEventual++
+			toEventual++
 		case "MultiPrimariesConsistency":
-			res.SwitchesToStrong++
+			toStrong++
 		}
 	}
-	res.TransientIgnored = true
-	for _, ch := range res.Changes {
-		if ch.What == "consistency" && ch.At.After(transientFrom) && ch.At.Before(transientTo) {
-			res.TransientIgnored = false
-		}
-	}
-	res.StrongMeanMs = meanInWindow(res.Series, normalFrom, normalTo)
-	// Eventual-phase samples: inside delay (a), after the switch landed.
-	// Use the second half of the delay window to skip the transition.
-	mid := eventualA.from.Add(eventualA.to.Sub(eventualA.from) / 2)
-	res.EventualMeanMs = meanInWindow(res.Series, mid, eventualA.to)
-	return res, nil
+	return toEventual, toStrong
 }
 
 func meanInWindow(points []Point, from, to time.Time) float64 {

@@ -3,13 +3,11 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/flight"
 	"repro/internal/simnet"
 	"repro/internal/wiera"
-	"repro/internal/ycsb"
 )
 
 // SLOSwitchResult is the Fig-7-style run where the consistency switch is
@@ -48,108 +46,25 @@ type SLOSwitchResult struct {
 
 // SLOSwitch runs the SLO-driven consistency-switch experiment.
 func SLOSwitch(opts Options) (*SLOSwitchResult, error) {
-	period := 30 * time.Second
-	factor := 10.0
-	if opts.Quick {
-		period = 10 * time.Second
-	}
-	// The SLOSwitch builtin embeds the paper's 30 s period threshold;
-	// rewrite it to the run's period like Fig 7 does for DynamicConsistency.
-	dynSrc := strings.ReplaceAll(mustBuiltinSource("SLOSwitch"), "30s",
-		fmt.Sprintf("%ds", int(period.Seconds())))
-
-	d, err := NewDeployment(factor)
-	if err != nil {
-		return nil, err
-	}
-	defer d.Close()
-
-	policySrc := `
-Wiera MultiPrimariesConsistency {
-	Region1 = {name: LowLatencyInstance, region: us-west,
-		tier1 = {name: memory, size: 5G}, tier2 = {name: ebs-ssd, size: 5G}};
-	Region2 = {name: LowLatencyInstance, region: us-east,
-		tier1 = {name: memory, size: 5G}, tier2 = {name: ebs-ssd, size: 5G}};
-	Region3 = {name: LowLatencyInstance, region: eu-west,
-		tier1 = {name: memory, size: 5G}, tier2 = {name: ebs-ssd, size: 5G}};
-	Region4 = {name: LowLatencyInstance, region: asia-east,
-		tier1 = {name: memory, size: 5G}, tier2 = {name: ebs-ssd, size: 5G}};
-	event(insert.into) : response {
-		lock(what: insert.key);
-		store(what: insert.object, to: local_instance);
-		copy(what: insert.object, to: all_regions);
-		release(what: insert.key);
-	}
-}`
 	// SLO: puts (and, under eventual consistency, replication fan-outs)
 	// complete under 800 ms for 90% of events. During the 1200 ms injected
 	// delay essentially every event is bad, so the budget burns at ~10x —
 	// far over the SLOSwitch policy's >= 2 alert threshold.
-	nodes, err := d.Server.StartInstances(wiera.StartInstancesRequest{
-		InstanceID: "sloswitch",
-		PolicySrc:  policySrc,
-		Params: map[string]string{
-			"t":             "2s",
-			"dynamic":       dynSrc,
-			"sloPut":        "800ms",
-			"sloTarget":     "0.9",
-			"sloFastWindow": fmt.Sprintf("%dms", (period / 4).Milliseconds()),
-			"sloSlowWindow": fmt.Sprintf("%dms", (period / 2).Milliseconds()),
-			"sloInterval":   fmt.Sprintf("%dms", (period / 20).Milliseconds()),
-		},
+	period := mpPeriod(opts)
+	r, err := startMPTimeline(opts, "sloswitch", "SLOSwitch", map[string]string{
+		"sloPut":        "800ms",
+		"sloTarget":     "0.9",
+		"sloFastWindow": fmt.Sprintf("%dms", (period / 4).Milliseconds()),
+		"sloSlowWindow": fmt.Sprintf("%dms", (period / 2).Milliseconds()),
+		"sloInterval":   fmt.Sprintf("%dms", (period / 20).Milliseconds()),
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	west, err := d.Node("sloswitch/us-west")
-	if err != nil {
-		return nil, err
-	}
-	timeline := &putTimeline{nodeStore: nodeStore{west}, clk: d.Clk}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i, pi := range nodes {
-		node, err := d.Node(pi.Name)
-		if err != nil {
-			return nil, err
-		}
-		var store ycsb.Store = nodeStore{node}
-		if node == west {
-			store = timeline
-		}
-		w := shrunkWorkload(ycsb.WorkloadA, 64, 1024)
-		w.Prefix = string(pi.Region) + "/"
-		cli, err := ycsb.NewClient(w, store, opts.Seed+int64(i))
-		if err != nil {
-			return nil, err
-		}
-		if err := cli.Load(); err != nil {
-			return nil, err
-		}
-		wg.Add(1)
-		go func(cli *ycsb.Client) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					cli.RunOne(d.Clk.Now)
-					d.Clk.Sleep(500 * time.Millisecond)
-				}
-			}
-		}(cli)
-	}
+	defer r.d.Close()
+	d := r.d
 
 	res := &SLOSwitchResult{}
-	sleep := func(mult float64) { d.Clk.Sleep(time.Duration(mult * float64(period))) }
-	mark := func(name string) time.Time {
-		now := d.Clk.Now()
-		res.DebugPhases = append(res.DebugPhases, PhaseMark{Name: name, At: now})
-		return now
-	}
 	// sampleSLO folds the current slo_* gauges at US-West into the result.
 	sampleSLO := func() {
 		for _, fam := range d.Fabric.Metrics().Snapshot() {
@@ -157,14 +72,14 @@ Wiera MultiPrimariesConsistency {
 			case "slo_burn_rate":
 				for _, m := range fam.Metrics {
 					// Labels: slo, window, node, region.
-					if len(m.LabelValues) == 4 && m.LabelValues[2] == west.Name() && m.Value > res.PeakBurn {
+					if len(m.LabelValues) == 4 && m.LabelValues[2] == r.west.Name() && m.Value > res.PeakBurn {
 						res.PeakBurn = m.Value
 					}
 				}
 			case "slo_violation":
 				for _, m := range fam.Metrics {
 					// Labels: slo, node, region.
-					if len(m.LabelValues) == 3 && m.LabelValues[1] == west.Name() && m.Value >= 1 {
+					if len(m.LabelValues) == 3 && m.LabelValues[1] == r.west.Name() && m.Value >= 1 {
 						res.ViolationSeen = true
 					}
 				}
@@ -173,47 +88,36 @@ Wiera MultiPrimariesConsistency {
 	}
 
 	// Let load-phase latencies age out of the burn windows.
-	sleep(1.2)
+	r.sleep(1.2)
 
 	// Phase 1: normal operation under strong consistency.
-	normalFrom := mark("normal")
-	sleep(1.5)
+	normalFrom := r.mark("normal")
+	r.sleep(1.5)
 	normalTo := d.Clk.Now()
 
 	// Sustained delay: burn the error budget until the SLO alert fires and
 	// the policy downgrades. Sample the gauges through the delay so the
 	// peak burn and the violation flag are captured mid-incident.
-	delayOn := mark("delay-on")
+	delayOn := r.mark("delay-on")
 	d.Net.InjectRegionLag(simnet.USWest, 1200*time.Millisecond)
 	for i := 0; i < 7; i++ {
-		sleep(0.5)
+		r.sleep(0.5)
 		sampleSLO()
 	}
 	d.Net.InjectRegionLag(simnet.USWest, 0)
-	delayOff := mark("delay-off")
+	delayOff := r.mark("delay-off")
 	// Recovery: the budget stops burning; SLOSwitch returns to strong
 	// consistency after its period streak.
-	sleep(3.0)
-	mark("end")
+	r.sleep(3.0)
+	r.mark("end")
 
-	close(stop)
-	wg.Wait()
-
-	res.Series = timeline.points
-	res.Changes = d.Server.ChangeLog()
+	res.Series, res.Changes = r.finish()
+	res.DebugPhases = r.phases
+	res.SwitchesToEventual, res.SwitchesToStrong = consistencySwitches(res.Changes)
 	res.AllViaSLO = true
 	for _, ch := range res.Changes {
-		if ch.What != "consistency" {
-			continue
-		}
-		if ch.Via != "slo" {
+		if ch.What == "consistency" && ch.Via != "slo" {
 			res.AllViaSLO = false
-		}
-		switch ch.To {
-		case "EventualConsistency":
-			res.SwitchesToEventual++
-		case "MultiPrimariesConsistency":
-			res.SwitchesToStrong++
 		}
 	}
 	res.StrongMeanMs = meanInWindow(res.Series, normalFrom, normalTo)

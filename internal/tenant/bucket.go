@@ -52,17 +52,6 @@ func (b *Bucket) Take(n float64, now time.Time) bool {
 	return true
 }
 
-// Tokens reports the current token count after refilling to now.
-func (b *Bucket) Tokens(now time.Time) float64 {
-	if b == nil || b.rate <= 0 {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refill(now)
-	return b.tokens
-}
-
 func (b *Bucket) refill(now time.Time) {
 	if b.last.IsZero() {
 		b.last = now

@@ -180,17 +180,24 @@ func (in *Instance) Start() {
 	in.started = true
 	in.stopCh = make(chan struct{})
 	stop := in.stopCh
+	timers := in.prog.ByKind(policy.KindTimer)
+	monitors := len(in.prog.ByKind(policy.KindObjectMonitor)) > 0
+	in.loops.Add(len(timers))
+	if monitors {
+		in.loops.Add(1)
+	}
 	in.mu.Unlock()
 
-	for _, ev := range in.prog.ByKind(policy.KindTimer) {
+	for _, ev := range timers {
 		go in.timerLoop(ev, stop)
 	}
-	if len(in.prog.ByKind(policy.KindObjectMonitor)) > 0 {
+	if monitors {
 		go in.monitorLoop(stop)
 	}
 }
 
 func (in *Instance) timerLoop(ev *policy.CompiledEvent, stop <-chan struct{}) {
+	defer in.loops.Done()
 	period := ev.Period
 	if period <= 0 {
 		period = time.Second
@@ -206,6 +213,7 @@ func (in *Instance) timerLoop(ev *policy.CompiledEvent, stop <-chan struct{}) {
 }
 
 func (in *Instance) monitorLoop(stop <-chan struct{}) {
+	defer in.loops.Done()
 	for {
 		select {
 		case <-stop:
@@ -216,7 +224,9 @@ func (in *Instance) monitorLoop(stop <-chan struct{}) {
 	}
 }
 
-// Stop terminates background schedulers (idempotent).
+// Stop terminates background schedulers and waits until they have
+// returned, an event already executing included (idempotent). An event
+// left running would keep moving data after its instance is gone.
 func (in *Instance) Stop() {
 	in.mu.Lock()
 	if in.started {
@@ -224,4 +234,5 @@ func (in *Instance) Stop() {
 		in.started = false
 	}
 	in.mu.Unlock()
+	in.loops.Wait()
 }

@@ -103,6 +103,7 @@ type Instance struct {
 	fillLatched  map[string]bool // filled-event edge detection, by tier label
 	stopCh       chan struct{}
 	started      bool
+	loops        sync.WaitGroup // what Start launched; Stop waits for it
 	scanInterval time.Duration
 
 	// PutLatency/GetLatency record per-operation service times: the

@@ -566,6 +566,56 @@ func TestTimerLoopViaStart(t *testing.T) {
 	inst.Stop() // idempotent
 }
 
+// TestStopWaitsForFiringEvent: Stop returns only once a timer event already
+// executing has finished, so a stopped instance moves no more data.
+func TestStopWaitsForFiringEvent(t *testing.T) {
+	spec, err := policy.Parse(`
+Tiera WriteBack(time t) {
+	tier1: {name: memory, size: 1G};
+	tier2: {name: ebs-ssd, size: 1G, iops: 100};
+	event(insert.into) : response {
+		insert.object.dirty = true;
+		store(what: insert.object, to: tier1);
+	}
+	event(time = t) : response {
+		copy(what: object.location == tier1 && object.dirty == true, to: tier2);
+	}
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := New(Config{
+		Name: "wb", Region: simnet.USEast, Spec: spec,
+		Params: map[string]policy.Value{"t": policy.DurationVal(time.Second)},
+		Clock:  clock.NewScaled(10), // a 10 ms disk put takes 1 ms real
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	for i := 0; i < 200; i++ {
+		if _, err := inst.Put(context.Background(), fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	disk, _ := inst.Tier("tier2")
+	puts := func() int64 { return disk.Stats().Puts }
+	inst.Start()
+	deadline := time.Now().Add(5 * time.Second)
+	for puts() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("write-back never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	inst.Stop()
+	stopped := puts()
+	time.Sleep(20 * time.Millisecond)
+	if n := puts(); n != stopped {
+		t.Fatalf("%d disk puts after Stop returned", n-stopped)
+	}
+}
+
 func TestPutGetLatencyRecorded(t *testing.T) {
 	inst := newLowLatency(t)
 	inst.Put(context.Background(), "k", []byte("v"))

@@ -90,8 +90,7 @@ func remoteError(herr error) RemoteError {
 //
 // A Fabric owns the process's telemetry by default: a metrics Registry and
 // a Tracer running on the simnet clock, shared by every layer above it.
-// Use WithTelemetry to share an external pair or WithoutTelemetry to run
-// bare (e.g. for overhead benchmarks).
+// Use WithoutTelemetry to run bare (e.g. for overhead benchmarks).
 type Fabric struct {
 	net       *simnet.Network
 	metrics   *telemetry.Registry
@@ -111,15 +110,6 @@ type Fabric struct {
 // FabricOption configures NewFabric.
 type FabricOption func(*Fabric)
 
-// WithTelemetry makes the fabric record into an externally owned registry
-// and tracer (either may be nil to disable that half).
-func WithTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) FabricOption {
-	return func(f *Fabric) {
-		f.metrics = reg
-		f.tracer = tr
-	}
-}
-
 // WithoutTelemetry disables the fabric's default registry, tracer, flight
 // recorder, and event journal; calls pay only a nil check.
 func WithoutTelemetry() FabricOption {
@@ -129,18 +119,6 @@ func WithoutTelemetry() FabricOption {
 		f.flightRec = nil
 		f.journal = nil
 	}
-}
-
-// WithJournal replaces the fabric's default event journal (nil disables
-// structured event recording).
-func WithJournal(j *watch.Journal) FabricOption {
-	return func(f *Fabric) { f.journal = j }
-}
-
-// WithFlightRecorder replaces the fabric's default flight recorder (nil
-// disables per-request flight records while keeping metrics and traces).
-func WithFlightRecorder(r *flight.Recorder) FabricOption {
-	return func(f *Fabric) { f.flightRec = r }
 }
 
 // NewFabric returns a fabric over net. Unless configured otherwise it

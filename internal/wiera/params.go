@@ -210,9 +210,9 @@ var options = []option{
 // ParseParams validates raw against the options table and the parameters
 // specs declare (the global spec and the regions' local specs; the dynamic
 // option's spec is added here) and returns the typed options with defaults
-// applied. A key that is neither, a value of the wrong kind and a
-// per-tenant key for a tenant the tenants option does not list are errors
-// naming the key.
+// applied. A key that is neither, a value of the wrong kind, a per-tenant
+// key for a tenant the tenants option does not list and a declared
+// parameter given no value are errors naming the key.
 func ParseParams(raw map[string]string, specs ...*policy.Spec) (Params, error) {
 	var p Params
 	for i := range options {
@@ -262,6 +262,13 @@ func ParseParams(raw map[string]string, specs ...*policy.Spec) (Params, error) {
 		default:
 			return Params{}, fmt.Errorf("wiera: unknown option %q (options: %s; parameters the policy declares: %s)",
 				k, strings.Join(optionKeys(), " "), strings.Join(declared, " "))
+		}
+	}
+	// A declared parameter left unbound would fail only where the policy
+	// uses it, inside the first spawn.
+	for _, k := range declared {
+		if _, ok := p.Policy[k]; !ok {
+			return Params{}, fmt.Errorf("wiera: policy parameter %s: declared but given no value", k)
 		}
 	}
 	if p.Heat.DemoteRate == 0 || p.Heat.DemoteRate >= p.Heat.PromoteRate {

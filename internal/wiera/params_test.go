@@ -99,14 +99,14 @@ func TestEveryOptionRoundTrips(t *testing.T) {
 		t.Fatalf("%d options, %d samples; the ledger says 38 settable keys", len(options), len(samples))
 	}
 	specs := lowLatencySpecs(t)
-	base, err := ParseParams(nil, specs...)
+	base, err := ParseParams(map[string]string{"t": "1s"}, specs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]string{} // rendered Params -> key, to catch two keys sharing a field
 	for i := range options {
 		o := &options[i]
-		raw := map[string]string{strings.Replace(o.key, "<id>", "gold", 1): samples[o.key]}
+		raw := map[string]string{"t": "1s", strings.Replace(o.key, "<id>", "gold", 1): samples[o.key]}
 		if o.per != nil {
 			raw["tenants"] = "gold"
 		}
@@ -117,7 +117,7 @@ func TestEveryOptionRoundTrips(t *testing.T) {
 		if reflect.DeepEqual(p1, base) {
 			t.Fatalf("%s=%s changed nothing", o.key, samples[o.key])
 		}
-		back := map[string]string{}
+		back := map[string]string{"t": "1s"}
 		for j := range options {
 			q := &options[j]
 			if q.dst != nil {
@@ -226,8 +226,7 @@ func TestTreeParamMapsParse(t *testing.T) {
 		// experiments
 		{"t": "2s", "dynamic": dyn, "sloPut": "800ms", "sloTarget": "0.9",
 			"sloFastWindow": "1500ms", "sloSlowWindow": "3000ms", "sloInterval": "300ms"}, // sloswitch
-		{},                             // fig10, fig11, fig12, ablation
-		{"workers": "4", "t": "500ms"}, // scaleout
+		{"workers": "4", "t": "500ms"},                                           // scaleout
 		{"t": "2s", "queueFlush": "60s", "antiEntropy": "false", "dynamic": dyn}, // fig8
 		{"t": "500ms", "queueFlush": "50ms", "antiEntropy": "1s"},                // eccost
 		{"t": "500ms", "queueFlush": "10m", "antiEntropy": "1s"},                 // batchflush
@@ -289,6 +288,7 @@ func TestParseParamsErrorsNameTheKey(t *testing.T) {
 		{map[string]string{"tenants": "a", "tenantWeight:ghost": "4"}, []string{"tenantWeight:ghost", `"ghost"`}},
 		{map[string]string{"tenantIOPS:a": "4"}, []string{"tenantIOPS:a", `"a"`}},
 		{map[string]string{"t": "4+2"}, []string{"parameter t"}},
+		{map[string]string{"queueFlush": "1s"}, []string{"parameter t", "no value"}},
 	} {
 		_, err := ParseParams(tc.raw, specs...)
 		if err == nil {

@@ -180,9 +180,6 @@ func SizeTime(t time.Time) int {
 	return 1 + SizeVarint(t.UnixNano())
 }
 
-// SizeBool returns the encoded size of a bool (always 1).
-func SizeBool(bool) int { return 1 }
-
 // ---------------------------------------------------------------------------
 // Append helpers.
 
