@@ -25,12 +25,13 @@ test:
 # flight recorder and SLO engine, telemetry primitives and snapshot merge,
 # journal and watchdog, erasure codec, heat sketch and autoscale controller,
 # token buckets and stride scheduler, wire codec, the TCP transport's
-# connection mux, the coord lock table, and the spawn worker pool. The
-# integration paths around them are in the first pass; a -run regex here
-# would be a subset of it that rots as tests are renamed.
+# connection mux, the coord lock table, the spawn worker pool, and the
+# replication outbox. The integration paths around them are in the first
+# pass; a -run regex here would be a subset of it that rots as tests are
+# renamed.
 RACE_LEAVES = ./internal/flight/ ./internal/telemetry/ ./internal/watch/ ./internal/ec/ \
 	./internal/autoscale/ ./internal/tenant/ ./internal/wire/ ./internal/transport/ ./internal/coord/ \
-	./internal/spawn/
+	./internal/spawn/ ./internal/repair/
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 $(RACE_LEAVES)

@@ -19,7 +19,7 @@ import (
 // durations mostly count sequential WAN round trips. A second batched phase
 // flushes into a live partition and verifies the partial-failure contract:
 // every acknowledged write reaches the reachable peer immediately and the
-// partitioned peer after heal + hint replay.
+// partitioned peer after the heal, retried from the outbox.
 type BatchFlushResult struct {
 	// Keys is the queued backlog size per timing run; Regions the
 	// deployment width (1 writer + Regions-1 WAN peers).
@@ -164,8 +164,8 @@ func BatchFlush(opts Options) (*BatchFlushResult, error) {
 
 	// Partition phase: acknowledge another backlog while eu-west is
 	// unreachable, flush into the partition, and verify no acked write is
-	// lost. The flush delivers everything to us-east and hints the failed
-	// eu-west entries; heal + replay must close the gap.
+	// lost. The flush delivers everything to us-east and keeps the failed
+	// eu-west entries in the outbox; heal + retry must close the gap.
 	d.Net.Partition(simnet.USWest, simnet.EUWest)
 	if err := queueBacklog(west, "p", res.PartitionKeys); err != nil {
 		return nil, err
@@ -175,8 +175,8 @@ func BatchFlush(opts Options) (*BatchFlushResult, error) {
 	res.ReachableKeys = east.Local().Objects().Len() - eastBefore
 	d.Net.Heal(simnet.USWest, simnet.EUWest)
 
-	// Hint replay is ping-gated with backoff, so poll on a wall deadline
-	// (the scaled clock compresses backoff 2000x).
+	// The retry rides the next flush tick (queueFlush), so poll on a wall
+	// deadline (the scaled clock compresses the period 2000x).
 	total := keys + res.PartitionKeys
 	deadline := time.Now().Add(30 * time.Second)
 	for eu.Local().Objects().Len() < total {

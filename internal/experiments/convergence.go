@@ -47,8 +47,8 @@ type ConvergenceResult struct {
 	NaiveBytes   int64
 	DigestRounds int
 	KeysRepaired int
-	// HintsReplayed counts hinted-handoff deliveries after the heal, summed
-	// over both nodes.
+	// HintsReplayed counts outbox entries delivered after a failed attempt,
+	// summed over both nodes.
 	HintsReplayed int64
 }
 
@@ -248,7 +248,7 @@ func Convergence(opts Options) (*ConvergenceResult, error) {
 	}
 	wg.Wait()
 	// Let the queue flush fail against the partition so undeliverable
-	// updates land in the hint logs.
+	// updates stay in the outboxes as hints.
 	time.Sleep(100 * time.Millisecond)
 
 	preWest, preEast := nodeEntries(west), nodeEntries(east)
@@ -275,7 +275,7 @@ func Convergence(opts Options) (*ConvergenceResult, error) {
 	res.DigestRounds = st.Rounds
 	res.KeysRepaired = st.KeysRepaired
 
-	// Heal and measure live convergence (hint replay + Merkle sessions).
+	// Heal and measure live convergence (outbox retries + Merkle sessions).
 	d.Net.Heal(simnet.USWest, simnet.USEast)
 	healedAt := time.Now()
 	deadline = healedAt.Add(60 * time.Second)

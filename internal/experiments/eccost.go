@@ -51,7 +51,7 @@ type ECCostResult struct {
 	// Region-loss audit: with eu-west fully severed, every erasure-coded
 	// object must read back byte-identical via parity reconstruction.
 	// PartitionPuts are additional objects acknowledged during the
-	// partition (their eu-west fragments hinted); LostAckedWrites counts
+	// partition (their eu-west fragments kept in the outbox); LostAckedWrites counts
 	// objects unreadable during the loss or missing anywhere after heal
 	// (must be zero). Reconstructs is the writer's ec_reconstructs_total.
 	AuditedDuringLoss int
@@ -132,7 +132,7 @@ func ecCostDeploy(id, src string) (*Deployment, *wiera.Node, []*wiera.Node, erro
 }
 
 // waitKeys polls until every node holds at least want keys (fan-out and
-// hint replay are asynchronous), on a wall-clock deadline.
+// outbox retries are asynchronous), on a wall-clock deadline.
 func waitKeys(nodes []*wiera.Node, want int, deadline time.Duration) bool {
 	until := time.Now().Add(deadline)
 	for {
@@ -282,7 +282,7 @@ func ECCost(opts Options) (*ECCostResult, error) {
 	}
 
 	// Region loss: sever eu-west from both surviving regions, acknowledge
-	// a few more large writes (their eu-west fragments become hints), and
+	// a few more large writes (their eu-west fragments wait in the outbox), and
 	// re-read every erasure-coded object from the writer. Each read must
 	// reconstruct the fragments the lost region held from parity.
 	d.Net.Partition(simnet.USWest, simnet.EUWest)
@@ -311,7 +311,7 @@ func ECCost(opts Options) (*ECCostResult, error) {
 		}
 	}
 
-	// Heal; hint replay must deliver eu-west its fragment bundles of the
+	// Heal; the outbox must deliver eu-west its fragment bundles of the
 	// partition-era writes.
 	d.Net.Heal(simnet.USWest, simnet.EUWest)
 	d.Net.Heal(simnet.USEast, simnet.EUWest)

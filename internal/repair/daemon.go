@@ -9,218 +9,74 @@ import (
 	"repro/internal/watch"
 )
 
-// DefaultPeriod is the anti-entropy round interval when the caller does not
-// choose one.
-const DefaultPeriod = 5 * time.Second
-
-// backoff bounds for hint replay to unreachable peers.
-const (
-	minBackoff = 1 * time.Second
-	maxBackoff = 2 * time.Minute
-)
-
 // Daemon runs the background anti-entropy loop for one replica: each round
-// it drops hints for departed peers, replays due hints to reachable peers,
-// and runs one Merkle sync session against the next peer in round-robin
-// order.
+// it runs one Merkle sync session against the next peer in round-robin
+// order, and records a repair.cycle event (attributed to scope, typically
+// the replica name) on journal, which may be nil, when it repaired keys.
 type Daemon struct {
 	clk     clock.Clock
 	store   Store
-	hints   *HintLog
 	cluster Cluster
 	geo     Geometry
 	period  time.Duration
 	metrics *Metrics
+	journal *watch.Journal
+	scope   string
 
-	journal      *watch.Journal // optional event journal (repair.cycle)
-	journalScope string
-
-	mu           sync.Mutex
-	next         int // round-robin cursor over cluster.Peers()
-	retryAt      map[string]time.Time
-	backoff      map[string]time.Duration
-	stopCh       chan struct{}
-	started      bool
-	syncDisabled bool
+	mu       sync.Mutex
+	next     int // round-robin cursor over cluster.Peers()
+	quit     chan struct{}
+	stopOnce sync.Once
 }
 
-// NewDaemon assembles a daemon; Start launches it. period <= 0 selects
-// DefaultPeriod; metrics may be nil.
-func NewDaemon(clk clock.Clock, store Store, hints *HintLog, cluster Cluster, geo Geometry, period time.Duration, metrics *Metrics) *Daemon {
-	if period <= 0 {
-		period = DefaultPeriod
-	}
+// NewDaemon assembles a daemon that runs a round every period (positive);
+// Start launches it.
+func NewDaemon(clk clock.Clock, store Store, cluster Cluster, geo Geometry, period time.Duration,
+	metrics *Metrics, journal *watch.Journal, scope string) *Daemon {
 	return &Daemon{
-		clk: clk, store: store, hints: hints, cluster: cluster,
-		geo: geo.normalize(), period: period, metrics: metrics,
-		retryAt: make(map[string]time.Time), backoff: make(map[string]time.Duration),
+		clk: clk, store: store, cluster: cluster, geo: geo.normalize(), period: period,
+		metrics: metrics, journal: journal, scope: scope,
+		quit: make(chan struct{}),
 	}
 }
 
-// Period returns the round interval.
-func (d *Daemon) Period() time.Duration { return d.period }
-
-// AttachJournal makes the daemon record a repair.cycle event (attributed
-// to scope, typically the replica name) for every anti-entropy round that
-// actually repaired keys. Call before Start.
-func (d *Daemon) AttachJournal(j *watch.Journal, scope string) {
-	d.mu.Lock()
-	d.journal, d.journalScope = j, scope
-	d.mu.Unlock()
-}
-
-// DisableSync turns off the periodic Merkle sync leg, leaving hint replay
-// (and departed-peer garbage collection) running. Callers use this when the
-// placement policy decides what each replica holds, so unsolicited full
-// sync would replicate keys the policy never directed at a peer; hinted
-// handoff only redelivers updates the policy already addressed.
-func (d *Daemon) DisableSync() {
-	d.mu.Lock()
-	d.syncDisabled = true
-	d.mu.Unlock()
-}
-
-func (d *Daemon) syncEnabled() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return !d.syncDisabled
-}
-
-// Start launches the background loop (idempotent).
+// Start launches the background loop; Stop ends it.
 func (d *Daemon) Start() {
-	d.mu.Lock()
-	if d.started {
-		d.mu.Unlock()
-		return
-	}
-	d.started = true
-	d.stopCh = make(chan struct{})
-	stop := d.stopCh
-	d.mu.Unlock()
-	go d.loop(stop)
-}
-
-// Stop terminates the background loop (idempotent).
-func (d *Daemon) Stop() {
-	d.mu.Lock()
-	if d.started {
-		close(d.stopCh)
-		d.started = false
-	}
-	d.mu.Unlock()
-}
-
-func (d *Daemon) loop(stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		case <-d.clk.After(d.period):
-			d.RunOnce()
+	go func() {
+		for {
+			select {
+			case <-d.quit:
+				return
+			case <-d.clk.After(d.period):
+				d.RunOnce()
+			}
 		}
-	}
+	}()
 }
 
-// RunOnce performs one full anti-entropy round and returns the sync
-// session's stats (zero when no peer was available). Errors are absorbed:
-// an unreachable peer simply waits for a later round.
+func (d *Daemon) Stop() { d.stopOnce.Do(func() { close(d.quit) }) }
+
+// RunOnce performs one anti-entropy round and returns the sync session's
+// stats (zero when no peer was available).
 func (d *Daemon) RunOnce() Stats {
 	peers := d.cluster.Peers()
-	d.replayHints(peers)
-	if !d.syncEnabled() {
+	if len(peers) == 0 {
 		return Stats{}
 	}
-	peer, ok := d.pickPeer(peers)
-	if !ok {
-		return Stats{}
-	}
-	if d.metrics != nil {
-		d.metrics.Sessions.Inc()
-	}
-	st, err := Sync(d.store, d.cluster.Client(peer), d.geo)
-	if d.metrics != nil {
-		d.metrics.DigestRounds.Add(int64(st.Rounds))
-		d.metrics.KeysRepaired.Add(int64(st.KeysRepaired))
-		d.metrics.SyncBytes.Add(st.TotalBytes())
-	}
+	d.mu.Lock()
+	peer := peers[d.next%len(peers)]
+	d.next++
+	d.mu.Unlock()
+	d.metrics.Sessions.Inc()
+	st, _ := Sync(d.store, d.cluster.Client(peer), d.geo) // an unreachable peer waits for a later round
+	d.metrics.DigestRounds.Add(int64(st.Rounds))
+	d.metrics.KeysRepaired.Add(int64(st.KeysRepaired))
+	d.metrics.SyncBytes.Add(st.TotalBytes())
 	if st.KeysRepaired > 0 {
-		d.mu.Lock()
-		j, scope := d.journal, d.journalScope
-		d.mu.Unlock()
-		j.Record("repair.cycle", scope,
+		d.journal.Record("repair.cycle", d.scope,
 			fmt.Sprintf("repaired %d keys from %s (%d digest rounds, %d bytes)",
 				st.KeysRepaired, peer, st.Rounds, st.TotalBytes()),
 			map[string]string{"peer": peer, "keys": fmt.Sprintf("%d", st.KeysRepaired)})
 	}
-	_ = err // partitioned peers converge on a later round
 	return st
-}
-
-// pickPeer advances the round-robin cursor.
-func (d *Daemon) pickPeer(peers []string) (string, bool) {
-	if len(peers) == 0 {
-		return "", false
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	peer := peers[d.next%len(peers)]
-	d.next++
-	return peer, true
-}
-
-// replayHints pushes queued hints to every reachable peer whose backoff has
-// elapsed, and drops queues for peers no longer in the membership.
-func (d *Daemon) replayHints(peers []string) {
-	if d.hints == nil {
-		return
-	}
-	member := make(map[string]bool, len(peers))
-	for _, p := range peers {
-		member[p] = true
-	}
-	now := d.clk.Now()
-	for _, peer := range d.hints.PeersWithHints() {
-		if !member[peer] {
-			d.hints.DropPeer(peer)
-			continue
-		}
-		d.mu.Lock()
-		due := !d.retryAt[peer].After(now)
-		d.mu.Unlock()
-		if !due {
-			continue
-		}
-		// Heartbeat gate: do not burn a full replay attempt (and its
-		// payload transfer) on a peer that cannot even answer a ping.
-		if !d.cluster.Alive(peer) {
-			d.deferPeer(peer, now)
-			continue
-		}
-		client := d.cluster.Client(peer)
-		if _, err := d.hints.ReplayFor(peer, client.Push); err != nil {
-			d.deferPeer(peer, now)
-			continue
-		}
-		d.mu.Lock()
-		delete(d.retryAt, peer)
-		delete(d.backoff, peer)
-		d.mu.Unlock()
-	}
-}
-
-// deferPeer doubles peer's replay backoff.
-func (d *Daemon) deferPeer(peer string, now time.Time) {
-	d.mu.Lock()
-	b := d.backoff[peer]
-	if b <= 0 {
-		b = minBackoff
-	} else if b < maxBackoff {
-		b *= 2
-		if b > maxBackoff {
-			b = maxBackoff
-		}
-	}
-	d.backoff[peer] = b
-	d.retryAt[peer] = now.Add(b)
-	d.mu.Unlock()
 }

@@ -1,23 +1,22 @@
-// Package repair is the anti-entropy subsystem that keeps Wiera replicas
-// convergent under failures. The paper's eventual and primary-backup modes
-// (Sec 3.2.3, Sec 4) propagate updates through best-effort fan-out: a
-// replica that is partitioned or crashed during a flush would silently
-// diverge forever. This package closes that gap with three complementary
-// mechanisms, mirroring production geo-replicated stores:
+// Package repair keeps Wiera replicas convergent under failures. The
+// paper's eventual and primary-backup modes (Sec 3.2.3, Sec 4) propagate
+// updates by best-effort fan-out, so a replica partitioned or crashed
+// during a flush would diverge forever. Three mechanisms close the gap:
 //
-//   - Merkle digest sync: each replica summarises its per-key version
-//     metadata (version number, modification time, origin — the LWW tuple)
-//     in a fixed-geometry hash tree. Two replicas locate divergent key
-//     ranges in O(log n) digest rounds and exchange only the differing
-//     versions instead of full key lists (see merkle.go, session.go).
-//   - Hinted handoff: an update that cannot reach a peer is kept as an
-//     in-memory hint and replayed with exponential backoff once the peer
-//     answers pings again (hints.go).
-//   - A background daemon that periodically picks a peer, replays due
-//     hints, and runs one Merkle sync session (daemon.go).
+//   - The outbox keeps, per peer, the newest unacked update per key and
+//     retries it on every flush: the paper's update queue and hinted
+//     handoff in one structure (outbox.go).
+//   - Merkle digest sync summarises each replica's per-key LWW tuple
+//     (version, modification time, origin) in a fixed-geometry hash tree,
+//     so two replicas locate divergent key ranges in O(log n) digest rounds
+//     and exchange only the differing versions (merkle.go, session.go). It
+//     covers what a crash took from an outbox.
+//   - A daemon runs one sync session per period against the next peer
+//     (daemon.go).
 //
 // The package is transport-agnostic: replicas appear through the Store and
-// PeerClient interfaces, which internal/wiera adapts over its RPC fabric.
+// PeerClient interfaces and the outbox's Sender, which internal/wiera
+// adapts over its RPC fabric.
 package repair
 
 import (
@@ -63,6 +62,9 @@ type Update struct {
 // Entry returns the update's LWW summary.
 func (u Update) Entry() Entry { return EntryOf(u.Meta) }
 
+// WireSize estimates the update's encoded size.
+func (u Update) WireSize() int { return int(updateWireSize(u)) }
+
 // Store is the local replica as the repair subsystem sees it.
 type Store interface {
 	// Entries returns the latest-version summary of every key.
@@ -87,15 +89,12 @@ type PeerClient interface {
 	Push(updates []Update) (int, error)
 }
 
-// Cluster is the membership/liveness view the daemon schedules over.
+// Cluster is the membership view the daemon schedules over.
 type Cluster interface {
 	// Peers lists the current peer names (excluding the local replica).
 	Peers() []string
 	// Client returns a PeerClient for peer.
 	Client(peer string) PeerClient
-	// Alive reports whether peer currently answers (heartbeat gate for
-	// hint replay).
-	Alive(peer string) bool
 }
 
 // Metrics are the repair subsystem's counters, registered on the shared
@@ -115,35 +114,29 @@ type Metrics struct {
 
 // NewMetrics registers the repair metric families for one node.
 func NewMetrics(reg *telemetry.Registry, node, region string) *Metrics {
-	m := &Metrics{}
-	m.HintsPending = reg.Gauge("repair_hints_pending",
-		"Updates awaiting hinted-handoff replay to unreachable peers.", "node", "region").
-		With(node, region)
-	m.HintsReplayed = reg.Counter("repair_hints_replayed_total",
-		"Hinted updates successfully replayed to their peer.", "node", "region").
-		With(node, region)
-	m.HintsDropped = reg.Counter("repair_hints_dropped_total",
-		"Hints discarded (peer left the membership or was superseded).", "node", "region").
-		With(node, region)
-	m.KeysRepaired = reg.Counter("repair_keys_repaired_total",
-		"Key versions installed by anti-entropy sync or read repair.", "node", "region").
-		With(node, region)
-	m.DigestRounds = reg.Counter("repair_digest_rounds_total",
-		"Merkle digest exchange rounds across all sync sessions.", "node", "region").
-		With(node, region)
-	m.ReadRepairs = reg.Counter("repair_read_repairs_total",
-		"Async repairs scheduled because a get observed a stale version.", "node", "region").
-		With(node, region)
-	m.Sessions = reg.Counter("repair_sessions_total",
-		"Anti-entropy sync sessions started.", "node", "region").
-		With(node, region)
-	m.SyncBytes = reg.Counter("repair_sync_bytes_total",
-		"Estimated wire bytes moved by anti-entropy sessions.", "node", "region").
-		With(node, region)
-	m.BytesReplayed = reg.Counter("repair_bytes_replayed_total",
-		"Estimated wire bytes moved by hinted-handoff replay. Sized from each "+
-			"update's actual payload (the fragment bundle for erasure-coded "+
-			"versions, not the full object).", "node", "region").
-		With(node, region)
-	return m
+	counter := func(name, help string) *telemetry.Counter {
+		return reg.Counter(name, help, "node", "region").With(node, region)
+	}
+	return &Metrics{
+		HintsPending: reg.Gauge("repair_hints_pending",
+			"Outbox entries whose last delivery attempt failed.", "node", "region").With(node, region),
+		HintsReplayed: counter("repair_hints_replayed_total",
+			"Outbox entries delivered after a failed attempt."),
+		HintsDropped: counter("repair_hints_dropped_total",
+			"Outbox entries discarded because their peer left the membership."),
+		KeysRepaired: counter("repair_keys_repaired_total",
+			"Key versions installed by anti-entropy sync or read repair."),
+		DigestRounds: counter("repair_digest_rounds_total",
+			"Merkle digest exchange rounds across all sync sessions."),
+		ReadRepairs: counter("repair_read_repairs_total",
+			"Async repairs scheduled because a get observed a stale version."),
+		Sessions: counter("repair_sessions_total",
+			"Anti-entropy sync sessions started."),
+		SyncBytes: counter("repair_sync_bytes_total",
+			"Estimated wire bytes moved by anti-entropy sessions."),
+		BytesReplayed: counter("repair_bytes_replayed_total",
+			"Estimated wire bytes of outbox entries delivered after a failed attempt. Sized from "+
+				"each update's actual payload (the fragment bundle for erasure-coded versions, "+
+				"not the full object)."),
+	}
 }

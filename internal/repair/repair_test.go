@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -224,93 +225,98 @@ func TestSyncBeatsFullExchangeAt10kKeys(t *testing.T) {
 	}
 }
 
+// pending counts peer's entries in o.
+func pending(o *Outbox[Update], peer string) int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if b := o.peers[peer]; b != nil {
+		return len(b.items)
+	}
+	return 0
+}
+
+// okSend acks every update and records what it shipped.
+func okSend(shipped *[]Update) Sender[Update] {
+	return func(_ context.Context, _ string, us []*Update) []int {
+		for _, u := range us {
+			*shipped = append(*shipped, *u)
+		}
+		return nil
+	}
+}
+
+// downSend fails every update, standing in for an unreachable peer.
+func downSend(_ context.Context, _ string, us []*Update) []int {
+	failed := make([]int, len(us))
+	for i := range failed {
+		failed[i] = i
+	}
+	return failed
+}
+
+// TestHintLogSupersedesAndReplays: an undelivered update (a hint) lives in
+// the outbox under LWW supersession, so a hot key holds one entry per peer,
+// and the next drain ships only the newest version.
 func TestHintLogSupersedesAndReplays(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg, "n1", "us-east")
-	l := NewHintLog(m)
+	o := NewOutbox[Update](true, m, nil)
 	mk := func(ver, mtime int64) Update {
 		return Update{Meta: object.Meta{Key: "hot", Version: object.Version(ver), ModifiedAt: time.Unix(0, mtime), Origin: "a"}, Data: []byte("x")}
 	}
-	if !l.Add("peer1", mk(1, 10)) {
-		t.Fatal("first hint rejected")
-	}
-	if !l.Add("peer1", mk(2, 20)) {
-		t.Fatal("newer hint rejected")
-	}
-	if l.Add("peer1", mk(1, 10)) {
-		t.Fatal("stale hint must be superseded")
-	}
-	if l.Pending() != 1 || l.PendingFor("peer1") != 1 {
-		t.Fatalf("pending = %d (per-peer %d), want 1", l.Pending(), l.PendingFor("peer1"))
+	o.Hint("peer1", mk(1, 10))
+	o.Hint("peer1", mk(2, 20))
+	o.Hint("peer1", mk(1, 10)) // stale: superseded, never ships
+	if pending(o, "peer1") != 1 || o.Len() != 1 {
+		t.Fatalf("pending = %d, depth = %d, want 1/1", pending(o, "peer1"), o.Len())
 	}
 	if got := m.HintsPending.Value(); got != 1 {
 		t.Fatalf("repair_hints_pending = %v, want 1", got)
 	}
 
 	var delivered []Update
-	n, err := l.ReplayFor("peer1", func(us []Update) (int, error) {
-		delivered = append(delivered, us...)
-		return len(us), nil
-	})
-	if err != nil || n != 1 {
-		t.Fatalf("ReplayFor = %d, %v", n, err)
+	if _, failed := o.Drain(context.Background(), "peer1", okSend(&delivered)); failed != 0 {
+		t.Fatalf("drain failed %d entries", failed)
 	}
 	if len(delivered) != 1 || delivered[0].Meta.Version != 2 {
 		t.Fatalf("delivered %+v, want the superseding version 2", delivered)
 	}
-	if l.Pending() != 0 {
-		t.Fatal("replayed hints must be removed")
+	if m.HintsPending.Value() != 0 || o.Len() != 0 {
+		t.Fatal("replayed hints must leave the outbox")
 	}
 	if got := m.HintsReplayed.Value(); got != 1 {
 		t.Fatalf("repair_hints_replayed_total = %d, want 1", got)
 	}
 }
 
-// TestHintLogAddCopiesUpdate: a queued hint is the log's own copy. The
-// caller may reuse the buffers behind Data and the Meta slices (a put's
-// Data can alias a wire frame's receive buffer) without changing what a
-// later replay delivers.
+// TestHintLogAddCopiesUpdate pins the outbox's ownership contract: it keeps
+// the caller's buffers instead of copying them (whoever hands an update
+// over must not modify it again), so what ships aliases what was queued.
 func TestHintLogAddCopiesUpdate(t *testing.T) {
-	l := NewHintLog(nil)
+	o := NewOutbox[Update](true, NewMetrics(nil, "", ""), nil)
 	u := Update{
 		Meta: object.Meta{Key: "k", Version: 1, Origin: "a", ModifiedAt: time.Unix(0, 5),
 			Tags: []string{"tag"}, ECK: 2, ECM: 1, ECFrags: []int{0, 2}},
 		Data: []byte("orig"),
 	}
-	if !l.Add("peer1", u) {
-		t.Fatal("hint rejected")
-	}
-	copy(u.Data, "XXXX")
-	u.Meta.Tags[0] = "mutated"
-	u.Meta.ECFrags[0], u.Meta.ECFrags[1] = 7, 7
-
+	o.Hint("peer1", u)
 	var got []Update
-	if _, err := l.ReplayFor("peer1", func(us []Update) (int, error) {
-		got = append(got, us...)
-		return len(us), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	o.Drain(context.Background(), "peer1", okSend(&got))
 	if len(got) != 1 {
-		t.Fatalf("replayed %d hints, want 1", len(got))
+		t.Fatalf("shipped %d updates, want 1", len(got))
 	}
 	g := got[0]
-	if string(g.Data) != "orig" || g.Meta.Tags[0] != "tag" || g.Meta.ECFrags[0] != 0 || g.Meta.ECFrags[1] != 2 {
-		t.Fatalf("replayed hint aliases the caller's buffers: data=%q tags=%v frags=%v",
-			g.Data, g.Meta.Tags, g.Meta.ECFrags)
+	if &g.Data[0] != &u.Data[0] || &g.Meta.Tags[0] != &u.Meta.Tags[0] || &g.Meta.ECFrags[0] != &u.Meta.ECFrags[0] {
+		t.Fatal("the outbox copied the update; it must ship the caller's buffers")
 	}
 }
 
 // testCluster wires memStores into a Cluster for daemon tests.
 type testCluster struct {
-	mu    sync.Mutex
 	peers map[string]*memStore
-	down  map[string]bool
 }
 
 func (c *testCluster) Peers() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]string, 0, len(c.peers))
 	for p := range c.peers {
 		out = append(out, p)
@@ -318,97 +324,58 @@ func (c *testCluster) Peers() []string {
 	return out
 }
 
-func (c *testCluster) Client(peer string) PeerClient {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.down[peer] {
-		return downPeer{}
-	}
-	return LocalPeer{S: c.peers[peer]}
-}
+func (c *testCluster) Client(peer string) PeerClient { return LocalPeer{S: c.peers[peer]} }
 
-func (c *testCluster) Alive(peer string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.down[peer]
-}
-
-func (c *testCluster) setDown(peer string, down bool) {
-	c.mu.Lock()
-	c.down[peer] = down
-	c.mu.Unlock()
-}
-
-// downPeer fails every call, standing in for a partitioned replica.
-type downPeer struct{}
-
-func (downPeer) Digests(Geometry, []int) ([]uint64, error) {
-	return nil, fmt.Errorf("unreachable")
-}
-func (downPeer) LeafEntries(Geometry, []int) ([]Entry, error) {
-	return nil, fmt.Errorf("unreachable")
-}
-func (downPeer) Pull([]string) ([]Update, error) { return nil, fmt.Errorf("unreachable") }
-func (downPeer) Push([]Update) (int, error)      { return 0, fmt.Errorf("unreachable") }
-
+// TestDaemonReplaysHintsWhenPeerReturns: an update a peer missed stays in
+// its outbox box, and the next drain (the flush timer) delivers it once the
+// peer answers again. No ping gate, no backoff: a failed drain costs one
+// RPC per flush.
 func TestDaemonReplaysHintsWhenPeerReturns(t *testing.T) {
-	clk := clock.NewSim(time.Time{})
-	local, remote := newMemStore(), newMemStore()
-	local.put("k", 1, 100, "local", []byte("v"))
-	cl := &testCluster{peers: map[string]*memStore{"r1": remote}, down: map[string]bool{"r1": true}}
-	hints := NewHintLog(nil)
-	u, _ := local.Load("k")
-	if !hints.Add("r1", u) {
-		t.Fatal("hint not queued")
-	}
-	d := NewDaemon(clk, local, hints, cl, DefaultGeometry, time.Second, nil)
+	m := NewMetrics(telemetry.NewRegistry(), "n1", "us-east")
+	o := NewOutbox[Update](true, m, nil)
+	o.Queue(Update{Meta: object.Meta{Key: "k", Version: 1, Origin: "local", ModifiedAt: time.Unix(0, 100)}, Data: []byte("v")})
+	o.Spread([]string{"r1"})
+	ctx := context.Background()
 
-	// Peer down: the hint stays queued and the sync session fails silently.
-	d.RunOnce()
-	if hints.Pending() != 1 {
-		t.Fatal("hint dropped while peer was down")
+	if _, failed := o.Drain(ctx, "r1", downSend); failed != 1 {
+		t.Fatalf("drain to a down peer failed %d entries, want 1", failed)
 	}
-	// Peer back, but inside the backoff window: the hint stays queued (the
-	// Merkle sync leg may still deliver the data — that is fine).
-	cl.setDown("r1", false)
-	d.RunOnce()
-	if hints.Pending() != 1 {
-		t.Fatal("hint replayed before its backoff elapsed")
+	if m.HintsPending.Value() != 1 || pending(o, "r1") != 1 {
+		t.Fatalf("update left the outbox while its peer was down (hints %v, pending %d)", m.HintsPending.Value(), pending(o, "r1"))
 	}
-	// Past the backoff: replay delivers.
-	clk.Advance(5 * time.Second)
-	d.RunOnce()
-	if hints.Pending() != 0 {
-		t.Fatal("hint not replayed after backoff elapsed")
+	remote := newMemStore()
+	o.Drain(ctx, "r1", func(_ context.Context, _ string, us []*Update) []int {
+		for _, u := range us {
+			remote.Apply(*u)
+		}
+		return nil
+	})
+	if m.HintsPending.Value() != 0 || o.Len() != 0 || m.HintsReplayed.Value() != 1 {
+		t.Fatal("update not delivered once the peer returned")
 	}
-	if u2, ok := remote.Load("k"); !ok || string(u2.Data) != "v" {
-		t.Fatal("remote did not receive the hinted update")
+	if u, ok := remote.Load("k"); !ok || string(u.Data) != "v" {
+		t.Fatal("remote did not receive the update")
 	}
 }
 
+// TestDaemonDropsHintsForDepartedPeer: a peer that left the membership
+// loses its box at the next Spread, counted as dropped hints.
 func TestDaemonDropsHintsForDepartedPeer(t *testing.T) {
-	clk := clock.NewSim(time.Time{})
-	local := newMemStore()
-	local.put("k", 1, 1, "l", nil)
-	cl := &testCluster{peers: map[string]*memStore{}, down: map[string]bool{}}
 	m := NewMetrics(telemetry.NewRegistry(), "n1", "us-east")
-	hints := NewHintLog(m)
-	u, _ := local.Load("k")
-	hints.Add("gone", u)
-	d := NewDaemon(clk, local, hints, cl, DefaultGeometry, time.Second, m)
-	d.RunOnce()
-	if hints.Pending() != 0 {
-		t.Fatal("hints for departed peer must be dropped")
+	o := NewOutbox[Update](true, m, nil)
+	u := Update{Meta: object.Meta{Key: "k", Version: 1, Origin: "l", ModifiedAt: time.Unix(0, 1)}}
+	o.Hint("gone", u)
+	o.Hint("stays", u)
+	o.Spread([]string{"stays"})
+	if pending(o, "gone") != 0 || pending(o, "stays") != 1 || m.HintsPending.Value() != 1 {
+		t.Fatalf("pending gone=%d stays=%d hints=%v, want 0/1/1", pending(o, "gone"), pending(o, "stays"), m.HintsPending.Value())
 	}
 	if got := m.HintsDropped.Value(); got != 1 {
 		t.Fatalf("repair_hints_dropped_total = %d, want 1", got)
 	}
-	hints.Add("gone", u)
-	if dropped := hints.DropPeer("gone"); dropped != 1 {
-		t.Fatalf("DropPeer = %d, want 1", dropped)
-	}
-	if dropped := hints.DropPeer("gone"); dropped != 0 {
-		t.Fatalf("second DropPeer = %d, want 0", dropped)
+	o.Spread(nil)
+	if o.Len() != 0 || m.HintsPending.Value() != 0 {
+		t.Fatalf("depth %d, hints %v after every peer left, want 0/0", o.Len(), m.HintsPending.Value())
 	}
 }
 
@@ -416,8 +383,8 @@ func TestDaemonSyncRoundRobin(t *testing.T) {
 	clk := clock.NewSim(time.Time{})
 	local, r1 := newMemStore(), newMemStore()
 	r1.put("only-r1", 2, 50, "r1", []byte("z"))
-	cl := &testCluster{peers: map[string]*memStore{"r1": r1}, down: map[string]bool{}}
-	d := NewDaemon(clk, local, NewHintLog(nil), cl, DefaultGeometry, time.Second, nil)
+	cl := &testCluster{peers: map[string]*memStore{"r1": r1}}
+	d := NewDaemon(clk, local, cl, DefaultGeometry, time.Second, NewMetrics(nil, "", ""), nil, "")
 	st := d.RunOnce()
 	if st.KeysRepaired != 1 {
 		t.Fatalf("KeysRepaired = %d, want 1", st.KeysRepaired)

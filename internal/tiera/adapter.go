@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/cost"
-	"repro/internal/object"
 	"repro/internal/tier"
 )
 
@@ -138,6 +137,3 @@ func (a *InstanceTier) Backend() *Instance { return a.backend }
 
 // compile-time interface check
 var _ tier.Tier = (*InstanceTier)(nil)
-
-// suppress unused import when object package is only used in doc comments
-var _ = object.VersionKey

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/object"
 	"repro/internal/simnet"
@@ -30,9 +29,9 @@ Wiera EventualThreeRegions {
 }`
 
 func TestChunkUpdates(t *testing.T) {
-	b := &batcher{maxBytes: 1000}
-	msg := func(n int) UpdateMsg {
-		return UpdateMsg{Data: make([]byte, n)}
+	b := &updateQueue{maxBytes: 1000}
+	msg := func(n int) *UpdateMsg {
+		return &UpdateMsg{Data: make([]byte, n)}
 	}
 
 	if got := b.chunkUpdates(nil); got != nil {
@@ -40,29 +39,32 @@ func TestChunkUpdates(t *testing.T) {
 	}
 
 	// Byte cap: entries of 400B payload (+overhead 64) pack two per chunk.
-	chunks := b.chunkUpdates([]UpdateMsg{msg(400), msg(400), msg(400), msg(400), msg(400)})
+	chunks := b.chunkUpdates([]*UpdateMsg{msg(400), msg(400), msg(400), msg(400), msg(400)})
 	if len(chunks) != 3 || len(chunks[0]) != 2 || len(chunks[1]) != 2 || len(chunks[2]) != 1 {
 		t.Fatalf("byte-cap chunks = %v", lens(chunks))
 	}
 
 	// A single oversized entry still ships alone.
-	chunks = b.chunkUpdates([]UpdateMsg{msg(5000), msg(10)})
+	chunks = b.chunkUpdates([]*UpdateMsg{msg(5000), msg(10)})
 	if len(chunks) != 2 || len(chunks[0]) != 1 || len(chunks[1]) != 1 {
 		t.Fatalf("oversized chunks = %v", lens(chunks))
 	}
 
 	// Entry cap: tiny entries split at maxBatchEntries.
-	big := &batcher{maxBytes: 1 << 30}
-	many := make([]UpdateMsg, maxBatchEntries+5)
+	big := &updateQueue{maxBytes: 1 << 30}
+	many := make([]*UpdateMsg, maxBatchEntries+5)
+	for i := range many {
+		many[i] = msg(0)
+	}
 	chunks = big.chunkUpdates(many)
 	if len(chunks) != 2 || len(chunks[0]) != maxBatchEntries || len(chunks[1]) != 5 {
 		t.Fatalf("entry-cap chunks = %v", lens(chunks))
 	}
 
 	// Order is preserved across chunk boundaries.
-	ordered := make([]UpdateMsg, 0, 10)
+	ordered := make([]*UpdateMsg, 0, 10)
 	for i := 0; i < 10; i++ {
-		ordered = append(ordered, UpdateMsg{
+		ordered = append(ordered, &UpdateMsg{
 			Meta: object.Meta{Key: fmt.Sprintf("k%d", i), Version: 1},
 			Data: make([]byte, 400),
 		})
@@ -81,7 +83,7 @@ func TestChunkUpdates(t *testing.T) {
 	}
 }
 
-func lens(chunks [][]UpdateMsg) []int {
+func lens(chunks [][]*UpdateMsg) []int {
 	out := make([]int, len(chunks))
 	for i, c := range chunks {
 		out[i] = len(c)
@@ -117,10 +119,10 @@ func TestBatchedFlushDeliversAllKeys(t *testing.T) {
 	// Group commit actually grouped: 300 updates to 2 peers at 128
 	// entries/chunk is 6 RPCs, not 600.
 	wantChunks := int64(2 * ((keys + maxBatchEntries - 1) / maxBatchEntries))
-	if got := west.batch.chunks.Value(); got != wantChunks {
+	if got := west.queue.chunks.Value(); got != wantChunks {
 		t.Fatalf("batch chunks = %d, want %d", got, wantChunks)
 	}
-	if got := west.batch.updates.Value(); got != int64(2*keys) {
+	if got := west.queue.updates.Value(); got != int64(2*keys) {
 		t.Fatalf("batch updates = %d, want %d", got, 2*keys)
 	}
 }
@@ -140,35 +142,32 @@ func TestBatchedFlushPartialFailureHintsOnlyFailedEntries(t *testing.T) {
 		}
 	}
 	west.FlushQueue()
-	if got := west.QueueDepth(); got != 0 {
-		t.Fatalf("queue not drained: %d", got)
-	}
 	// The reachable peer received every entry despite the failed one.
 	if got := eu.local.Objects().Len(); got != keys {
 		t.Fatalf("eu-west holds %d keys, want %d", got, keys)
 	}
-	// Only the partitioned peer's entries were hinted — exactly all of them.
-	if got := west.repair.hints.PendingFor(east.Name()); got != keys {
-		t.Fatalf("hints pending for east = %d, want %d", got, keys)
+	// Only the partitioned peer's entries stay, as hints — exactly all of
+	// them.
+	if got := int(west.repairMetrics.HintsPending.Value()); got != keys {
+		t.Fatalf("hints = %d, want %d", got, keys)
 	}
-	if got := west.repair.hints.PendingFor(eu.Name()); got != 0 {
-		t.Fatalf("hints pending for eu-west = %d, want 0", got)
-	}
-	if got := west.batch.entryFailures.Value(); got != int64(keys) {
+	if got := west.queue.entryFailures.Value(); got != int64(keys) {
 		t.Fatalf("entry failures = %d, want %d", got, keys)
 	}
 
-	// Heal: hint replay converges the partitioned peer. Zero lost acked
-	// writes. Replay is ping-gated with backoff, so drive rounds until the
-	// hints drain rather than relying on a single pass.
+	// Heal: the next flush retries east's box, and only it: eu-west's
+	// entries left with their acks. Zero lost acked writes.
 	c.net.Heal(simnet.USWest, simnet.USEast)
-	deadline := time.Now().Add(5 * time.Second)
-	for east.local.Objects().Len() < keys {
-		west.repair.daemon.RunOnce()
-		if time.Now().After(deadline) {
-			t.Fatalf("east holds %d keys after replay, want %d", east.local.Objects().Len(), keys)
-		}
-		time.Sleep(time.Millisecond)
+	shipped := west.queue.updates.Value()
+	west.FlushQueue()
+	if got := west.queue.updates.Value() - shipped; got != keys {
+		t.Fatalf("the retry shipped %d updates, want %d (east's only)", got, keys)
+	}
+	if got := east.local.Objects().Len(); got != keys {
+		t.Fatalf("east holds %d keys after the retry, want %d", got, keys)
+	}
+	if got := west.QueueDepth(); got != 0 {
+		t.Fatalf("queue not drained after the retry: %d", got)
 	}
 }
 
@@ -191,9 +190,10 @@ func TestBatchedFlushRequeuesWithoutRepair(t *testing.T) {
 		}
 	}
 	west.FlushQueue()
-	// Without hints the failed entries must come back for the next flush.
+	// Without the repair subsystem the failed entries still stay in east's
+	// box for the next flush.
 	if got := west.QueueDepth(); got != keys {
-		t.Fatalf("queue depth after failed flush = %d, want %d (re-enqueued)", got, keys)
+		t.Fatalf("queue depth after failed flush = %d, want %d (still pending)", got, keys)
 	}
 	c.net.Heal(simnet.USWest, simnet.USEast)
 	west.FlushQueue()
@@ -212,7 +212,7 @@ func TestPerKeyAblationStillDelivers(t *testing.T) {
 	})
 	west := c.node(t, "pk/us-west")
 	east := c.node(t, "pk/us-east")
-	if west.batch.enabled() {
+	if west.queue.maxBytes > 0 {
 		t.Fatal("batching should be disabled by maxBatchBytes: false")
 	}
 	const keys = 20
@@ -225,7 +225,7 @@ func TestPerKeyAblationStillDelivers(t *testing.T) {
 	if got := east.local.Objects().Len(); got != keys {
 		t.Fatalf("east holds %d keys, want %d", got, keys)
 	}
-	if got := west.batch.chunks.Value(); got != 0 {
+	if got := west.queue.chunks.Value(); got != 0 {
 		t.Fatalf("per-key ablation issued %d batch chunks", got)
 	}
 }
@@ -258,7 +258,7 @@ func TestQueueDepthGaugeConsistent(t *testing.T) {
 	wg.Wait()
 	n.FlushQueue()
 	if got, want := n.queueDepth.Value(), float64(n.QueueDepth()); got != want {
-		t.Fatalf("queue depth gauge = %v, queue.Len() = %v", got, want)
+		t.Fatalf("queue depth gauge = %v, queue.out.Len() = %v", got, want)
 	}
 	if got := n.QueueDepth(); got != 0 {
 		t.Fatalf("queue depth after final flush = %d, want 0", got)
@@ -345,9 +345,9 @@ func TestRemoveSurfacesPeerFailure(t *testing.T) {
 	}
 }
 
-// TestAsyncPushCoalesces drives the batcher's async single-target path and
-// checks delivery (coalescing itself is timing-dependent; correctness is
-// that every update arrives exactly once under LWW).
+// TestAsyncPushCoalesces drives the outbox's immediate single-target path
+// and checks delivery without any flush (coalescing itself is
+// timing-dependent; correctness is that every update arrives under LWW).
 func TestAsyncPushCoalesces(t *testing.T) {
 	c := newCluster(t, simnet.USWest, simnet.USEast)
 	c.startSrc(t, "as", eventual2Src, map[string]string{"queueFlush": "10m"})
@@ -361,7 +361,7 @@ func TestAsyncPushCoalesces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		west.batch.pushAsync(east.Name(), UpdateMsg{Meta: meta, Data: []byte("v")})
+		west.queue.push(east.Name(), UpdateMsg{Meta: meta, Data: []byte("v")})
 	}
 	waitConverged(t, west, east, 5e9)
 }

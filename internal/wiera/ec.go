@@ -3,6 +3,7 @@ package wiera
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cost"
@@ -184,7 +185,7 @@ func (m *ecManager) stripe(e *globalPutExec, call *policy.ActionCall) error {
 			return err
 		}
 		e.meta, e.hasMeta = meta, true
-		m.n.queue.enqueue(UpdateMsg{Meta: meta, Data: e.data})
+		m.n.queue.out.Queue(UpdateMsg{Meta: meta, Data: e.data})
 		m.replPuts.Inc()
 		return nil
 	}
@@ -193,9 +194,8 @@ func (m *ecManager) stripe(e *globalPutExec, call *policy.ActionCall) error {
 
 // putEC encodes the object and stripes fragment bundles across members.
 // The writer's own bundle installs synchronously (the put is durable
-// locally before it acks); remote bundles ride the batched async
-// transport, with unreachable members' bundles hinted for replay — the
-// same acked-write guarantee the replication engines give.
+// locally before it acks); remote bundles ship at once through the outbox,
+// where an unreachable member's bundle waits for the next flush.
 func (m *ecManager) putEC(e *globalPutExec, members []string) error {
 	codec, err := m.codecFor(m.scheme)
 	if err != nil {
@@ -242,7 +242,7 @@ func (m *ecManager) putEC(e *globalPutExec, members []string) error {
 			selfInstalled = true
 			continue
 		}
-		m.n.batch.pushAsync(name, UpdateMsg{Meta: meta, Data: bundle})
+		m.n.queue.push(name, UpdateMsg{Meta: meta, Data: bundle})
 	}
 	if !selfInstalled {
 		return fmt.Errorf("wiera: stripe: node %s not in its own membership", m.n.name)
@@ -402,8 +402,8 @@ func (m *ecManager) handleECFrag(ctx context.Context, payload []byte) ([]byte, e
 // still correct (ECFrags records exactly what the payload holds), just
 // non-canonical placement.
 //
-// Hint replays do not come through here: a hint already carries the
-// bundle crafted for this member at write time and applies verbatim.
+// Outbox deliveries do not come through here: they carry the bundle
+// crafted for this member at write time and apply verbatim.
 func (m *ecManager) applyRepair(u repair.Update) bool {
 	if cur, err := m.n.local.Objects().Latest(u.Meta.Key); err == nil && !object.Newer(u.Meta, cur) {
 		// EC members share identical LWW tuples per version, so "not
@@ -421,7 +421,7 @@ func (m *ecManager) applyRepair(u repair.Update) bool {
 	}
 	total := u.Meta.ECK + u.Meta.ECM
 	want := ec.Assign(total, len(members), rank)
-	if rank >= 0 && equalInts(u.Meta.ECFrags, want) {
+	if rank >= 0 && slices.Equal(u.Meta.ECFrags, want) {
 		ok, err := m.n.local.ApplyRemote(ctx, u.Meta, u.Data)
 		return err == nil && ok
 	}
@@ -443,18 +443,6 @@ func (m *ecManager) applyRepair(u repair.Update) bool {
 		return true
 	}
 	return false
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // placementLocal is this node's row of a placement answer.

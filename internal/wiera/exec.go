@@ -118,35 +118,29 @@ func (e *globalPutExec) distribute(call *policy.ActionCall, sync bool) error {
 	if err != nil {
 		return err
 	}
-	if to != "all_regions" {
-		// Distribution to a single named instance/region. The shared queue
-		// fans out to every peer, so a single-target lazy update is sent
-		// directly (asynchronously) instead of being enqueued.
-		target, err := e.n.resolveTarget(to)
-		if err != nil {
-			return err
+	msg := UpdateMsg{Meta: e.meta, Data: e.data}
+	if to == "all_regions" {
+		if sync {
+			return e.n.fanOutSync(e.ctx, msg)
 		}
-		msg := UpdateMsg{Meta: e.meta, Data: e.data}
-		if !sync {
-			// Async delivery outlives the put's span; it goes through the
-			// batcher, which coalesces updates bound for the same peer while
-			// a push is in flight and hints failed entries so the update
-			// survives the target being partitioned or down.
-			e.n.batch.pushAsync(target, msg)
-			return nil
-		}
-		err = e.n.callPeer(e.ctx, target, MethodApplyUpdate, msg, nil)
-		if err != nil && e.n.repair != nil {
-			e.n.repair.addHint(target, msg)
-		}
+		e.n.queue.out.Queue(msg)
+		return nil
+	}
+	target, err := e.n.resolveTarget(to)
+	if err != nil {
 		return err
 	}
-	msg := UpdateMsg{Meta: e.meta, Data: e.data}
-	if sync {
-		return e.n.fanOutSync(e.ctx, msg)
+	if !sync {
+		// A single-target lazy update ships at once, outliving the put's
+		// span, and waits in the target's outbox while it is unreachable.
+		e.n.queue.push(target, msg)
+		return nil
 	}
-	e.n.queue.enqueue(msg)
-	return nil
+	err = e.n.callPeer(e.ctx, target, MethodApplyUpdate, msg, nil)
+	if err != nil {
+		e.n.queue.out.Hint(target, msg)
+	}
+	return err
 }
 
 // Assign implements policy.Executor (no assignable attributes at the

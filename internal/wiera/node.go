@@ -1,6 +1,7 @@
 package wiera
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -89,8 +90,7 @@ type Node struct {
 	controlEvents []*policy.CompiledEvent
 
 	gate    *opGate
-	queue   *updateQueue
-	batch   *batcher       // chunked group-commit replication fan-out
+	queue   *updateQueue   // the replication send path: outbox, flush timer, batches
 	ecm     *ecManager     // erasure-coded distribution (stripe action)
 	repair  *repairManager // nil when antiEntropy=false
 	shards  *shardManager  // inert (accepts every key) until a RingMsg arrives
@@ -131,6 +131,7 @@ type Node struct {
 	// refused or never received (releaseLock).
 	releaseFailures *telemetry.Counter
 	queueDepth      *telemetry.Gauge
+	repairMetrics   *repair.Metrics // repair_*, shared by the outbox and the repair manager
 	closed          bool
 }
 
@@ -203,7 +204,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		"Keys with updates queued for lazy propagation.", "node", "region").
 		With(cfg.Name, region)
 	n.shards = newShardManager(n)
-	n.batch = newBatcher(n, cfg.Params.Queue.MaxBatchBytes)
 	n.ecm = newECManager(n, cfg)
 	n.heat = newHeatTracker(n, cfg)
 	n.tenants = newTenantManager(n, cfg)
@@ -226,7 +226,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 		n.locks = cli
 	}
-	n.queue = newUpdateQueue(n, cfg.Params.Queue.Flush, cfg.Params.Queue.Supersede)
+	n.repairMetrics = repair.NewMetrics(reg, cfg.Name, region)
+	n.queue = newUpdateQueue(n, cfg.Params, n.repairMetrics)
 	if cfg.Params.Repair.AntiEntropy >= 0 {
 		n.repair = newRepairManager(n, cfg)
 	}
@@ -246,9 +247,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	ep.Serve(n.handle)
 	n.queue.start()
-	if n.repair != nil {
-		n.repair.start()
-	}
+	n.repair.start()
 	n.sloEngine.Start()
 	n.heat.start()
 	local.Start()
@@ -482,7 +481,11 @@ func (s *opScope) end(err *error, payload *[]byte) {
 	s.span.End()
 }
 
-// Put stores data under key through the global policy.
+// Put stores data under key through the global policy. Replication keeps
+// data without copying it: the outbox and the pushes to peers hold the
+// caller's buffer until every peer has acked the update, so the caller must
+// not modify data after the call. Requests arriving over TCP satisfy this,
+// since the transport never reuses a read buffer.
 func (n *Node) Put(ctx context.Context, key string, data []byte, tags []string) (object.Meta, error) {
 	return n.put(ctx, key, data, tags, true)
 }
@@ -780,10 +783,9 @@ func (n *Node) callPeerRaw(ctx context.Context, target, method string, payload [
 }
 
 // fanOutSync pushes an update to every peer synchronously, in parallel,
-// returning when all have acknowledged (or any fails). A peer that cannot
-// be reached gets the update queued as a hint, so an acknowledged write is
-// never lost to a partition or crash: the repair daemon replays it when the
-// peer answers pings again.
+// returning when all have acknowledged (or any fails). An update a peer
+// did not acknowledge stays in that peer's outbox box, so an acknowledged
+// write is never lost to a partition or crash: the flush timer retries it.
 func (n *Node) fanOutSync(ctx context.Context, msg UpdateMsg) error {
 	peers := n.Peers()
 	if len(peers) == 0 {
@@ -799,14 +801,9 @@ func (n *Node) fanOutSync(ctx context.Context, msg UpdateMsg) error {
 	})
 	var firstErr error
 	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		if n.repair != nil {
-			n.repair.addHint(peers[i].Name, msg)
+		if err != nil {
+			n.queue.out.Hint(peers[i].Name, msg)
+			firstErr = cmp.Or(firstErr, err)
 		}
 	}
 	return firstErr
@@ -945,7 +942,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		if err := transport.Decode(payload, &msg); err != nil {
 			return nil, err
 		}
-		// Replica updates for keys this shard no longer owns (hint replays,
+		// Replica updates for keys this shard no longer owns (outbox retries,
 		// queued fan-outs from before a rebalance) redirect to the owner.
 		accepted, err := n.shards.applyOrForward(ctx, msg)
 		if err != nil {
@@ -959,7 +956,7 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		}
 		// Entries are independent: each applies (or forwards) under LWW and
 		// acks individually, so one bad entry fails only itself and the
-		// sender retries/hints just that entry.
+		// sender retries just that entry.
 		resp := UpdateBatchResponse{Acks: make([]BatchAck, len(req.Updates))}
 		for i, msg := range req.Updates {
 			accepted, err := n.shards.applyOrForward(ctx, msg)
@@ -1111,7 +1108,7 @@ func (n *Node) SyncFrom(peer string) error {
 func (n *Node) FlushQueue() { n.queue.flushNow() }
 
 // QueueDepth reports how many keys currently have queued updates.
-func (n *Node) QueueDepth() int { return n.queue.Len() }
+func (n *Node) QueueDepth() int { return n.queue.out.Len() }
 
 // prepareChange drains in-flight operations and the update queue, then
 // blocks new operations until commitChange.
@@ -1205,9 +1202,7 @@ func (n *Node) Close() error {
 	n.queue.stop()
 	n.sloEngine.Stop()
 	n.heat.stopLoop()
-	if n.repair != nil {
-		n.repair.stop()
-	}
+	n.repair.stop()
 	if n.locks != nil {
 		_ = n.locks.Close()
 	}
@@ -1224,14 +1219,12 @@ func (n *Node) Crash() {
 	n.mu.Unlock()
 	n.gate.kill()
 	n.tenants.close()
+	// The outbox is in memory and dies with the node: the respawned node
+	// bootstraps from its peers, and Merkle sync covers the rest.
 	n.queue.stop()
 	n.sloEngine.Stop()
 	n.heat.stopLoop()
-	if n.repair != nil {
-		// Hints are in memory and die with the node; the respawned node
-		// bootstraps from its peers and the Merkle sync covers the rest.
-		n.repair.stop()
-	}
+	n.repair.stop()
 	n.fabric.Remove(n.name)
 	unregisterNode(n.name)
 	n.local.CrashVolatile()

@@ -42,10 +42,10 @@ type Params struct {
 		MaxBatchBytes int64 // <= 0: no batching, one fan-out RPC per queued update
 	}
 	Repair struct {
-		// AntiEntropy is the Merkle sync round period. 0 runs hinted handoff
-		// and read repair only: a periodic full sync would replicate keys a
-		// placement policy deliberately keeps local. Negative
-		// (antiEntropy=false) switches the repair subsystem off.
+		// AntiEntropy is the Merkle sync round period. 0 runs read repair
+		// only: a periodic full sync would replicate keys a placement policy
+		// deliberately keeps local. Negative (antiEntropy=false) switches
+		// read repair and the repair RPCs off; the outbox retries either way.
 		AntiEntropy time.Duration
 	}
 	EC struct {
@@ -137,11 +137,11 @@ var options = []option{
 	{key: "queueFlush", kind: kDuration, dst: func(p *Params) any { return &p.Queue.Flush }, def: "500ms",
 		doc: "background propagation period for queued updates"},
 	{key: "queueSupersede", kind: kBool, dst: func(p *Params) any { return &p.Queue.Supersede }, def: "true",
-		doc: "a newer queued update replaces an older one of the same key (false: ablation)"},
+		doc: "a newer pending update replaces an older one of the same key for the same peer (false: ablation)"},
 	{key: "maxBatchBytes", kind: kBytesOrFalse, dst: func(p *Params) any { return &p.Queue.MaxBatchBytes }, def: "1M",
-		doc: "payload budget of one replication batch chunk (false: one RPC per update)"},
+		doc: "payload budget of one replication batch chunk (false: one RPC per pending update)"},
 	{key: "antiEntropy", kind: kDurationOrFalse, dst: func(p *Params) any { return &p.Repair.AntiEntropy },
-		doc: "Merkle sync round period (default: hinted handoff and read repair only; false: repair off)"},
+		doc: "Merkle sync round period (default: read repair only; false: repair off)"},
 
 	{key: "ecScheme", kind: kScheme, dst: func(p *Params) any { return &p.EC.Scheme }, def: "4+2",
 		doc: "data+parity fragments the stripe action codes with"},

@@ -177,6 +177,10 @@ type UpdateMsg struct {
 	Forwarded bool
 }
 
+// Entry returns the update's LWW summary, which makes it an outbox
+// shipment (repair.Shipment).
+func (m UpdateMsg) Entry() repair.Entry { return repair.EntryOf(m.Meta) }
+
 // UpdateAck reports whether the update won at the receiver.
 type UpdateAck struct {
 	Accepted bool
@@ -191,7 +195,7 @@ type UpdateBatchRequest struct {
 }
 
 // BatchAck is the per-entry outcome of a batched update. Err carries an
-// apply failure (the entry must be retried or hinted); Accepted false with
+// apply failure (the entry stays in the sender's outbox); Accepted false with
 // an empty Err means the entry simply lost LWW at the receiver, which is a
 // success for replication purposes.
 type BatchAck struct {

@@ -4,203 +4,223 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/flight"
-	"repro/internal/object"
+	"repro/internal/repair"
+	"repro/internal/spawn"
+	"repro/internal/telemetry"
+	"repro/internal/transport"
 )
 
-// updateQueue implements the queue response (Sec 3.2.3): updates enqueued
-// for lazy background distribution to other replicas. A newer version of a
-// key supersedes an older queued one (only the newest matters under
-// last-writer-wins), reducing update traffic. Applications choose the
-// flush period in NodeConfig ("applications can specify how frequently
-// queued updates need to be distributed", Sec 3.3.1).
+// A batch chunk carries at most maxBatchEntries updates and about
+// maxBatchBytes of payload (the option; drainBatchBytes where batching is
+// off but chunks stay bounded), counting batchEntryOverhead bytes of
+// framing per entry.
+const (
+	drainBatchBytes    = 1 << 20
+	maxBatchEntries    = 128
+	batchEntryOverhead = 64
+)
+
+// updateQueue is the node's replication send path: the outbox
+// (repair.Outbox), the flush timer that drains it and the RPCs that ship
+// it. The queue response (Sec 3.2.3) enqueues for every peer, a
+// single-target async update ships to its peer at once, and an update a
+// synchronous copy could not deliver stays in that peer's box. The flush
+// timer retries whatever is pending; applications choose its period
+// (Sec 3.3.1). A drain ships a peer's entries as MethodApplyUpdateBatch
+// chunks, paying the WAN round trip per chunk rather than per key, and the
+// receiver acks entry by entry, so only failed entries stay.
 type updateQueue struct {
-	n      *Node
-	period time.Duration
-	// supersede drops older queued versions of a key when a newer one is
-	// enqueued (LWW makes only the newest matter). Disabled only by the
-	// ablation that quantifies the saved update traffic.
-	supersede bool
+	n        *Node
+	period   time.Duration
+	maxBytes int64 // per-chunk payload budget; <= 0 disables batching
+	out      *repair.Outbox[UpdateMsg]
+	quit     chan struct{}
+	stopOnce sync.Once
 
-	// flushMu serializes whole flush operations (drain + delivery), so a
-	// caller returning from flushNow knows every previously queued update
-	// has been delivered — prepareChange relies on this drain guarantee.
-	flushMu sync.Mutex
-
-	mu      sync.Mutex
-	pending map[string]UpdateMsg // key -> newest queued update
-	order   []string             // FIFO of keys with pending updates
-	stopCh  chan struct{}
-	started bool
+	flushes       *telemetry.Counter // repl_batch_flushes_total
+	chunks        *telemetry.Counter // repl_batch_chunks_total
+	updates       *telemetry.Counter // repl_batch_updates_total
+	bytes         *telemetry.Counter // repl_batch_bytes_total
+	entryFailures *telemetry.Counter // repl_batch_entry_failures_total
 }
 
-func newUpdateQueue(n *Node, period time.Duration, supersede bool) *updateQueue {
-	return &updateQueue{n: n, period: period, supersede: supersede, pending: make(map[string]UpdateMsg)}
-}
-
-// enqueue registers an update for background propagation.
-func (q *updateQueue) enqueue(msg UpdateMsg) {
-	q.mu.Lock()
-	if !q.supersede {
-		// Ablation mode: every update is shipped individually.
-		key := fmt.Sprintf("%s#%d", msg.Meta.Key, len(q.order))
-		q.order = append(q.order, key)
-		q.pending[key] = msg
-		// The gauge is set while still holding q.mu: a Set after unlock
-		// could clobber a concurrent flush's (or enqueue's) newer depth.
-		q.n.queueDepth.Set(float64(len(q.pending)))
-		q.mu.Unlock()
-		return
+func newUpdateQueue(n *Node, p Params, metrics *repair.Metrics) *updateQueue {
+	reg := n.fabric.Metrics()
+	counter := func(name, help string) *telemetry.Counter {
+		return reg.Counter(name, help, "node", "region").With(n.name, string(n.region))
 	}
-	cur, ok := q.pending[msg.Meta.Key]
-	if !ok {
-		q.order = append(q.order, msg.Meta.Key)
+	return &updateQueue{
+		n: n, period: p.Queue.Flush, maxBytes: p.Queue.MaxBatchBytes,
+		out:  repair.NewOutbox[UpdateMsg](p.Queue.Supersede, metrics, n.queueDepth),
+		quit: make(chan struct{}),
+		flushes: counter("repl_batch_flushes_total",
+			"Batched replication fan-outs (one per queue flush with pending updates)."),
+		chunks: counter("repl_batch_chunks_total",
+			"ApplyUpdateBatch RPCs issued (one per chunk per peer)."),
+		updates: counter("repl_batch_updates_total",
+			"Updates shipped inside batched replication RPCs."),
+		bytes: counter("repl_batch_bytes_total",
+			"Encoded payload bytes shipped inside batched replication RPCs."),
+		entryFailures: counter("repl_batch_entry_failures_total",
+			"Batch entries that failed (RPC error or per-entry apply error)."),
 	}
-	// LWW-aware supersession: only a strictly newer version replaces the
-	// queued one, so a failed flush re-enqueueing an old version cannot
-	// clobber an update the application made in the meantime. The key is
-	// never appended to order twice, so a hot key re-enqueued in a loop
-	// keeps the FIFO bounded by the number of distinct keys.
-	if !ok || object.Newer(msg.Meta, cur.Meta) {
-		q.pending[msg.Meta.Key] = msg
-	}
-	// Under q.mu for the same reason as above: gauge updates must be
-	// ordered with the depth changes they report.
-	q.n.queueDepth.Set(float64(len(q.pending)))
-	q.mu.Unlock()
 }
 
-// Len reports how many keys have queued updates.
-func (q *updateQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.pending)
+// push ships an update to one peer now, coalescing with updates bound for
+// that peer while a push to it is in flight. What it cannot deliver waits
+// for the flush timer.
+func (q *updateQueue) push(peer string, msg UpdateMsg) {
+	if q.out.Push(peer, msg) {
+		spawn.Go(func() { q.out.Run(context.Background(), peer, q.send) })
+	}
 }
 
-// start launches the background flusher.
+// start launches the flush timer; stop ends it without flushing.
 func (q *updateQueue) start() {
-	q.mu.Lock()
-	if q.started {
-		q.mu.Unlock()
-		return
-	}
-	q.started = true
-	q.stopCh = make(chan struct{})
-	stop := q.stopCh
-	q.mu.Unlock()
-	go q.loop(stop)
-}
-
-func (q *updateQueue) loop(stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		case <-q.n.clk.After(q.period):
-			q.flushNow()
+	go func() {
+		for {
+			select {
+			case <-q.quit:
+				return
+			case <-q.n.clk.After(q.period):
+				q.flushNow()
+			}
 		}
-	}
+	}()
 }
 
-// flushNow synchronously distributes all queued updates; on return every
-// update queued before the call has been delivered (or its peer found
-// unreachable).
+func (q *updateQueue) stop() { q.stopOnce.Do(func() { close(q.quit) }) }
+
+// flushNow hands every update queued for all peers to the current members
+// and drains every member's box once, all peers in parallel; on return
+// every entry pending before the call has been tried against its peer. A
+// peer whose drain shipped entries and lost none feeds its latency to the
+// latency monitor and the replication histogram, the signal the
+// DynamicConsistency and SLOSwitch policies read a degraded WAN from.
 func (q *updateQueue) flushNow() {
-	q.flushMu.Lock()
-	defer q.flushMu.Unlock()
-	q.mu.Lock()
-	if len(q.pending) == 0 {
-		q.mu.Unlock()
+	if q.out.Len() == 0 {
 		return
 	}
-	batch := make([]UpdateMsg, 0, len(q.order))
-	for _, key := range q.order {
-		if msg, ok := q.pending[key]; ok {
-			batch = append(batch, msg)
-		}
-	}
-	q.pending = make(map[string]UpdateMsg)
-	q.order = q.order[:0]
-	// Gauge update stays inside q.mu: setting it after unlock would race a
-	// concurrent enqueue and clobber its (correct, non-zero) depth.
-	q.n.queueDepth.Set(0)
-	q.mu.Unlock()
-
-	for _, msg := range batch {
-		if !q.n.shards.ownsKey(msg.Meta.Key) {
+	peers := q.n.Peers()
+	queued := q.out.Spread(peerNames(peers))
+	for _, u := range queued {
+		if !q.n.shards.ownsKey(u.Meta.Key) {
 			// A rebalance moved this key away between enqueue and flush. The
 			// group fan-out below still reaches the other regions (their old
 			// owners redirect strays onward), but no group member covers this
 			// node's own region anymore — hand the update to the in-region
 			// owner directly so it cannot be stranded here.
-			_, _ = q.n.shards.applyOrForward(context.Background(), msg)
+			_, _ = q.n.shards.applyOrForward(context.Background(), *u)
 		}
 	}
-
-	if q.n.batch.enabled() {
-		// Group commit: all peers in parallel, one RPC per chunk, so the
-		// flush pays the WAN round trip per chunk rather than per key. The
-		// batcher observes per-peer push latency into the latency monitor
-		// and the replication histogram (the DynamicConsistency / SLOSwitch
-		// recovery signal the per-key path used to feed).
-		fa := q.n.flightRec.Begin("repl-flush", "", q.n.name, string(q.n.region), q.n.PolicyName())
-		ctx := flight.NewContext(context.Background(), fa)
-		failed := q.n.batch.fanOut(ctx, batch)
-		var retErr error
-		for i, msg := range batch {
-			if !failed[i] {
-				continue
-			}
-			if retErr == nil {
-				retErr = fmt.Errorf("wiera: flush: %d of %d updates failed", countTrue(failed), len(batch))
-			}
-			// Failed entries were hinted per peer by the batcher when repair
-			// is enabled; without it, re-enqueue so they retry next flush.
-			// LWW supersession keeps the retry from clobbering newer queued
-			// versions.
-			if q.n.repair == nil {
-				q.enqueue(msg)
-			}
-		}
-		fa.End(retErr)
-		return
+	if len(queued) > 0 && len(peers) > 0 && q.maxBytes > 0 {
+		q.flushes.Inc()
 	}
-
-	// Per-key ablation (maxBatchBytes: false): one fan-out RPC per queued
-	// update, serially — the baseline the batchflush experiment measures
-	// against.
-	for _, msg := range batch {
+	fa := q.n.flightRec.Begin("repl-flush", "", q.n.name, string(q.n.region), q.n.PolicyName())
+	ctx := flight.NewContext(context.Background(), fa)
+	var notAcked atomic.Int64
+	eachPeer(peers, func(_ int, p PeerInfo) {
 		start := q.n.clk.Now()
-		err := q.n.fanOutSync(context.Background(), msg)
-		if err == nil {
+		sent, failed := q.out.Drain(ctx, p.Name, q.send)
+		if sent > 0 && failed == 0 {
 			elapsed := q.n.clk.Since(start)
 			q.n.latMon.observe(elapsed)
 			q.n.ReplLatency.Record(elapsed)
-		} else if q.n.repair == nil {
-			q.enqueue(msg)
 		}
+		notAcked.Add(int64(failed))
+	})
+	var retErr error
+	if n := notAcked.Load(); n > 0 {
+		retErr = fmt.Errorf("wiera: flush: %d updates not delivered", n)
 	}
+	fa.End(retErr)
 }
 
-// countTrue counts set flags (failure accounting for flush flight records).
-func countTrue(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
+// caps returns the effective chunk bounds. Paths that must stay bounded
+// regardless of the ablation (the shard drain) get the defaults even when
+// batching is disabled for replication.
+func (q *updateQueue) caps() (maxBytes int64, maxEntries int) {
+	if q.maxBytes > 0 {
+		return q.maxBytes, maxBatchEntries
 	}
-	return n
+	return drainBatchBytes, maxBatchEntries
 }
 
-// stop terminates the flusher without flushing.
-func (q *updateQueue) stop() {
-	q.mu.Lock()
-	if q.started {
-		close(q.stopCh)
-		q.started = false
+// chunkUpdates splits us into contiguous chunks bounded by the entry and
+// byte caps. A single oversized update still ships (every chunk holds at
+// least one entry); order is preserved.
+func (q *updateQueue) chunkUpdates(us []*UpdateMsg) [][]*UpdateMsg {
+	if len(us) == 0 {
+		return nil
 	}
-	q.mu.Unlock()
+	maxBytes, maxEntries := q.caps()
+	var out [][]*UpdateMsg
+	start := 0
+	var curBytes int64
+	for i := range us {
+		sz := int64(len(us[i].Data)) + batchEntryOverhead
+		if i > start && (curBytes+sz > maxBytes || i-start >= maxEntries) {
+			out = append(out, us[start:i])
+			start, curBytes = i, 0
+		}
+		curBytes += sz
+	}
+	return append(out, us[start:])
+}
+
+// send implements repair.Sender: it ships us to peer and returns the
+// indices of the entries peer did not ack — every entry from the first
+// failed RPC on, and single entries whose apply failed. An entry that lost
+// LWW at the receiver is not a failure. Each chunk's updates are copied
+// into one buffer for encoding, so a drain holds one chunk's copies, not the
+// whole box's.
+func (q *updateQueue) send(ctx context.Context, peer string, us []*UpdateMsg) []int {
+	var failed []int
+	rest := func(from int) []int {
+		for i := from; i < len(us); i++ {
+			failed = append(failed, i)
+		}
+		return failed
+	}
+	if q.maxBytes <= 0 {
+		// Per-key ablation: one ApplyUpdate RPC per update.
+		for i, u := range us {
+			if err := q.n.callPeer(ctx, peer, MethodApplyUpdate, *u, nil); err != nil {
+				return rest(i)
+			}
+		}
+		return nil
+	}
+	buf := make([]UpdateMsg, 0, min(len(us), maxBatchEntries))
+	base := 0
+	for _, chunk := range q.chunkUpdates(us) {
+		buf = buf[:0]
+		for _, u := range chunk {
+			buf = append(buf, *u)
+		}
+		var resp UpdateBatchResponse
+		payload, err := transport.Encode(UpdateBatchRequest{Updates: buf})
+		if err == nil {
+			q.chunks.Inc()
+			q.updates.Add(int64(len(chunk)))
+			q.bytes.Add(int64(len(payload)))
+			err = q.n.callPeerRaw(ctx, peer, MethodApplyUpdateBatch, payload, &resp)
+		}
+		if err != nil || len(resp.Acks) != len(chunk) {
+			q.entryFailures.Add(int64(len(chunk)))
+			return rest(base)
+		}
+		for i, ack := range resp.Acks {
+			if ack.Err != "" {
+				failed = append(failed, base+i)
+				q.entryFailures.Inc()
+			}
+		}
+		base += len(chunk)
+	}
+	return failed
 }

@@ -3,7 +3,6 @@ package wiera
 import (
 	"context"
 	"sync"
-	"time"
 
 	"repro/internal/object"
 	"repro/internal/repair"
@@ -11,48 +10,47 @@ import (
 	"repro/internal/transport"
 )
 
-// repairManager owns a node's anti-entropy machinery: the hinted-handoff
-// log, the background Merkle-sync daemon, read-repair scheduling, and the
-// server side of the four repair RPCs. It adapts the node's Tiera instance
-// and RPC fabric to the transport-agnostic interfaces in internal/repair.
+// repairManager owns a node's anti-entropy machinery: the background
+// Merkle-sync daemon, read-repair scheduling, and the server side of the
+// four repair RPCs. It adapts the node's Tiera instance and RPC fabric to
+// the transport-agnostic interfaces in internal/repair.
 type repairManager struct {
 	n       *Node
 	metrics *repair.Metrics
-	hints   *repair.HintLog
-	daemon  *repair.Daemon
+	daemon  *repair.Daemon // nil unless antiEntropy is a positive period
 	geo     repair.Geometry
 
 	mu       sync.Mutex
 	inflight map[string]bool // keys with a read repair already scheduled
 }
 
-// newRepairManager assembles the subsystem. Hints live in memory: a crash
-// loses them, and the Merkle sync plus the respawned node's bootstrap from
-// its peers cover the gap.
+// newRepairManager assembles the subsystem. Merkle sync runs only with a
+// positive antiEntropy period: a placement policy decides what each replica
+// holds, and unsolicited sync would replicate keys it keeps local.
 func newRepairManager(n *Node, cfg NodeConfig) *repairManager {
 	m := &repairManager{
 		n:        n,
-		metrics:  repair.NewMetrics(n.fabric.Metrics(), n.name, string(n.region)),
+		metrics:  n.repairMetrics,
 		geo:      repair.DefaultGeometry,
 		inflight: make(map[string]bool),
 	}
-	m.hints = repair.NewHintLog(m.metrics)
-	m.daemon = repair.NewDaemon(n.clk, nodeStore{n}, m.hints, nodeCluster{n}, m.geo, cfg.Params.Repair.AntiEntropy, m.metrics)
-	m.daemon.AttachJournal(n.fabric.Events(), n.name)
-	if cfg.Params.Repair.AntiEntropy == 0 {
-		m.daemon.DisableSync() // hinted handoff and read repair only
+	if period := cfg.Params.Repair.AntiEntropy; period > 0 {
+		m.daemon = repair.NewDaemon(n.clk, nodeStore{n}, nodeCluster{n}, m.geo, period,
+			m.metrics, n.fabric.Events(), n.name)
 	}
 	return m
 }
 
-func (m *repairManager) start() { m.daemon.Start() }
+func (m *repairManager) start() {
+	if m != nil && m.daemon != nil {
+		m.daemon.Start()
+	}
+}
 
-func (m *repairManager) stop() { m.daemon.Stop() }
-
-// addHint records an update that failed to reach peer; the daemon replays
-// it once the peer answers pings again.
-func (m *repairManager) addHint(peer string, msg UpdateMsg) {
-	m.hints.Add(peer, repair.Update{Meta: msg.Meta, Data: msg.Data})
+func (m *repairManager) stop() {
+	if m != nil && m.daemon != nil {
+		m.daemon.Stop()
+	}
 }
 
 // scheduleKeyRepair asynchronously reconciles one key with every peer: pull
@@ -159,11 +157,10 @@ func (m *repairManager) handle(ctx context.Context, method string, payload []byt
 		}
 		accepted := 0
 		for _, u := range req.Updates {
-			// Erasure-coded versions go through the EC manager: a hint
-			// replay carries exactly this member's fragment bundle and
-			// installs verbatim, while a Merkle-sync push carries the
-			// sender's bundle and triggers regeneration of our own
-			// fragments from parity.
+			// Erasure-coded versions go through the EC manager: a bundle
+			// holding exactly this member's fragments installs verbatim,
+			// while a Merkle-sync push carries the sender's bundle and
+			// triggers regeneration of our own fragments from parity.
 			if u.Meta.IsEC() {
 				if m.n.ecm.applyRepair(repair.Update{Meta: u.Meta, Data: u.Data}) {
 					accepted++
@@ -171,7 +168,7 @@ func (m *repairManager) handle(ctx context.Context, method string, payload []byt
 				continue
 			}
 			// Ownership-aware apply: a push for a key this shard no longer
-			// owns (a hint replayed after a rebalance) redirects to the
+			// owns (one migrated by a rebalance) redirects to the
 			// in-region owner instead of stranding a version here.
 			if ok, err := m.n.shards.applyOrForward(ctx, u); err == nil && ok {
 				accepted++
@@ -236,8 +233,9 @@ func (s nodeStore) Apply(u repair.Update) bool {
 type nodeCluster struct{ n *Node }
 
 // Peers implements repair.Cluster.
-func (c nodeCluster) Peers() []string {
-	peers := c.n.Peers()
+func (c nodeCluster) Peers() []string { return peerNames(c.n.Peers()) }
+
+func peerNames(peers []PeerInfo) []string {
 	out := make([]string, len(peers))
 	for i, p := range peers {
 		out[i] = p.Name
@@ -247,11 +245,6 @@ func (c nodeCluster) Peers() []string {
 
 // Client implements repair.Cluster.
 func (c nodeCluster) Client(peer string) repair.PeerClient { return rpcPeer{n: c.n, peer: peer} }
-
-// Alive implements repair.Cluster with a ping round trip.
-func (c nodeCluster) Alive(peer string) bool {
-	return c.n.callPeer(context.Background(), peer, MethodPing, PingMsg{}, nil) == nil
-}
 
 // rpcPeer adapts one remote replica to repair.PeerClient over the fabric.
 // Repair RPCs run outside any application trace and flight record.
@@ -300,22 +293,4 @@ func (p rpcPeer) Push(updates []repair.Update) (int, error) {
 		return 0, err
 	}
 	return resp.Accepted, nil
-}
-
-// repairStats snapshots the repair counters for NodeStats; zero when the
-// subsystem is disabled.
-func (m *repairManager) statsSnapshot() (pending int, repaired, readRepairs, replayed int64) {
-	if m == nil {
-		return 0, 0, 0, 0
-	}
-	return m.hints.Pending(), m.metrics.KeysRepaired.Value(),
-		m.metrics.ReadRepairs.Value(), m.metrics.HintsReplayed.Value()
-}
-
-// antiEntropyPeriod is the effective daemon period (0 when disabled).
-func (m *repairManager) antiEntropyPeriod() time.Duration {
-	if m == nil {
-		return 0
-	}
-	return m.daemon.Period()
 }

@@ -75,19 +75,23 @@ func TestFlushFailureBecomesHintThenReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drive the flush deterministically: delivery to the partitioned east
-	// fails, and the update must land in the hint log, not vanish.
+	// fails, and the update must stay in east's outbox box as a hint, not
+	// vanish.
 	west.queue.flushNow()
-	if west.queue.Len() != 0 {
-		t.Fatalf("queue not drained: %d", west.queue.Len())
+	if got := west.queue.out.Len(); got != 1 {
+		t.Fatalf("queue depth = %d, want 1", got)
 	}
-	if got := west.repair.hints.PendingFor(east.Name()); got != 1 {
-		t.Fatalf("hints pending for east = %d, want 1", got)
+	if got := int(west.repairMetrics.HintsPending.Value()); got != 1 {
+		t.Fatalf("hints = %d, want 1", got)
 	}
 
 	c.net.Heal(simnet.USWest, simnet.USEast)
-	west.repair.daemon.RunOnce()
-	if got := west.repair.hints.Pending(); got != 0 {
+	west.queue.flushNow()
+	if got := int(west.repairMetrics.HintsPending.Value()); got != 0 {
 		t.Fatalf("hints still pending after heal: %d", got)
+	}
+	if got := west.repairMetrics.HintsReplayed.Value(); got != 1 {
+		t.Fatalf("hints replayed = %d, want 1", got)
 	}
 	if _, err := east.local.Objects().Latest("k1"); err != nil {
 		t.Fatal("east never received the hinted update")
@@ -107,8 +111,8 @@ func TestCrashedPeerMidFlushDoesNotLoseUpdate(t *testing.T) {
 	// Kill the peer while its update is still queued, then flush.
 	east.Crash()
 	west.queue.flushNow()
-	if got := west.repair.hints.PendingFor("cr/us-east"); got != 1 {
-		t.Fatalf("hints pending for crashed east = %d, want 1", got)
+	if got := int(west.repairMetrics.HintsPending.Value()); got != 1 {
+		t.Fatalf("hints for crashed east = %d, want 1", got)
 	}
 
 	// The control plane respawns the replica under a new name and
@@ -125,11 +129,11 @@ func TestCrashedPeerMidFlushDoesNotLoseUpdate(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Hints for the dead name are garbage-collected once the daemon sees
-	// the new membership.
-	west.repair.daemon.RunOnce()
-	if got := west.repair.hints.PendingFor("cr/us-east"); got != 0 {
-		t.Fatalf("hints for departed peer not dropped: %d", got)
+	// The dead name's box is dropped at the first flush under the new
+	// membership.
+	west.queue.flushNow()
+	if got := west.repairMetrics.HintsDropped.Value(); got != 1 || west.queue.out.Len() != 0 {
+		t.Fatalf("departed peer's entry not dropped: dropped %d, depth %d", got, west.queue.out.Len())
 	}
 	waitConverged(t, west, respawned, 2*time.Second)
 }
@@ -145,25 +149,20 @@ func TestQueueSupersedeKeepsNewestAndBoundsOrder(t *testing.T) {
 		return UpdateMsg{Meta: object.Meta{Key: "hot", Version: object.Version(ver),
 			ModifiedAt: now.Add(time.Duration(ver)), Origin: n.Name()}}
 	}
-	q.enqueue(mk(5))
-	// A re-enqueued older version (failed-flush retry racing a fresh put)
-	// must not clobber the newer queued one.
-	q.enqueue(mk(3))
-	q.mu.Lock()
-	got := q.pending["hot"].Meta.Version
-	q.mu.Unlock()
-	if got != 5 {
-		t.Fatalf("queued version = %d, want 5 (older re-enqueue clobbered newer)", got)
-	}
-	// A hot key updated in a loop keeps the FIFO bounded at one slot.
+	q.out.Queue(mk(5))
+	// A re-enqueued older version (a late enqueue racing a fresh put) must
+	// not clobber the newer queued one.
+	q.out.Queue(mk(3))
+	// A hot key updated in a loop keeps one entry.
 	for v := int64(6); v < 1000; v++ {
-		q.enqueue(mk(v))
+		q.out.Queue(mk(v))
 	}
-	q.mu.Lock()
-	orderLen := len(q.order)
-	q.mu.Unlock()
-	if orderLen != 1 || q.Len() != 1 {
-		t.Fatalf("order=%d pending=%d, want 1/1 for a single hot key", orderLen, q.Len())
+	q.out.Queue(mk(3))
+	if q.out.Len() != 1 {
+		t.Fatalf("queue depth = %d, want 1 for a single hot key", q.out.Len())
+	}
+	if got := q.out.Spread(nil); len(got) != 1 || got[0].Meta.Version != 999 {
+		t.Fatalf("queued %+v, want exactly v999", got)
 	}
 }
 
@@ -182,17 +181,107 @@ func TestQueueReenqueuesWhenRepairDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	west.queue.flushNow()
-	if west.queue.Len() != 1 {
-		t.Fatalf("undeliverable update not re-enqueued: queue len %d", west.queue.Len())
+	if west.queue.out.Len() != 1 {
+		t.Fatalf("undeliverable update left the outbox: queue len %d", west.queue.out.Len())
 	}
 	c.net.Heal(simnet.USWest, simnet.USEast)
 	west.queue.flushNow()
-	if west.queue.Len() != 0 {
-		t.Fatalf("queue not drained after heal: %d", west.queue.Len())
+	if west.queue.out.Len() != 0 {
+		t.Fatalf("queue not drained after heal: %d", west.queue.out.Len())
 	}
 	if _, err := east.local.Objects().Latest("k1"); err != nil {
 		t.Fatal("east missing k1 after retried flush")
 	}
+}
+
+// queueToEastSrc sends each put lazily to one named region instead of all.
+const queueToEastSrc = `
+Wiera QueueToEast {
+	Region1 = {name: LowLatencyInstance, region: us-west,
+		tier1 = {name: memory, size: 5G}};
+	Region2 = {name: LowLatencyInstance, region: us-east,
+		tier1 = {name: memory, size: 5G}};
+	event(insert.into) : response {
+		store(what: insert.object, to: local_instance);
+		queue(what: insert.object, to: us-east);
+	}
+}`
+
+// waitPushFailed waits until n's immediate push into the partition has
+// failed, so the heal cannot overtake it.
+func waitPushFailed(t *testing.T, n *Node) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
+	for n.queue.entryFailures.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the push into the partition never failed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// flushUntil calls FlushQueue on n until done holds, failing after a few
+// seconds.
+func flushUntil(t *testing.T, n *Node, what string, done func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
+	for !done() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not delivered after the heal", what)
+		}
+		n.FlushQueue()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSingleTargetQueueSurvivesPartitionWithoutRepair: a put acked while
+// its one target region was unreachable reaches it after the heal, with the
+// repair subsystem off.
+func TestSingleTargetQueueSurvivesPartitionWithoutRepair(t *testing.T) {
+	c := newCluster(t, simnet.USWest, simnet.USEast)
+	c.startSrc(t, "qe", queueToEastSrc, map[string]string{"queueFlush": "10m", "antiEntropy": "false"})
+	west := c.node(t, "qe/us-west")
+	east := c.node(t, "qe/us-east")
+
+	c.net.Partition(simnet.USWest, simnet.USEast)
+	if _, err := west.Put(context.Background(), "k1", []byte("v1"), nil); err != nil {
+		t.Fatal(err)
+	}
+	waitPushFailed(t, west)
+	c.net.Heal(simnet.USWest, simnet.USEast)
+	flushUntil(t, west, "k1", func() bool {
+		_, err := east.local.Objects().Latest("k1")
+		return err == nil
+	})
+}
+
+// TestECBundleSurvivesPartitionWithoutRepair: an EC put whose fragment
+// bundle push to one member failed during a partition leaves every member
+// holding its fragments after the heal, all k+m of them, with the repair
+// subsystem off.
+func TestECBundleSurvivesPartitionWithoutRepair(t *testing.T) {
+	c := newCluster(t, simnet.USWest, simnet.USEast, simnet.EUWest)
+	c.startSrc(t, "ecq", ecStripeSrc, map[string]string{
+		"ecThresholdBytes": "4K", "antiEntropy": "false", "queueFlush": "10m"})
+	west := c.node(t, "ecq/us-west")
+	ctx := context.Background()
+
+	c.net.Partition(simnet.USWest, simnet.EUWest)
+	if _, err := west.Put(ctx, "big", ecTestPayload("big", 32<<10), nil); err != nil {
+		t.Fatal(err)
+	}
+	waitPushFailed(t, west)
+	c.net.Heal(simnet.USWest, simnet.EUWest)
+	members := []*Node{west, c.node(t, "ecq/us-east"), c.node(t, "ecq/eu-west")}
+	flushUntil(t, west, "fragments of big", func() bool {
+		frags := 0
+		for _, n := range members {
+			if m, err := n.local.Objects().Latest("big"); err == nil {
+				frags += len(m.ECFrags)
+			}
+		}
+		return frags == 6
+	})
 }
 
 func TestPartitionHealConvergenceEventual(t *testing.T) {
@@ -268,12 +357,12 @@ func TestPartitionHealConvergencePrimaryBackup(t *testing.T) {
 
 	c.net.Partition(simnet.USWest, simnet.USEast)
 	// Primary-side puts store locally but fail the synchronous copy; the
-	// failed copy must be captured as a hint for the backup.
+	// failed copy must stay in the backup's outbox box.
 	for i := 0; i < 5; i++ {
 		_, _ = west.Put(ctx, fmt.Sprintf("part-%d", i), []byte("w"), nil)
 	}
-	if got := west.repair.hints.PendingFor(east.Name()); got == 0 {
-		t.Fatal("failed primary-backup copies recorded no hints")
+	if got := west.repairMetrics.HintsPending.Value(); got == 0 {
+		t.Fatal("failed primary-backup copies left nothing in the outbox")
 	}
 
 	c.net.Heal(simnet.USWest, simnet.USEast)

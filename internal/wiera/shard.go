@@ -26,8 +26,8 @@ import (
 //     now owns but has not yet received fall back to the previous owner
 //     (fetch its latest version and continue the version counter from it,
 //     so a migrated v5 can never outrank a freshly acked write).
-//  3. Updates arriving for keys the node does not own (late hint replays,
-//     queued fan-outs from old owners) are forwarded to the in-region
+//  3. Updates arriving for keys the node does not own (late outbox
+//     retries, queued fan-outs from old owners) are forwarded to the in-region
 //     owner instead of stranding a copy here.
 type shardManager struct {
 	n *Node
@@ -221,7 +221,7 @@ func (m *shardManager) fetchFrom(ctx context.Context, peer, key string) ([]byte,
 
 // applyOrForward installs a replica update: locally when this shard owns
 // the key (or the instance is unsharded), otherwise by forwarding to the
-// in-region owner so late hint replays and queued fan-outs from old owners
+// in-region owner so late outbox retries and queued fan-outs from old owners
 // cannot strand versions on drained workers. Forwarded updates are marked
 // so a disagreeing map on the receiver cannot bounce them forever.
 func (m *shardManager) applyOrForward(ctx context.Context, msg UpdateMsg) (bool, error) {
@@ -293,12 +293,12 @@ func (m *shardManager) drain(ctx context.Context) (int, error) {
 }
 
 // pushKeys streams the latest versions of keys to target in chunks bounded
-// by the replication batcher's caps (entry count and payload bytes), so a
+// by the replication send path's caps (entry count and payload bytes), so a
 // large keyspace migrates in bounded messages sized like every other
 // batched push. Local copies are deleted only after their chunk is
 // acknowledged — an acked write is never in zero places.
 func (m *shardManager) pushKeys(ctx context.Context, target string, keys []string, fa *flight.Active) (int, error) {
-	maxBytes, maxEntries := m.n.batch.caps()
+	maxBytes, maxEntries := m.n.queue.caps()
 	moved := 0
 	req := RepairPushRequest{}
 	// budget sizes the chunk (payload + per-entry overhead); chunkBytes

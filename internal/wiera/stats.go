@@ -45,7 +45,8 @@ type NodeStats struct {
 	Keys       int
 	BytesUsed  int64
 
-	// Anti-entropy view (internal/repair); zero when repair is disabled.
+	// Repair view (internal/repair); hints are outbox entries whose last
+	// delivery attempt failed.
 	HintsPending  int
 	HintsReplayed int64
 	KeysRepaired  int64
@@ -97,7 +98,6 @@ func (n *Node) statsLocal() NodeStats {
 		}
 	}
 	toMs := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	pending, repaired, readRepairs, replayed := n.repair.statsSnapshot()
 	ecPuts, ecRepl, ecRecon, ecFrags, ecSaved, ecCancels := n.ecm.statsSnapshot()
 	hs := n.heat.statsSnapshot()
 	var sloBurn float64
@@ -127,20 +127,20 @@ func (n *Node) statsLocal() NodeStats {
 		GetP99Ms:   toMs(n.GetLatency.Percentile(99)),
 		StaleReads: n.StaleReads(),
 		FreshReads: n.FreshReads(),
-		QueueDepth: n.queue.Len(),
+		QueueDepth: n.queue.out.Len(),
 		Keys:       n.local.Objects().Len(),
 		BytesUsed:  used,
 
-		HintsPending:  pending,
-		HintsReplayed: replayed,
-		KeysRepaired:  repaired,
-		ReadRepairs:   readRepairs,
+		HintsPending:  int(n.repairMetrics.HintsPending.Value()),
+		HintsReplayed: n.repairMetrics.HintsReplayed.Value(),
+		KeysRepaired:  n.repairMetrics.KeysRepaired.Value(),
+		ReadRepairs:   n.repairMetrics.ReadRepairs.Value(),
 
-		BatchFlushes:       n.batch.flushes.Value(),
-		BatchChunks:        n.batch.chunks.Value(),
-		BatchUpdates:       n.batch.updates.Value(),
-		BatchBytes:         n.batch.bytes.Value(),
-		BatchEntryFailures: n.batch.entryFailures.Value(),
+		BatchFlushes:       n.queue.flushes.Value(),
+		BatchChunks:        n.queue.chunks.Value(),
+		BatchUpdates:       n.queue.updates.Value(),
+		BatchBytes:         n.queue.bytes.Value(),
+		BatchEntryFailures: n.queue.entryFailures.Value(),
 
 		ECPuts:          ecPuts,
 		ECReplPuts:      ecRepl,

@@ -398,7 +398,7 @@ func TestQueueSupersedesOlderVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := west.queue.Len(); got != 1 {
+	if got := west.queue.out.Len(); got != 1 {
 		t.Fatalf("queue keys = %d, want 1 (superseded)", got)
 	}
 }
