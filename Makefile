@@ -40,7 +40,7 @@ race:
 # without -race, and three times: work an earlier run leaves behind is
 # counted against the next one's ops.
 allocs:
-	$(GO) test -count=3 -run AllocBudget ./internal/wiera/ ./internal/transport/
+	$(GO) test -count=3 -run AllocBudget ./internal/wiera/ ./internal/transport/ ./internal/ring/
 
 # End-to-end observability smoke: boots a 2-worker daemon, drives traffic,
 # and asserts /healthz answers, /cluster/metrics carries a resolvable

@@ -821,10 +821,6 @@ func renderRing(cli *transport.TCPClient, id string) (string, error) {
 			epoch = n.RingEpoch
 		}
 	}
-	if epoch == 0 {
-		fmt.Fprintf(&b, "instance %s is unsharded (single worker per region; start with -workers N or grow to shard)\n", id)
-		return b.String(), nil
-	}
 	fmt.Fprintf(&b, "instance %s  ring epoch %d  workers %d\n", id, epoch, len(stats.Nodes))
 	fmt.Fprintf(&b, "%-28s %-10s %5s %6s %7s %10s %8s %8s %6s %8s\n",
 		"worker", "region", "shard", "vnodes", "keys", "bytes", "moved", "movedB", "nacks", "inflight")

@@ -30,8 +30,8 @@ const DefaultVnodes = 192
 // Map is the authoritative shard layout of one Wiera instance at one
 // epoch: which worker serves each shard in each region. Shard i's workers
 // across all regions form one replication group — worker i in region A
-// fans out to worker i in every other region, exactly as an unsharded
-// instance's single node per region does. The Map is gob-encodable and
+// fans out to worker i in every other region. A one-shard map is the
+// paper's layout, one node per region. The Map is gob-encodable and
 // self-contained: routing and migration need no naming conventions.
 type Map struct {
 	// Epoch orders maps; higher wins. Assigned by the coordinator.
@@ -54,16 +54,13 @@ func (m *Map) Shards() int {
 // Summary renders the map's shape in one line — the form event journals
 // and health endpoints attribute ring changes with.
 func (m *Map) Summary() string {
-	if m == nil {
-		return "unsharded"
-	}
 	return fmt.Sprintf("epoch %d: %d regions x %d shards (%d vnodes/shard)",
 		m.Epoch, len(m.Workers), m.Shards(), m.VnodeCount())
 }
 
 // VnodeCount returns the effective per-shard virtual node count.
 func (m *Map) VnodeCount() int {
-	if m == nil || m.Vnodes <= 0 {
+	if m.Vnodes <= 0 {
 		return DefaultVnodes
 	}
 	return m.Vnodes
@@ -143,13 +140,14 @@ type Table struct {
 
 // NewTable builds the lookup table for m. The point set depends only on
 // (Shards, Vnodes), so two Tables over maps with the same geometry agree
-// on every key's shard regardless of worker names.
+// on every key's shard regardless of worker names. A one-shard map gets no
+// points: its one shard owns every key without a hash.
 func NewTable(m *Map) *Table {
-	vnodes := m.Vnodes
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
 	shards := m.Shards()
+	if shards < 2 {
+		return &Table{m: m}
+	}
+	vnodes := m.VnodeCount()
 	pts := make([]point, 0, shards*vnodes)
 	for s := 0; s < shards; s++ {
 		for v := 0; v < vnodes; v++ {
@@ -174,7 +172,8 @@ func (t *Table) Epoch() int64 { return t.m.Epoch }
 // Shards returns the shard count.
 func (t *Table) Shards() int { return t.m.Shards() }
 
-// Owner returns the shard index owning key.
+// Owner returns the shard index owning key. It allocates nothing: every
+// operation of every instance asks it.
 func (t *Table) Owner(key string) int {
 	if len(t.points) == 0 {
 		return 0

@@ -139,3 +139,15 @@ func TestMapHelpers(t *testing.T) {
 		t.Fatal("empty map validated")
 	}
 }
+
+// TestOwnerAllocBudget pins Owner at zero allocations, on the one-shard
+// table every unsharded deployment routes through and on a sharded one.
+func TestOwnerAllocBudget(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		tb := NewTable(mapFor(shards))
+		key := "user00000042"
+		if got := testing.AllocsPerRun(1000, func() { _ = tb.Owner(key) }); got != 0 {
+			t.Errorf("Owner on a %d-shard table allocates %.1f times per call, want 0", shards, got)
+		}
+	}
+}

@@ -203,14 +203,6 @@ func (f *Fabric) Remove(name string) {
 	f.mu.Unlock()
 }
 
-// Registered reports whether an endpoint with this name currently exists.
-func (f *Fabric) Registered(name string) bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	_, ok := f.endpoints[name]
-	return ok
-}
-
 // Names returns the registered endpoint names (unordered).
 func (f *Fabric) Names() []string {
 	f.mu.RLock()

@@ -33,9 +33,9 @@ const hotHintCap = 512
 
 // Client is an application-side handle to a Wiera instance. It connects to
 // the closest node (head of the instance list, Sec 4.1 step 8) and fails
-// over to the next closest when a node is down (Sec 4.4). For a sharded
-// instance it routes each keyed operation to the owning worker from a
-// cached shard map, refreshing the map when a node answers wrong-shard.
+// over to the next closest when a node is down (Sec 4.4). It routes each
+// keyed operation to the owning shard's workers from a cached shard map,
+// refreshing the map when a node answers wrong-shard.
 type Client struct {
 	name       string
 	region     simnet.Region
@@ -66,7 +66,7 @@ type Client struct {
 }
 
 // NewClient registers a client endpoint and fetches the instance's node
-// list (and shard map, when sharded) from the Wiera server.
+// list and shard map from the Wiera server.
 func NewClient(fabric *transport.Fabric, name string, region simnet.Region, serverDst, instanceID string) (*Client, error) {
 	ep, err := fabric.NewEndpoint(name, region)
 	if err != nil {
@@ -126,15 +126,12 @@ func (c *Client) Refresh(ctx context.Context) error {
 // keeping whatever shard map is cached.
 func (c *Client) SetNodes(nodes []PeerInfo) {
 	c.mu.Lock()
-	rm := (*ring.Map)(nil)
-	if c.table != nil {
-		rm = c.table.Map()
-	}
+	rm := c.table.Map()
 	c.mu.Unlock()
 	c.setView(nodes, rm)
 }
 
-// SetRing installs a shard map (nil reverts to unsharded routing).
+// SetRing installs a shard map.
 func (c *Client) SetRing(rm *ring.Map) {
 	c.mu.Lock()
 	nodes := append([]PeerInfo(nil), c.nodes...)
@@ -148,18 +145,13 @@ func (c *Client) setView(nodes []PeerInfo, rm *ring.Map) {
 	sort.SliceStable(sorted, func(i, j int) bool {
 		return net.RTT(c.region, sorted[i].Region) < net.RTT(c.region, sorted[j].Region)
 	})
-	var table *ring.Table
-	shardOf := map[string]int(nil)
-	if rm != nil {
-		table = ring.NewTable(rm)
-		shardOf = make(map[string]int, len(sorted))
-		for _, n := range sorted {
-			shardOf[n.Name] = rm.ShardOf(string(n.Region), n.Name)
-		}
+	shardOf := make(map[string]int, len(sorted))
+	for _, n := range sorted {
+		shardOf[n.Name] = rm.ShardOf(string(n.Region), n.Name)
 	}
 	c.mu.Lock()
 	c.nodes = sorted
-	c.table = table
+	c.table = ring.NewTable(rm)
 	c.shardOf = shardOf
 	c.mu.Unlock()
 }
@@ -171,13 +163,10 @@ func (c *Client) Nodes() []PeerInfo {
 	return append([]PeerInfo(nil), c.nodes...)
 }
 
-// RingEpoch reports the cached shard map's epoch (0 when unsharded).
+// RingEpoch reports the cached shard map's epoch.
 func (c *Client) RingEpoch() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.table == nil {
-		return 0
-	}
 	return c.table.Epoch()
 }
 
@@ -192,12 +181,12 @@ func (c *Client) Closest() (string, error) {
 }
 
 // route lists the nodes that may serve key, closest first: the owning
-// shard's workers under the cached map, or every node when unsharded.
+// shard's workers under the cached map, or every node for a keyless call.
 func (c *Client) route(key string) []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	names := make([]string, 0, len(c.nodes))
-	if c.table == nil || key == "" {
+	if key == "" {
 		for _, n := range c.nodes {
 			names = append(names, n.Name)
 		}

@@ -22,7 +22,6 @@ var longLivedGo = map[string]string{
 	"wiera.(*heatTracker).start":      "the promotion/demotion loop, one per node",
 	"wiera.(*Server).Start":           "the heartbeat loop, one per server",
 	"wiera.(*changeTrigger).evaluate": "a policy-change request, at most one in flight per monitor",
-	"wiera.(*Node).handle":            "MethodShutdown closes the node, once per node",
 }
 
 // TestNoPerOpGoStatements fails on a `go` statement in the non-test files of

@@ -212,13 +212,13 @@ func (h *heatTracker) tick() {
 	h.mu.Unlock()
 }
 
-// replicaTargets picks where key's extra replicas go. Sharded instances
-// spread over the next shards' in-region workers (each key normally lives
-// on exactly one worker, which is where hot-key replication pays); an
-// unsharded instance uses its RTT-nearest peers.
+// replicaTargets picks where key's extra replicas go. A multi-shard
+// instance spreads them over the next shards' in-region workers (each key
+// normally lives on exactly one worker, which is where hot-key replication
+// pays); a one-shard instance uses its RTT-nearest peers.
 func (h *heatTracker) replicaTargets(key string) []string {
 	cur, _, own, _ := h.n.shards.view()
-	if cur != nil && cur.Shards() > 1 {
+	if cur.Shards() > 1 {
 		shard := cur.Owner(key)
 		if shard < 0 {
 			shard = own

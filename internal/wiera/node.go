@@ -17,6 +17,7 @@ import (
 	"repro/internal/object"
 	"repro/internal/policy"
 	"repro/internal/repair"
+	"repro/internal/ring"
 	"repro/internal/simnet"
 	"repro/internal/spawn"
 	"repro/internal/telemetry"
@@ -57,6 +58,9 @@ type NodeConfig struct {
 	ServerDst string
 	// Primary marks this node's view of the current primary node name.
 	Primary string
+	// Ring is the shard map the node starts on. Without one the node is an
+	// instance of its own: one shard, served by itself.
+	Ring RingMsg
 	// Accountant receives tier request charges.
 	Accountant *cost.Accountant
 	// ExtraTiers installs pre-built tiers into the local instance, keyed by
@@ -93,7 +97,7 @@ type Node struct {
 	queue   *updateQueue   // the replication send path: outbox, flush timer, batches
 	ecm     *ecManager     // erasure-coded distribution (stripe action)
 	repair  *repairManager // nil when antiEntropy=false
-	shards  *shardManager  // inert (accepts every key) until a RingMsg arrives
+	shards  *shardManager  // the node's shard map and key ownership
 	heat    *heatTracker   // nil unless heatTrack (hot-key selective replication)
 	tenants *tenantManager // nil unless the instance declares tenants
 
@@ -203,7 +207,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.queueDepth = reg.Gauge("wiera_queue_depth",
 		"Keys with updates queued for lazy propagation.", "node", "region").
 		With(cfg.Name, region)
-	n.shards = newShardManager(n)
+	if cfg.Ring.Map == nil {
+		cfg.Ring = RingMsg{Map: &ring.Map{Workers: map[string][]string{region: {cfg.Name}}}, Settled: true}
+	}
+	n.shards = newShardManager(n, cfg.Ring)
 	n.ecm = newECManager(n, cfg)
 	n.heat = newHeatTracker(n, cfg)
 	n.tenants = newTenantManager(n, cfg)
@@ -1061,9 +1068,6 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 		return transport.Encode(n.statsLocal())
 	case MethodPing:
 		return transport.Encode(PongMsg{Name: n.name})
-	case MethodShutdown:
-		go n.Close()
-		return transport.Encode(Empty{})
 	default:
 		return nil, fmt.Errorf("wiera: node %s: unknown method %q", n.name, method)
 	}

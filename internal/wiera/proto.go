@@ -64,7 +64,6 @@ const (
 	MethodPrepareChange = "wiera.prepareChange"
 	MethodCommitChange  = "wiera.commitChange"
 	MethodPing          = "wiera.ping"
-	MethodShutdown      = "wiera.shutdown"
 
 	// Control plane: node -> server.
 	MethodRequestChange = "wiera.requestPolicyChange"
@@ -512,9 +511,8 @@ type StartInstancesRequest struct {
 
 // StartInstancesResponse returns the launched node list (closest first for
 // the caller's region when the server can tell; declaration order
-// otherwise). Ring carries the instance's shard map when it runs with more
-// than one worker per region (nil for unsharded instances), so clients can
-// route keys without a second round trip.
+// otherwise). Ring carries the instance's shard map, so clients can route
+// keys without a second round trip.
 type StartInstancesResponse struct {
 	Nodes []PeerInfo
 	Ring  *ring.Map
@@ -539,6 +537,7 @@ type SpawnRequest struct {
 	GlobalSrc  string            // global policy source
 	Params     map[string]string // as StartInstancesRequest.Params, validated again against this node's specs
 	Primary    string
+	Ring       RingMsg // the shard map the node starts on; it names the node
 }
 
 // SpawnResponse confirms the node is serving.
@@ -546,7 +545,8 @@ type SpawnResponse struct {
 	Node PeerInfo
 }
 
-// DespawnRequest removes an instance node.
+// DespawnRequest removes an instance node: its Tiera server closes it and
+// answers once the name is free.
 type DespawnRequest struct {
 	NodeName string
 }

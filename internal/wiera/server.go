@@ -86,10 +86,10 @@ type instanceState struct {
 	plans       []regionPlan // for respawning failed replicas
 	changing    bool
 
-	// Sharding state (nil ringMap = classic one-worker-per-region layout).
-	// Worker i across all regions forms shard group i: it receives its own
-	// membership list and primary, and the per-key policy machinery runs
-	// inside the group exactly as it does for an unsharded instance.
+	// Every instance runs on a shard map; one worker per region is its
+	// one-shard case. Worker i across all regions forms shard group i: it
+	// receives its own membership list and primary, and the per-key policy
+	// machinery runs inside the group.
 	ringMap       *ring.Map
 	primaryRegion simnet.Region // region whose workers lead their groups
 	rebalancing   bool
@@ -302,63 +302,33 @@ func (s *Server) StartInstances(req StartInstancesRequest) ([]PeerInfo, error) {
 		}
 	}
 	st.plans = plans
-	// Worker pools (sharding): N Tiera-backed workers per region instead of
-	// one, partitioned by a consistent-hash ring.
+	// Worker pools (sharding): N Tiera-backed workers per region on a
+	// consistent-hash ring. Worker k of every region forms shard group k,
+	// led by the primary region's worker k.
 	workers := params.Ring.Workers
 	if workers == 0 {
 		workers = s.defaultWorkers
 	}
+	rm := &ring.Map{Vnodes: params.Ring.Vnodes, Workers: make(map[string][]string)}
+	for _, plan := range plans {
+		for k := 0; k < workers; k++ {
+			rm.Workers[string(plan.Region)] = append(rm.Workers[string(plan.Region)], workerName(req.InstanceID, plan.Region, k))
+		}
+	}
+	s.nextRingEpoch(st.id, rm)
+	st.ringMap = rm
+	st.primary = groupPrimary(rm, st.primaryRegion, 0)
 
 	var nodes []PeerInfo
-	if workers == 1 {
-		// Classic layout: one worker per region, original names, no ring.
-		for _, plan := range plans {
-			base := fmt.Sprintf("%s/%s", req.InstanceID, plan.Region)
-			primary := st.primary
-			if plan.Primary {
-				primary = base
-			}
-			node, err := s.spawn(req.InstanceID, base, plan, st, primary)
+	for _, plan := range plans {
+		for k, name := range rm.Workers[string(plan.Region)] {
+			node, err := s.spawn(name, plan, st, groupPrimary(rm, st.primaryRegion, k), RingMsg{Map: rm, Settled: true})
 			if err != nil {
 				s.teardown(nodes)
 				return nil, err
 			}
-			if plan.Primary {
-				st.primary = node.Name
-			}
 			nodes = append(nodes, node)
 		}
-	} else {
-		// Sharded layout: workers per region named <id>/<region>/w<k>.
-		// Worker k of every region forms shard group k, led by the primary
-		// region's worker k.
-		rm := &ring.Map{Vnodes: params.Ring.Vnodes, Workers: make(map[string][]string)}
-		for _, plan := range plans {
-			region := string(plan.Region)
-			for k := 0; k < workers; k++ {
-				rm.Workers[region] = append(rm.Workers[region], fmt.Sprintf("%s/%s/w%d", req.InstanceID, region, k))
-			}
-		}
-		for _, plan := range plans {
-			region := string(plan.Region)
-			for k := 0; k < workers; k++ {
-				primary := ""
-				if st.primaryRegion != "" {
-					primary = rm.Workers[string(st.primaryRegion)][k]
-				}
-				node, err := s.spawn(req.InstanceID, rm.Workers[region][k], plan, st, primary)
-				if err != nil {
-					s.teardown(nodes)
-					return nil, err
-				}
-				nodes = append(nodes, node)
-			}
-		}
-		if st.primaryRegion != "" {
-			st.primary = rm.Workers[string(st.primaryRegion)][0]
-		}
-		s.nextRingEpoch(st, rm)
-		st.ringMap = rm
 	}
 	if st.minReplicas == 0 {
 		st.minReplicas = len(nodes)
@@ -369,11 +339,6 @@ func (s *Server) StartInstances(req StartInstancesRequest) ([]PeerInfo, error) {
 	s.mu.Unlock()
 	if err := s.broadcastPeers(st); err != nil {
 		return nil, err
-	}
-	if st.ringMap != nil {
-		if err := s.broadcastRing(st.nodes, RingMsg{Map: st.ringMap, Settled: true}); err != nil {
-			return nil, err
-		}
 	}
 	s.startAutoscaler(st)
 	return nodes, nil
@@ -451,11 +416,7 @@ func (g *instanceSignals) Signals() (autoscale.Signals, error) {
 	if err != nil {
 		return autoscale.Signals{}, err
 	}
-	var sig autoscale.Signals
-	sig.Workers = 1
-	if rm != nil {
-		sig.Workers = rm.Shards()
-	}
+	sig := autoscale.Signals{Workers: rm.Shards()}
 	var ops int64
 	var maxKeys, totalKeys int
 	for _, ns := range stats.Nodes {
@@ -571,9 +532,29 @@ func mergeTierOverrides(spec *policy.Spec, overrides []policy.TierDecl) *policy.
 	return &merged
 }
 
+// workerName names shard k's worker in region: shard 0 keeps the paper's
+// one-node-per-region name <id>/<region>, shard k > 0 is <id>/<region>/w<k>.
+func workerName(instanceID string, region simnet.Region, k int) string {
+	name := fmt.Sprintf("%s/%s", instanceID, region)
+	if k > 0 {
+		name += fmt.Sprintf("/w%d", k)
+	}
+	return name
+}
+
+// groupPrimary names the leader of shard group k: the primary region's
+// worker k ("" when the instance has no primary).
+func groupPrimary(rm *ring.Map, primaryRegion simnet.Region, k int) string {
+	if ws := rm.Workers[string(primaryRegion)]; k >= 0 && k < len(ws) {
+		return ws[k]
+	}
+	return ""
+}
+
 // spawn asks the region's Tiera server to create the node. primaryName is
-// the primary of the node's shard group (its own name when it leads).
-func (s *Server) spawn(instanceID, nodeName string, plan regionPlan, st *instanceState, primaryName string) (PeerInfo, error) {
+// the primary of the node's shard group (its own name when it leads); rm is
+// the shard map the node starts on.
+func (s *Server) spawn(nodeName string, plan regionPlan, st *instanceState, primaryName string, rm RingMsg) (PeerInfo, error) {
 	s.mu.Lock()
 	tsEndpoint, ok := s.tieraServers[plan.Region]
 	s.mu.Unlock()
@@ -581,12 +562,13 @@ func (s *Server) spawn(instanceID, nodeName string, plan regionPlan, st *instanc
 		return PeerInfo{}, fmt.Errorf("wiera: no Tiera server registered for region %s", plan.Region)
 	}
 	payload, err := transport.Encode(SpawnRequest{
-		InstanceID: instanceID,
+		InstanceID: st.id,
 		NodeName:   nodeName,
 		LocalSrc:   policy.Print(plan.Local),
 		GlobalSrc:  st.globalSrc,
 		Params:     plan.Params,
 		Primary:    primaryName,
+		Ring:       rm,
 	})
 	if err != nil {
 		return PeerInfo{}, err
@@ -602,52 +584,37 @@ func (s *Server) spawn(instanceID, nodeName string, plan regionPlan, st *instanc
 	return resp.Node, nil
 }
 
+// teardown stops nodes through their regions' Tiera servers. Each despawn
+// returns once its node is closed and the name is free again: AddWorker
+// reuses worker names, and the autoscaler's shrink-then-grow cycles do so
+// back to back.
 func (s *Server) teardown(nodes []PeerInfo) {
 	for _, n := range nodes {
-		payload, _ := transport.Encode(Empty{})
-		_, _ = s.ep.Call(context.Background(), n.Name, MethodShutdown, payload)
-	}
-	// A node acks the shutdown RPC before it closes (it cannot reply over a
-	// removed endpoint), so the name lingers briefly. Wait it out: a
-	// follow-up AddWorker reuses worker names, and the autoscaler's
-	// shrink-then-grow cycles do exactly that back to back.
-	deadline := time.Now().Add(5 * time.Second)
-	for _, n := range nodes {
-		for s.fabric.Registered(n.Name) && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
+		s.mu.Lock()
+		tsEndpoint := s.tieraServers[n.Region]
+		s.mu.Unlock()
+		payload, _ := transport.Encode(DespawnRequest{NodeName: n.Name})
+		_, _ = s.ep.Call(context.Background(), tsEndpoint, MethodDespawn, payload)
 	}
 }
 
 // broadcastPeers distributes the membership list and primary to all nodes
-// (Sec 4.1 step 6). For a sharded instance every shard group gets its own
-// list: worker k of each region, led by the primary region's worker k.
+// (Sec 4.1 step 6). Shard group k is the live members serving shard k, led
+// by the primary region's worker k.
 func (s *Server) broadcastPeers(st *instanceState) error {
 	s.mu.Lock()
 	rm := st.ringMap
 	nodes := append([]PeerInfo(nil), st.nodes...)
-	primary := st.primary
-	primaryRegion := string(st.primaryRegion)
+	primaryRegion := st.primaryRegion
 	s.mu.Unlock()
-	if rm == nil {
-		payload, err := transport.Encode(PeersMsg{Peers: nodes, Primary: primary})
-		if err != nil {
-			return err
-		}
+	for shard := 0; shard < rm.Shards(); shard++ {
+		var group []PeerInfo
 		for _, n := range nodes {
-			if _, err := s.ep.Call(context.Background(), n.Name, MethodSetPeers, payload); err != nil {
-				return err
+			if rm.ShardOf(string(n.Region), n.Name) == shard {
+				group = append(group, n)
 			}
 		}
-		return nil
-	}
-	for shard := 0; shard < rm.Shards(); shard++ {
-		group := shardGroup(rm, shard)
-		groupPrimary := ""
-		if primaryRegion != "" {
-			groupPrimary = rm.Workers[primaryRegion][shard]
-		}
-		if err := s.sendPeers(group, groupPrimary); err != nil {
+		if err := s.sendPeers(group, groupPrimary(rm, primaryRegion, shard)); err != nil {
 			return err
 		}
 	}
@@ -682,45 +649,22 @@ func (s *Server) broadcastRing(workers []PeerInfo, msg RingMsg) error {
 	return nil
 }
 
-// shardGroup lists shard's workers across all regions.
-func shardGroup(rm *ring.Map, shard int) []PeerInfo {
-	var group []PeerInfo
-	for _, region := range rm.Regions() {
-		group = append(group, PeerInfo{Name: rm.Workers[region][shard], Region: simnet.Region(region)})
-	}
-	return group
-}
-
-// ringWorkers lists every worker of a map as PeerInfo.
-func ringWorkers(rm *ring.Map) []PeerInfo {
-	var out []PeerInfo
-	for _, region := range rm.Regions() {
-		for _, w := range rm.Workers[region] {
-			out = append(out, PeerInfo{Name: w, Region: simnet.Region(region)})
-		}
-	}
-	return out
-}
-
-// nextRingEpoch stamps m with its next epoch: through the coordination
-// service when one is configured (the authoritative path), locally past the
-// instance's previous epoch otherwise.
-func (s *Server) nextRingEpoch(st *instanceState, m *ring.Map) {
-	prev := int64(0)
-	if st.ringMap != nil {
-		prev = st.ringMap.Epoch
-	}
-	m.Epoch = prev + 1
+// nextRingEpoch stamps m, a copy of instance id's current map or a new one,
+// with its next epoch: through the coordination service when one is
+// configured (the authoritative path), locally one past m's epoch
+// otherwise.
+func (s *Server) nextRingEpoch(id string, m *ring.Map) {
+	m.Epoch++
 	if s.coordDst == "" {
 		// No coordinator: this control plane is the only epoch authority,
 		// so its journal carries the ring-change record instead.
-		s.fabric.Events().Record("ring.epoch", st.id, m.Summary(), map[string]string{
+		s.fabric.Events().Record("ring.epoch", id, m.Summary(), map[string]string{
 			"epoch":  fmt.Sprintf("%d", m.Epoch),
 			"shards": fmt.Sprintf("%d", m.Shards()),
 		})
 		return
 	}
-	if epoch, err := coord.PublishRing(s.ep, s.coordDst, st.id, m); err == nil {
+	if epoch, err := coord.PublishRing(s.ep, s.coordDst, id, m); err == nil {
 		m.Epoch = epoch
 	}
 }
@@ -747,8 +691,8 @@ func (s *Server) GetInstances(instanceID string) ([]PeerInfo, error) {
 	return nodes, err
 }
 
-// InstanceView returns the membership and, for sharded instances, the
-// current shard map (nil otherwise) — what clients cache for routing.
+// InstanceView returns the membership and the current shard map — what
+// clients cache for routing.
 func (s *Server) InstanceView(instanceID string) ([]PeerInfo, *ring.Map, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -756,14 +700,10 @@ func (s *Server) InstanceView(instanceID string) ([]PeerInfo, *ring.Map, error) 
 	if !ok {
 		return nil, nil, fmt.Errorf("wiera: no instance %q", instanceID)
 	}
-	var rm *ring.Map
-	if st.ringMap != nil {
-		rm = st.ringMap.Clone()
-	}
-	return append([]PeerInfo(nil), st.nodes...), rm, nil
+	return append([]PeerInfo(nil), st.nodes...), st.ringMap.Clone(), nil
 }
 
-// Ring returns the instance's current shard map (nil when unsharded).
+// Ring returns the instance's current shard map.
 func (s *Server) Ring(instanceID string) (*ring.Map, error) {
 	_, rm, err := s.InstanceView(instanceID)
 	return rm, err
@@ -776,8 +716,8 @@ type InstanceHealth struct {
 	ID          string `json:"id"`
 	Policy      string `json:"policy"`
 	Nodes       int    `json:"nodes"`
-	Workers     int    `json:"workersPerRegion"` // shards per region (1 = unsharded)
-	RingEpoch   int64  `json:"ringEpoch"`        // 0 = unsharded
+	Workers     int    `json:"workersPerRegion"` // shards per region
+	RingEpoch   int64  `json:"ringEpoch"`
 	Rebalancing bool   `json:"rebalancing"`
 	Autoscaled  bool   `json:"autoscaled"`
 	Tenants     int    `json:"tenants"` // configured tenants incl. default (0 = tenancy off)
@@ -789,16 +729,12 @@ func (s *Server) Health() []InstanceHealth {
 	defer s.mu.Unlock()
 	out := make([]InstanceHealth, 0, len(s.instances))
 	for id, st := range s.instances {
-		h := InstanceHealth{
+		out = append(out, InstanceHealth{
 			ID: id, Policy: st.policyName, Nodes: len(st.nodes),
-			Workers: 1, Rebalancing: st.rebalancing, Autoscaled: st.autoctl != nil,
+			Workers: st.ringMap.Shards(), RingEpoch: st.ringMap.Epoch,
+			Rebalancing: st.rebalancing, Autoscaled: st.autoctl != nil,
 			Tenants: len(st.params.Tenancy.Tenants),
-		}
-		if st.ringMap != nil {
-			h.Workers = st.ringMap.Shards()
-			h.RingEpoch = st.ringMap.Epoch
-		}
-		out = append(out, h)
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -839,8 +775,8 @@ func (s *Server) HeatTop(instanceID string, k int) ([]HeatKey, error) {
 }
 
 // beginRebalance checks out the instance for an exclusive membership change
-// and snapshots what the change needs.
-func (s *Server) beginRebalance(instanceID string) (*instanceState, *ring.Map, []regionPlan, error) {
+// and snapshots its map and live members.
+func (s *Server) beginRebalance(instanceID string) (*instanceState, *ring.Map, []PeerInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.instances[instanceID]
@@ -853,21 +789,8 @@ func (s *Server) beginRebalance(instanceID string) (*instanceState, *ring.Map, [
 		// recognize the collision and retry after the settle.
 		return nil, nil, nil, &ErrRebalanceInProgress{InstanceID: instanceID}
 	}
-	cur := st.ringMap
-	if cur == nil {
-		// An unsharded instance becomes the one-shard base case: every
-		// region's single worker is shard 0.
-		cur = &ring.Map{Vnodes: st.params.Ring.Vnodes, Workers: make(map[string][]string)}
-		for _, n := range st.nodes {
-			region := string(n.Region)
-			if len(cur.Workers[region]) > 0 {
-				return nil, nil, nil, fmt.Errorf("wiera: instance %q has several workers in %s but no ring", instanceID, region)
-			}
-			cur.Workers[region] = []string{n.Name}
-		}
-	}
 	st.rebalancing = true
-	return st, cur.Clone(), append([]regionPlan(nil), st.plans...), nil
+	return st, st.ringMap.Clone(), append([]PeerInfo(nil), st.nodes...), nil
 }
 
 func (s *Server) endRebalance(st *instanceState) {
@@ -877,12 +800,12 @@ func (s *Server) endRebalance(st *instanceState) {
 }
 
 // AddWorker grows the instance's per-region worker pools by one shard and
-// rebalances online: spawn the new workers, stamp a new epoch, teach the
-// new workers the map first (unsettled, so they pull not-yet-moved keys
-// from the previous owners), then let the old owners NACK and drain only
-// the moved keys. Returns how many keys moved.
+// rebalances online: stamp a new epoch, spawn the new workers on the new
+// map first (unsettled, so they pull not-yet-moved keys from the previous
+// owners), then let the old owners NACK and drain only the moved keys.
+// Returns how many keys moved.
 func (s *Server) AddWorker(instanceID string) (int, error) {
-	st, cur, plans, err := s.beginRebalance(instanceID)
+	st, cur, old, err := s.beginRebalance(instanceID)
 	if err != nil {
 		return 0, err
 	}
@@ -892,85 +815,59 @@ func (s *Server) AddWorker(instanceID string) (int, error) {
 	primaryRegion := st.primaryRegion
 	s.mu.Unlock()
 
+	// One new worker per region; worker k of every region is shard group k.
 	newShard := cur.Shards()
 	next := cur.Clone()
+	for _, region := range cur.Regions() {
+		next.Workers[region] = append(next.Workers[region], workerName(instanceID, simnet.Region(region), newShard))
+	}
+	s.nextRingEpoch(instanceID, next)
 
-	// One new worker per region; worker k of every region is shard group k.
+	// 1) The new workers start on the new map, with the old map as fallback:
+	//    a client routed by the new map is never refused — the new owner
+	//    pulls the key from its previous owner on demand.
+	unsettled := RingMsg{Map: next, Prev: cur}
+	lead := groupPrimary(next, primaryRegion, newShard)
 	var added []PeerInfo
 	for _, region := range cur.Regions() {
-		plan, ok := planForRegion(plans, simnet.Region(region))
+		plan, ok := planForRegion(st.plans, simnet.Region(region))
 		if !ok {
 			s.teardown(added)
 			return 0, fmt.Errorf("wiera: no region plan for %s", region)
 		}
-		name := fmt.Sprintf("%s/%s/w%d", instanceID, region, newShard)
-		primary := ""
-		if primaryRegion != "" {
-			primary = fmt.Sprintf("%s/%s/w%d", instanceID, primaryRegion, newShard)
-		}
-		node, err := s.spawn(instanceID, name, plan, st, primary)
+		node, err := s.spawn(next.Workers[region][newShard], plan, st, lead, unsettled)
 		if err != nil {
 			s.teardown(added)
 			return 0, err
 		}
 		added = append(added, node)
-		next.Workers[region] = append(next.Workers[region], name)
 	}
-	s.nextRingEpoch(st, next)
-
-	groupPrimary := ""
-	if primaryRegion != "" {
-		groupPrimary = next.Workers[string(primaryRegion)][newShard]
-	}
-	if err := s.sendPeers(added, groupPrimary); err != nil {
-		return 0, err
-	}
-
-	// 1) The new workers learn the map first, with the old map as fallback:
-	//    a client routed by the new map is never refused — the new owner
-	//    pulls the key from its previous owner on demand.
-	unsettled := RingMsg{Map: next, Prev: cur}
-	if err := s.broadcastRing(added, unsettled); err != nil {
+	if err := s.sendPeers(added, lead); err != nil {
 		return 0, err
 	}
 
 	// 2) Publish to clients: GetInstances now hands out the new map.
-	oldWorkers := ringWorkers(cur)
+	all := append(old, added...)
 	s.mu.Lock()
 	st.ringMap = next
-	st.nodes = append(append([]PeerInfo(nil), st.nodes...), added...)
-	if st.minReplicas > 0 {
-		st.minReplicas = len(st.nodes)
-	}
+	st.nodes = all
+	st.minReplicas = len(all)
 	s.mu.Unlock()
 
 	// 3) The previous owners install the map and start NACKing moved keys.
-	if err := s.broadcastRing(oldWorkers, unsettled); err != nil {
+	if err := s.broadcastRing(old, unsettled); err != nil {
 		return 0, err
 	}
 
 	// 4) Drain one worker at a time: each freezes its op gate, flushes its
 	//    queue, streams the moved keys to their new owners, and resumes.
-	moved := 0
-	drainReq, err := transport.Encode(RingDrainRequest{})
+	moved, err := s.drain(old)
 	if err != nil {
-		return 0, err
-	}
-	for _, w := range oldWorkers {
-		raw, err := s.ep.Call(context.Background(), w.Name, MethodRingDrain, drainReq)
-		if err != nil {
-			return moved, err
-		}
-		var resp RingDrainResponse
-		if err := transport.Decode(raw, &resp); err != nil {
-			return moved, err
-		}
-		moved += resp.Moved
+		return moved, err
 	}
 
 	// 5) Settle: drop the previous-owner fallback everywhere.
-	settled := RingMsg{Map: next, Settled: true}
-	if err := s.broadcastRing(append(oldWorkers, added...), settled); err != nil {
+	if err := s.broadcastRing(all, RingMsg{Map: next, Settled: true}); err != nil {
 		return moved, err
 	}
 	return moved, nil
@@ -980,7 +877,7 @@ func (s *Server) AddWorker(instanceID string) (int, error) {
 // remaining workers take over its key ranges, the leaving workers drain
 // everything they hold to the new owners, then shut down.
 func (s *Server) RemoveWorker(instanceID string) (int, error) {
-	st, cur, _, err := s.beginRebalance(instanceID)
+	st, cur, nodes, err := s.beginRebalance(instanceID)
 	if err != nil {
 		return 0, err
 	}
@@ -991,14 +888,18 @@ func (s *Server) RemoveWorker(instanceID string) (int, error) {
 	}
 	leavingShard := cur.Shards() - 1
 	next := cur.Clone()
-	var leaving []PeerInfo
 	for _, region := range next.Regions() {
-		ws := next.Workers[region]
-		leaving = append(leaving, PeerInfo{Name: ws[leavingShard], Region: simnet.Region(region)})
-		next.Workers[region] = ws[:leavingShard]
+		next.Workers[region] = next.Workers[region][:leavingShard]
 	}
-	s.nextRingEpoch(st, next)
-	remaining := ringWorkers(next)
+	s.nextRingEpoch(instanceID, next)
+	var leaving, remaining []PeerInfo
+	for _, n := range nodes {
+		if cur.ShardOf(string(n.Region), n.Name) == leavingShard {
+			leaving = append(leaving, n)
+		} else {
+			remaining = append(remaining, n)
+		}
+	}
 
 	// Remaining workers first (unsettled: misses fall back to the leaving
 	// owners), then clients, then the leaving workers — whose shard index
@@ -1010,28 +911,33 @@ func (s *Server) RemoveWorker(instanceID string) (int, error) {
 	s.mu.Lock()
 	st.ringMap = next
 	st.nodes = remaining
-	if st.minReplicas > 0 {
-		st.minReplicas = len(remaining)
-	}
-	if !sliceHas(remaining, st.primary) && st.primary != "" {
-		if string(st.primaryRegion) != "" && len(next.Workers[string(st.primaryRegion)]) > 0 {
-			st.primary = next.Workers[string(st.primaryRegion)][0]
-		} else {
-			st.primary = remaining[0].Name
-		}
-	}
+	st.minReplicas = len(remaining)
+	st.promote()
 	s.mu.Unlock()
 	if err := s.broadcastRing(leaving, unsettled); err != nil {
 		return 0, err
 	}
+	moved, err := s.drain(leaving)
+	if err != nil {
+		return moved, err
+	}
+	if err := s.broadcastRing(remaining, RingMsg{Map: next, Settled: true}); err != nil {
+		return moved, err
+	}
+	s.teardown(leaving)
+	return moved, nil
+}
 
+// drain has each worker, one at a time, stream the keys it no longer owns
+// to their new owners, and returns how many keys moved.
+func (s *Server) drain(workers []PeerInfo) (int, error) {
 	moved := 0
-	drainReq, err := transport.Encode(RingDrainRequest{})
+	req, err := transport.Encode(RingDrainRequest{})
 	if err != nil {
 		return 0, err
 	}
-	for _, w := range leaving {
-		raw, err := s.ep.Call(context.Background(), w.Name, MethodRingDrain, drainReq)
+	for _, w := range workers {
+		raw, err := s.ep.Call(context.Background(), w.Name, MethodRingDrain, req)
 		if err != nil {
 			return moved, err
 		}
@@ -1041,13 +947,21 @@ func (s *Server) RemoveWorker(instanceID string) (int, error) {
 		}
 		moved += resp.Moved
 	}
-
-	settled := RingMsg{Map: next, Settled: true}
-	if err := s.broadcastRing(remaining, settled); err != nil {
-		return moved, err
-	}
-	s.teardown(leaving)
 	return moved, nil
+}
+
+// promote replaces a primary that left the membership: the primary region's
+// live shard-0 worker, else the first live member in declaration order,
+// whose region then leads every shard group. The caller holds Server.mu.
+func (st *instanceState) promote() {
+	if st.primary == "" || len(st.nodes) == 0 || sliceHas(st.nodes, st.primary) {
+		return
+	}
+	if w := groupPrimary(st.ringMap, st.primaryRegion, 0); sliceHas(st.nodes, w) {
+		st.primary = w
+		return
+	}
+	st.primary, st.primaryRegion = st.nodes[0].Name, st.nodes[0].Region
 }
 
 func sliceHas(nodes []PeerInfo, name string) bool {
@@ -1089,6 +1003,7 @@ func (s *Server) ApplyChange(req ChangeRequestMsg) error {
 	}
 	st.changing = true
 	nodes := append([]PeerInfo(nil), st.nodes...)
+	rm := st.ringMap
 	epoch := st.epoch + 1
 	s.mu.Unlock()
 
@@ -1128,18 +1043,23 @@ func (s *Server) ApplyChange(req ChangeRequestMsg) error {
 		s.logChangeLocked(req)
 		s.mu.Unlock()
 		return nil
-	default: // primary_instance
-		msg, err := transport.Encode(SetPrimaryMsg{Primary: req.To})
-		if err != nil {
-			return err
+	default: // primary_instance: the target's region leads every shard group
+		i := slices.IndexFunc(nodes, func(n PeerInfo) bool { return n.Name == req.To })
+		if i < 0 {
+			return fmt.Errorf("wiera: %q is not a member of instance %q", req.To, req.InstanceID)
 		}
+		region := nodes[i].Region
 		for _, n := range nodes {
+			msg, err := transport.Encode(SetPrimaryMsg{Primary: groupPrimary(rm, region, rm.ShardOf(string(n.Region), n.Name))})
+			if err != nil {
+				return err
+			}
 			if _, err := s.ep.Call(context.Background(), n.Name, MethodSetPrimary, msg); err != nil {
 				return err
 			}
 		}
 		s.mu.Lock()
-		st.primary = req.To
+		st.primary, st.primaryRegion = req.To, region
 		st.epoch = epoch
 		s.logChangeLocked(req)
 		s.mu.Unlock()
@@ -1261,13 +1181,9 @@ func (s *Server) checkInstance(id string) {
 		return
 	}
 	nodes := append([]PeerInfo(nil), st.nodes...)
-	plans := append([]regionPlan(nil), st.plans...)
 	minReplicas := st.minReplicas
-	var rm *ring.Map
-	if st.ringMap != nil {
-		rm = st.ringMap.Clone()
-	}
-	primary := st.primary
+	rm := st.ringMap.Clone()
+	primaryRegion := st.primaryRegion
 	s.mu.Unlock()
 
 	ping, _ := transport.Encode(PingMsg{})
@@ -1279,92 +1195,53 @@ func (s *Server) checkInstance(id string) {
 			live = append(live, n)
 		}
 	}
-	if len(dead) == 0 || (rm == nil && len(live) >= minReplicas) {
-		if len(dead) > 0 {
-			s.commitMembership(st, live, rm)
-		}
+	if len(dead) == 0 {
 		return
 	}
-	// Respawn failed replicas in their original regions: until the minimum
-	// is met for the classic layout, unconditionally for a sharded one (the
-	// dead worker's key range has no other owner in its region).
+	// Respawn failed workers in their own regions and shards while fewer
+	// than minReplicas are live; the rest leave the membership.
 	for _, d := range dead {
-		if rm == nil && len(live) >= minReplicas {
+		if len(live) >= minReplicas {
 			break
 		}
-		plan, ok := planForRegion(plans, d.Region)
-		if !ok {
+		region := string(d.Region)
+		plan, ok := planForRegion(st.plans, d.Region)
+		shard := rm.ShardOf(region, d.Name)
+		if !ok || shard < 0 {
 			continue
 		}
-		newName := respawnName(d.Name)
-		groupPrimary := primary
-		shard := -1
-		if rm != nil {
-			shard = rm.ShardOf(string(d.Region), d.Name)
-			if shard < 0 {
-				continue // not in the current map; nothing to restore
-			}
-			if pr := rm.Workers[string(st.primaryRegion)]; len(pr) > shard {
-				groupPrimary = pr[shard]
-			}
-		}
-		node, err := s.spawn(id, newName, plan, st, groupPrimary)
+		// The new name replaces the dead one in the map.
+		rm.Workers[region][shard] = respawnName(d.Name)
+		node, err := s.spawn(rm.Workers[region][shard], plan, st, groupPrimary(rm, primaryRegion, shard), RingMsg{Map: rm, Settled: true})
 		if err != nil {
+			rm.Workers[region][shard] = d.Name
 			continue
 		}
-		// Bootstrap from a live peer — for a sharded instance, from a live
-		// member of the same shard group (others hold different key ranges).
-		from := ""
-		if rm == nil {
-			if len(live) > 0 {
-				from = live[0].Name
-			}
-		} else {
-			for _, region := range rm.Regions() {
-				if ws := rm.Workers[region]; len(ws) > shard && sliceHas(live, ws[shard]) {
-					from = ws[shard]
-					break
-				}
-			}
-			// The new name replaces the dead one in the map.
-			rm.Workers[string(d.Region)][shard] = node.Name
-			if groupPrimary == d.Name {
-				groupPrimary = node.Name
-			}
-		}
-		if from != "" {
+		// Bootstrap from a live member of the same shard group (the others
+		// hold different key ranges).
+		if i := slices.IndexFunc(live, func(n PeerInfo) bool { return rm.ShardOf(string(n.Region), n.Name) == shard }); i >= 0 {
 			if n := lookupNode(node.Name); n != nil {
-				_ = n.SyncFrom(from)
+				_ = n.SyncFrom(live[i].Name)
 			}
 		}
 		live = append(live, node)
 	}
+	s.teardown(dead)
 	s.commitMembership(st, live, rm)
 }
 
+// commitMembership installs the live members and the patched map under a
+// fresh epoch, so nodes and clients holding the old map refresh their
+// routing, and promotes a new primary if the old one left.
 func (s *Server) commitMembership(st *instanceState, live []PeerInfo, rm *ring.Map) {
+	s.nextRingEpoch(st.id, rm)
 	s.mu.Lock()
 	st.nodes = live
-	if rm != nil {
-		// The patched map gets a fresh epoch so nodes and clients holding the
-		// pre-respawn map refresh their routing.
-		s.nextRingEpoch(st, rm)
-		st.ringMap = rm
-	}
-	// If the primary died, promote: the primary region's shard-0 worker for
-	// a sharded instance, the first live node otherwise.
-	if !sliceHas(live, st.primary) && len(live) > 0 && st.primary != "" {
-		if rm != nil && string(st.primaryRegion) != "" && len(rm.Workers[string(st.primaryRegion)]) > 0 {
-			st.primary = rm.Workers[string(st.primaryRegion)][0]
-		} else {
-			st.primary = live[0].Name
-		}
-	}
+	st.ringMap = rm
+	st.promote()
 	s.mu.Unlock()
 	_ = s.broadcastPeers(st)
-	if rm != nil {
-		_ = s.broadcastRing(live, RingMsg{Map: rm, Settled: true})
-	}
+	_ = s.broadcastRing(live, RingMsg{Map: rm, Settled: true})
 }
 
 func planForRegion(plans []regionPlan, region simnet.Region) (regionPlan, bool) {
@@ -1509,6 +1386,7 @@ func (ts *TieraServer) Spawn(req SpawnRequest) (*Node, error) {
 		CoordDst:   ts.coordDst,
 		ServerDst:  ts.serverDst,
 		Primary:    req.Primary,
+		Ring:       req.Ring,
 		ExtraTiers: extraTiers,
 	})
 	if err != nil {

@@ -13,9 +13,9 @@ import (
 // shardManager is a node's view of the keyspace partition: the current
 // (and, mid-rebalance, previous) shard map, the node's own shard index,
 // ownership checks for incoming operations, and the drain that streams
-// moved keys to their new owners when the map changes. A node of an
-// unsharded instance (one worker per region) never receives a RingMsg and
-// the manager stays inert: every check passes, every key is owned.
+// moved keys to their new owners when the map changes. A node gets its map
+// with its spawn; an instance of one worker per region runs on a one-shard
+// map, whose only shard owns every key.
 //
 // The rebalance protocol leans on three local rules:
 //
@@ -33,7 +33,7 @@ type shardManager struct {
 	n *Node
 
 	mu      sync.Mutex
-	cur     *ring.Table // nil until a RingMsg arrives (unsharded)
+	cur     *ring.Table // the installed map
 	prev    *ring.Table // outgoing map during an unsettled rebalance
 	settled bool
 	shard   int // this node's shard under cur; -1 when leaving the pool
@@ -54,10 +54,9 @@ type shardManager struct {
 	wrongShard *telemetry.Counter
 }
 
-// newShardManager wires the ring_* telemetry families. Families exist even
-// on unsharded nodes (gauges just stay zero), so wieractl ring always has
-// something to read.
-func newShardManager(n *Node) *shardManager {
+// newShardManager wires the ring_* telemetry families and installs the map
+// the node was spawned with.
+func newShardManager(n *Node, msg RingMsg) *shardManager {
 	reg := n.fabric.Metrics()
 	region := string(n.region)
 	gauge := func(name, help string) *telemetry.Gauge {
@@ -68,10 +67,8 @@ func newShardManager(n *Node) *shardManager {
 	}
 	m := &shardManager{
 		n:       n,
-		shard:   -1,
-		settled: true,
 		epochG:  gauge("ring_epoch", "Shard map epoch installed at this worker."),
-		shardG:  gauge("ring_shard", "Shard index this worker serves (-1 while unsharded or leaving)."),
+		shardG:  gauge("ring_shard", "Shard index this worker serves (-1 while leaving)."),
 		vnodesG: gauge("ring_vnodes", "Virtual nodes per shard on this worker's ring."),
 		keysG:   gauge("ring_keys", "Keys held by this worker."),
 		bytesG:  gauge("ring_bytes", "Bytes (latest versions) held by this worker."),
@@ -84,7 +81,8 @@ func newShardManager(n *Node) *shardManager {
 		wrongShard: counter("ring_wrong_shard_total",
 			"Operations NACKed because this worker does not own the key."),
 	}
-	m.shardG.Set(-1)
+	m.adopt(msg)
+	m.publishGauges()
 	return m
 }
 
@@ -95,10 +93,18 @@ func (m *shardManager) install(msg RingMsg) {
 		return
 	}
 	m.mu.Lock()
-	if m.cur != nil && msg.Map.Epoch < m.cur.Epoch() {
+	if msg.Map.Epoch < m.cur.Epoch() {
 		m.mu.Unlock()
 		return
 	}
+	m.adopt(msg)
+	m.mu.Unlock()
+	m.publishGauges()
+}
+
+// adopt makes msg's map the current one; the caller holds mu or owns m
+// alone.
+func (m *shardManager) adopt(msg RingMsg) {
 	m.cur = ring.NewTable(msg.Map)
 	m.prev = nil
 	if !msg.Settled && msg.Prev != nil {
@@ -106,14 +112,16 @@ func (m *shardManager) install(msg RingMsg) {
 	}
 	m.settled = msg.Settled
 	m.shard = msg.Map.ShardOf(string(m.n.region), m.n.name)
-	vnodes := msg.Map.Vnodes
-	if vnodes <= 0 {
-		vnodes = ring.DefaultVnodes
-	}
+}
+
+// publishGauges sets the ring_* gauges from the installed map.
+func (m *shardManager) publishGauges() {
+	m.mu.Lock()
+	rm, shard := m.cur.Map(), m.shard
 	m.mu.Unlock()
-	m.epochG.Set(float64(msg.Map.Epoch))
-	m.shardG.Set(float64(m.ownShard()))
-	m.vnodesG.Set(float64(vnodes))
+	m.epochG.Set(float64(rm.Epoch))
+	m.shardG.Set(float64(shard))
+	m.vnodesG.Set(float64(rm.VnodeCount()))
 	m.updateOwnershipGauges()
 }
 
@@ -132,12 +140,9 @@ func (m *shardManager) ownShard() int {
 
 // checkKey NACKs an application operation on a key this shard does not
 // own, naming the in-region owner so the caller can retry without a full
-// map refresh. Unsharded nodes accept everything.
+// map refresh.
 func (m *shardManager) checkKey(key string) error {
 	cur, _, shard, _ := m.view()
-	if cur == nil {
-		return nil
-	}
 	owner := cur.Owner(key)
 	if owner == shard {
 		return nil
@@ -152,14 +157,14 @@ func (m *shardManager) checkKey(key string) error {
 // ownsKey reports whether this shard owns key under the current map.
 func (m *shardManager) ownsKey(key string) bool {
 	cur, _, shard, _ := m.view()
-	return cur == nil || cur.Owner(key) == shard
+	return cur.Owner(key) == shard
 }
 
 // prevOwner names the in-region worker that owned key under the outgoing
 // map ("" when settled, not a fallback candidate, or this node itself).
 func (m *shardManager) prevOwner(key string) string {
 	cur, prev, shard, settled := m.view()
-	if settled || prev == nil || cur == nil || cur.Owner(key) != shard {
+	if settled || prev == nil || cur.Owner(key) != shard {
 		return ""
 	}
 	w := prev.Worker(string(m.n.region), key)
@@ -220,13 +225,13 @@ func (m *shardManager) fetchFrom(ctx context.Context, peer, key string) ([]byte,
 }
 
 // applyOrForward installs a replica update: locally when this shard owns
-// the key (or the instance is unsharded), otherwise by forwarding to the
-// in-region owner so late outbox retries and queued fan-outs from old owners
-// cannot strand versions on drained workers. Forwarded updates are marked
-// so a disagreeing map on the receiver cannot bounce them forever.
+// the key, otherwise by forwarding to the in-region owner so late outbox
+// retries and queued fan-outs from old owners cannot strand versions on
+// drained workers. Forwarded updates are marked so a disagreeing map on the
+// receiver cannot bounce them forever.
 func (m *shardManager) applyOrForward(ctx context.Context, msg UpdateMsg) (bool, error) {
 	cur, _, shard, _ := m.view()
-	if cur == nil || msg.Forwarded || cur.Owner(msg.Meta.Key) == shard {
+	if msg.Forwarded || cur.Owner(msg.Meta.Key) == shard {
 		return m.n.local.ApplyRemote(ctx, msg.Meta, msg.Data)
 	}
 	target := cur.Worker(string(m.n.region), msg.Meta.Key)
@@ -250,9 +255,6 @@ func (m *shardManager) drain(ctx context.Context) (int, error) {
 	m.migMu.Lock()
 	defer m.migMu.Unlock()
 	cur, _, shard, _ := m.view()
-	if cur == nil {
-		return 0, nil
-	}
 	m.inflightG.Set(1)
 	defer m.inflightG.Set(0)
 
@@ -362,12 +364,9 @@ func (m *shardManager) updateOwnershipGauges() {
 	m.bytesG.Set(float64(bytes))
 }
 
-// ringEpoch reports the installed map's epoch (0 when unsharded).
+// ringEpoch reports the installed map's epoch.
 func (m *shardManager) ringEpoch() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.cur == nil {
-		return 0
-	}
 	return m.cur.Epoch()
 }

@@ -300,3 +300,83 @@ func TestClientRoutingRace(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 }
+
+// TestGrowAndShrinkOneWorkerInstance: a one-worker-per-region instance is
+// the one-shard case of the ring, so it grows to two shards and back under
+// live writers like any other. Shard 0 keeps the <id>/<region> name
+// throughout, every step stamps a higher epoch, and every acked write reads
+// back at the end.
+func TestGrowAndShrinkOneWorkerInstance(t *testing.T) {
+	c := newCluster(t, simnet.USWest, simnet.USEast)
+	c.startSrc(t, "one", eventual2Src, nil)
+	cli, err := NewClient(c.fabric, "cli-one", simnet.USWest, c.server.Name(), "one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx := context.Background()
+	const keys = 90
+
+	var acked sync.Map // key -> last acked value
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				key := fmt.Sprintf("k-%03d", (w+3*i)%keys)
+				val := fmt.Sprintf("%s:%d:%d", key, w, i)
+				if _, err := cli.Put(ctx, key, []byte(val)); err == nil {
+					acked.Store(key, val)
+				}
+			}
+		}(w)
+	}
+
+	epochs := []int64{}
+	checkRing := func(step string, shards int) {
+		t.Helper()
+		rm, err := c.server.Ring("one")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rm.Shards() != shards {
+			t.Fatalf("%s: %d shards, want %d", step, rm.Shards(), shards)
+		}
+		for _, region := range []simnet.Region{simnet.USWest, simnet.USEast} {
+			if got, want := rm.Workers[string(region)][0], "one/"+string(region); got != want {
+				t.Fatalf("%s: shard 0 of %s is %q, want %q", step, region, got, want)
+			}
+		}
+		if len(epochs) > 0 && rm.Epoch <= epochs[len(epochs)-1] {
+			t.Fatalf("%s: epoch %d, not above %d", step, rm.Epoch, epochs[len(epochs)-1])
+		}
+		epochs = append(epochs, rm.Epoch)
+	}
+	checkRing("start", 1)
+	_, addErr := c.server.AddWorker("one")
+	if addErr == nil {
+		checkRing("grow", 2)
+	}
+	_, removeErr := c.server.RemoveWorker("one")
+	stop.Store(true)
+	wg.Wait()
+	if addErr != nil || removeErr != nil {
+		t.Fatalf("AddWorker: %v; RemoveWorker: %v", addErr, removeErr)
+	}
+	checkRing("shrink", 1)
+
+	n := 0
+	acked.Range(func(k, v any) bool {
+		n++
+		data, _, err := cli.Get(ctx, k.(string))
+		if err != nil || string(data) != v.(string) {
+			t.Errorf("key %s = %q, %v; want last acked %q", k, data, err, v)
+		}
+		return true
+	})
+	if n == 0 {
+		t.Fatal("no write was acked")
+	}
+}

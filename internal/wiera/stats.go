@@ -27,9 +27,8 @@ type NodeStats struct {
 	Primary    string
 	IsPrimary  bool
 
-	// Shard is the worker's shard index under the instance's ring (-1 when
-	// the instance is unsharded); RingEpoch is the installed map's epoch (0
-	// when unsharded).
+	// Shard is the worker's shard index under the instance's ring (-1 while
+	// it leaves the pool); RingEpoch is the installed map's epoch.
 	Shard     int
 	RingEpoch int64
 

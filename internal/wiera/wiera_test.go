@@ -643,16 +643,77 @@ func TestStopInstancesShutsDownNodes(t *testing.T) {
 	if err := c.server.StopInstances("tmp"); err != nil {
 		t.Fatal(err)
 	}
-	// Give the async shutdowns a moment.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if lookupNode(nodes[0].Name) == nil {
-			break
+	// Each node's Tiera server closed it before StopInstances returned.
+	for _, n := range nodes {
+		if lookupNode(n.Name) != nil {
+			t.Errorf("node %s still registered after StopInstances", n.Name)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("nodes not shut down")
+		if _, ok := c.tss[n.Region].Node(n.Name); ok {
+			t.Errorf("Tiera server %s still holds %s after StopInstances", n.Region, n.Name)
 		}
-		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestMovedPrimarySurvivesMembershipChange: after a primary move, a
+// heartbeat that respawns a crashed replica re-sends every shard group its
+// members and leader; the leader must be the moved region's worker, not
+// the originally declared region's.
+func TestMovedPrimarySurvivesMembershipChange(t *testing.T) {
+	src := `
+Wiera PB3 {
+	Region1 = {name: LowLatencyInstance, region: us-west, primary: true,
+		tier1 = {name: memory, size: 1G}};
+	Region2 = {name: LowLatencyInstance, region: us-east,
+		tier1 = {name: memory, size: 1G}};
+	Region3 = {name: LowLatencyInstance, region: eu-west,
+		tier1 = {name: memory, size: 1G}};
+	event(insert.into) : response {
+		if (local_instance.isPrimary == true) {
+			store(what: insert.object, to: local_instance);
+			copy(what: insert.object, to: all_regions);
+		} else {
+			forward(what: insert.object, to: primary_instance);
+		}
+	}
+}`
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			c := newCluster(t, simnet.USWest, simnet.USEast, simnet.EUWest)
+			c.startSrc(t, "pm", src, map[string]string{"workers": fmt.Sprint(workers)})
+			rm, err := c.server.Ring("pm")
+			if err != nil {
+				t.Fatal(err)
+			}
+			to := rm.Workers[string(simnet.USEast)][0]
+			if err := c.server.ApplyChange(ChangeRequestMsg{
+				InstanceID: "pm", What: "primary_instance", To: to, From: "test",
+			}); err != nil {
+				t.Fatal(err)
+			}
+			crashed := rm.Workers[string(simnet.EUWest)][0]
+			c.node(t, crashed).Crash()
+			c.server.HeartbeatOnce()
+
+			if p, _ := c.server.CurrentPrimary("pm"); p != to {
+				t.Fatalf("primary after heartbeat = %q, want %q", p, to)
+			}
+			if _, ok := c.tss[simnet.EUWest].Node(crashed); ok {
+				t.Errorf("crashed %s still held by its Tiera server", crashed)
+			}
+			nodes, rm, err := c.server.InstanceView("pm")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(nodes) != 3*workers {
+				t.Fatalf("members after respawn = %v", nodes)
+			}
+			for _, n := range nodes {
+				want := rm.Workers[string(simnet.USEast)][rm.ShardOf(string(n.Region), n.Name)]
+				if got := c.node(t, n.Name).Primary(); got != want {
+					t.Errorf("%s: primary %q, want %q", n.Name, got, want)
+				}
+			}
+		})
 	}
 }
 
