@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci verify vet build test race allocs fuzz-wire smoke-obsplane smoke-tenancy bench bench-smoke perf perf-compare perf-pairs clean
+.PHONY: ci verify vet build test race allocs fuzz-wire smoke-obsplane smoke-tenancy examples bench bench-smoke perf perf-compare perf-pairs clean
 
-ci: vet build bench-smoke race allocs fuzz-wire smoke-obsplane smoke-tenancy
+ci: vet build bench-smoke race allocs fuzz-wire smoke-obsplane smoke-tenancy examples
 
 # One-stop pre-commit check: static analysis, full build, race-checked tests,
 # alloc budgets.
@@ -83,6 +83,15 @@ perf-pairs:
 # Remove what building and running the benchmark leave behind.
 clean:
 	rm -rf .bench_build/
+
+# Every program under examples/ runs to completion: each must exit 0 within
+# 60 s (they take a few seconds each). `go build` alone only compiles them.
+EXAMPLES = coldtiering dynamicconsistency modularinstances quickstart remotetier
+examples:
+	@for ex in $(EXAMPLES); do \
+		echo "== examples/$$ex"; \
+		timeout 60 $(GO) run ./examples/$$ex || { echo "examples/$$ex failed"; exit 1; }; \
+	done
 
 # End-to-end tenancy smoke: boots a daemon, starts a two-tenant instance,
 # and asserts disjoint keyspaces, fail-fast quota NACKs, tenant_* metrics,

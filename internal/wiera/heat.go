@@ -159,9 +159,9 @@ func (h *heatTracker) tick() {
 	}
 	h.mu.Unlock()
 
-	// A ring change moves ownership: every standing promotion may now point
-	// at (or originate from) the wrong worker, so retire them all and let
-	// the still-hot keys re-promote from their new owners next round.
+	// A new config epoch may move ownership: every standing promotion may
+	// now point at (or originate from) the wrong worker, so retire them all
+	// and let the still-hot keys re-promote from their new owners next round.
 	epoch := h.n.shards.ringEpoch()
 	h.mu.Lock()
 	epochChanged := epoch != h.lastEpoch

@@ -240,17 +240,24 @@ func TestHotReplicaRefreshAfterPut(t *testing.T) {
 
 func TestRebalanceInProgressTypedNACK(t *testing.T) {
 	c, _, _ := shardedCluster(t, "busy", 2)
-	c.server.mu.Lock()
-	c.server.instances["busy"].rebalancing = true
-	c.server.mu.Unlock()
+	st, _, err := c.server.checkout("busy")
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	_, err := c.server.AddWorker("busy")
+	_, err = c.server.AddWorker("busy")
 	nack := AsRebalanceInProgress(err)
 	if nack == nil || nack.InstanceID != "busy" {
 		t.Fatalf("AddWorker during rebalance: err = %v, want typed NACK", err)
 	}
 	if _, err := c.server.RemoveWorker("busy"); AsRebalanceInProgress(err) == nil {
 		t.Fatalf("RemoveWorker during rebalance: err = %v, want typed NACK", err)
+	}
+	// Policy changes share the checkout.
+	if err := c.server.ApplyChange(ChangeRequestMsg{
+		InstanceID: "busy", What: "consistency", To: "EventualConsistency",
+	}); AsRebalanceInProgress(err) == nil {
+		t.Fatalf("ApplyChange during rebalance: err = %v, want typed NACK", err)
 	}
 
 	// The NACK is its status code, not its text: wrapping keeps it, an error
@@ -263,9 +270,7 @@ func TestRebalanceInProgressTypedNACK(t *testing.T) {
 	}
 
 	// Clearing the guard lets the next membership change through.
-	c.server.mu.Lock()
-	c.server.instances["busy"].rebalancing = false
-	c.server.mu.Unlock()
+	c.server.release(st)
 	if _, err := c.server.AddWorker("busy"); err != nil {
 		t.Fatalf("AddWorker after settle: %v", err)
 	}

@@ -166,7 +166,7 @@ func TestThresholdMonitorResetAfterSwitch(t *testing.T) {
 	m.trigger.mu.Unlock()
 
 	sim.Advance(time.Second)
-	m.reset() // commitChange calls this once the switch lands
+	m.reset() // install calls this once the switch lands
 
 	if target, start := m.trigger.streakOf(""); target != "" || !start.IsZero() {
 		t.Fatalf("streak %q from %v survived reset", target, start)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -56,11 +57,9 @@ type NodeConfig struct {
 	// ServerDst names the Wiera server endpoint for change_policy requests
 	// ("" = changes applied locally only — useful in tests).
 	ServerDst string
-	// Primary marks this node's view of the current primary node name.
-	Primary string
-	// Ring is the shard map the node starts on. Without one the node is an
-	// instance of its own: one shard, served by itself.
-	Ring RingMsg
+	// Config is the instance config the node starts on. Without a map the
+	// node is an instance of its own: one shard, served by itself.
+	Config InstanceConfig
 	// Accountant receives tier request charges.
 	Accountant *cost.Accountant
 	// ExtraTiers installs pre-built tiers into the local instance, keyed by
@@ -82,12 +81,17 @@ type Node struct {
 	locks      *coord.Client
 	serverDst  string
 
+	// mu guards what install derives from the instance config: the program
+	// of the active policy, the node's shard group (peers, self included)
+	// and the group's primary.
 	mu         sync.Mutex
 	prog       *policy.Program
 	policyName string
-	peers      []PeerInfo // all members including self
+	peers      []PeerInfo
 	primary    string
-	epoch      int64
+	// frozenFor is the epoch of the config a prepared policy change awaits
+	// (0 = none): installing it reopens the gate.
+	frozenFor int64
 
 	// controlEvents are the threshold (monitoring) events, fixed at node
 	// creation; consistency changes do not replace them.
@@ -180,7 +184,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		serverDst:  cfg.ServerDst,
 		prog:       prog,
 		policyName: cfg.GlobalSpec.Name,
-		primary:    cfg.Primary,
 		gate:       newOpGate(),
 	}
 	// All node-level counters live on the fabric's registry: the same
@@ -207,10 +210,20 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.queueDepth = reg.Gauge("wiera_queue_depth",
 		"Keys with updates queued for lazy propagation.", "node", "region").
 		With(cfg.Name, region)
-	if cfg.Ring.Map == nil {
-		cfg.Ring = RingMsg{Map: &ring.Map{Workers: map[string][]string{region: {cfg.Name}}}, Settled: true}
+	if cfg.Config.Map == nil {
+		cfg.Config = InstanceConfig{
+			Map:     &ring.Map{Workers: map[string][]string{region: {cfg.Name}}},
+			Settled: true,
+			Members: []PeerInfo{{Name: cfg.Name, Region: cfg.Region}},
+		}
 	}
-	n.shards = newShardManager(n, cfg.Ring)
+	n.shards = newShardManager(n)
+	if _, _, err := n.adopt(cfg.Config); err != nil {
+		local.Close()
+		cfg.Fabric.Remove(cfg.Name)
+		return nil, err
+	}
+	n.shards.publishGauges()
 	n.ecm = newECManager(n, cfg)
 	n.heat = newHeatTracker(n, cfg)
 	n.tenants = newTenantManager(n, cfg)
@@ -339,17 +352,7 @@ func (n *Node) execState() (prog *policy.Program, isPrimary bool) {
 	return n.prog, n.primary == n.name
 }
 
-// SetPeers installs the membership list (control plane).
-func (n *Node) SetPeers(peers []PeerInfo, primary string) {
-	n.mu.Lock()
-	n.peers = append([]PeerInfo(nil), peers...)
-	if primary != "" {
-		n.primary = primary
-	}
-	n.mu.Unlock()
-}
-
-// Peers returns the other members (excluding self).
+// Peers returns the other members of the node's shard group.
 func (n *Node) Peers() []PeerInfo {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -644,7 +647,7 @@ func (n *Node) readLocal(ctx context.Context, key string, v *object.Version) (da
 // the read was stale — the read-repair trigger.
 func (n *Node) trackFreshness(meta object.Meta) bool {
 	latest := meta.Version
-	// SetPeers replaces the membership slice, never edits it, so the one
+	// install replaces the membership slice, never edits it, so the one
 	// read here is a stable snapshot.
 	n.mu.Lock()
 	members := n.peers
@@ -1015,19 +1018,14 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 			return nil, fmt.Errorf("wiera: node %s: repair subsystem disabled", n.name)
 		}
 		return n.repair.handle(ctx, method, payload)
-	case MethodSetPeers:
-		var msg PeersMsg
-		if err := transport.Decode(payload, &msg); err != nil {
+	case MethodSetConfig:
+		var cfg InstanceConfig
+		if err := transport.Decode(payload, &cfg); err != nil {
 			return nil, err
 		}
-		n.SetPeers(msg.Peers, msg.Primary)
-		return transport.Encode(Empty{})
-	case MethodSetRing:
-		var msg RingMsg
-		if err := transport.Decode(payload, &msg); err != nil {
+		if err := n.install(cfg); err != nil {
 			return nil, err
 		}
-		n.shards.install(msg)
 		return transport.Encode(Empty{})
 	case MethodRingDrain:
 		moved, err := n.shards.drain(ctx)
@@ -1035,32 +1033,12 @@ func (n *Node) handle(ctx context.Context, method string, payload []byte) ([]byt
 			return nil, err
 		}
 		return transport.Encode(RingDrainResponse{Moved: moved})
-	case MethodSetPrimary:
-		var msg SetPrimaryMsg
-		if err := transport.Decode(payload, &msg); err != nil {
-			return nil, err
-		}
-		n.mu.Lock()
-		n.primary = msg.Primary
-		n.mu.Unlock()
-		n.reqMon.reset()
-		n.sloMon.reset()
-		return transport.Encode(Empty{})
 	case MethodPrepareChange:
 		var msg PrepareChangeMsg
 		if err := transport.Decode(payload, &msg); err != nil {
 			return nil, err
 		}
 		if err := n.prepareChange(msg.Epoch); err != nil {
-			return nil, err
-		}
-		return transport.Encode(Empty{})
-	case MethodCommitChange:
-		var msg CommitChangeMsg
-		if err := transport.Decode(payload, &msg); err != nil {
-			return nil, err
-		}
-		if err := n.commitChange(msg); err != nil {
 			return nil, err
 		}
 		return transport.Encode(Empty{})
@@ -1115,77 +1093,98 @@ func (n *Node) FlushQueue() { n.queue.flushNow() }
 func (n *Node) QueueDepth() int { return n.queue.out.Len() }
 
 // prepareChange drains in-flight operations and the update queue, then
-// blocks new operations until commitChange.
+// blocks new operations until the config of the given epoch is installed.
 func (n *Node) prepareChange(epoch int64) error {
 	n.mu.Lock()
-	if epoch <= n.epoch {
+	if at := n.shards.ringEpoch(); epoch <= at {
 		n.mu.Unlock()
-		return fmt.Errorf("wiera: stale change epoch %d (at %d)", epoch, n.epoch)
+		return fmt.Errorf("wiera: stale change epoch %d (at %d)", epoch, at)
 	}
+	n.frozenFor = epoch
 	n.mu.Unlock()
 	n.gate.freeze()
 	n.queue.flushNow()
 	return nil
 }
 
-// commitChange installs the new policy and unblocks operations.
-func (n *Node) commitChange(msg CommitChangeMsg) error {
-	var spec *policy.Spec
-	var err error
-	if msg.PolicyName != "" {
-		spec, err = policy.Builtin(msg.PolicyName)
-	} else {
-		spec, err = policy.Parse(msg.PolicySrc)
-	}
-	if err != nil {
-		n.gate.thaw()
-		return err
-	}
-	prog, err := policy.Compile(spec, nil)
-	if err != nil {
-		n.gate.thaw()
-		return err
-	}
+// install adopts cfg when its epoch is above the installed one; an older or
+// equal config is ignored, so reordered control RPCs cannot roll the node
+// back. A gate that prepareChange froze for cfg's epoch reopens, also when
+// cfg names a policy that does not compile.
+func (n *Node) install(cfg InstanceConfig) error {
 	n.mu.Lock()
-	n.prog = prog
-	n.policyName = spec.Name
-	n.epoch = msg.Epoch
-	if msg.Primary != "" {
-		n.primary = msg.Primary
+	if cfg.Map == nil || cfg.Epoch() <= n.shards.ringEpoch() {
+		n.mu.Unlock()
+		return nil
+	}
+	policyChanged, primaryChanged, err := n.adopt(cfg)
+	thaw := n.frozenFor > 0 && (err != nil || cfg.Epoch() >= n.frozenFor)
+	if thaw {
+		n.frozenFor = 0
 	}
 	n.mu.Unlock()
-	n.latMon.reset()
-	n.sloMon.reset()
-	if msg.Primary != "" {
-		n.reqMon.reset()
+	if err == nil {
+		n.shards.publishGauges()
+		if policyChanged {
+			n.latMon.reset()
+		}
+		if primaryChanged {
+			n.reqMon.reset()
+		}
+		if policyChanged || primaryChanged {
+			n.sloMon.reset()
+		}
 	}
-	n.gate.thaw()
-	return nil
+	if thaw {
+		n.gate.thaw()
+	}
+	return err
 }
 
-// requestPolicyChange asks the Wiera server to change the policy (the
-// change_policy response, Sec 4.3). Without a server the change applies
-// locally (single-node tests).
-func (n *Node) requestPolicyChange(what, to string) error {
-	return n.requestPolicyChangeVia(what, to, "")
+// adopt makes cfg the node's config: its shard, its group's peers and
+// primary, and the program of cfg's policy, compiled when the name differs
+// from the running one. The caller holds n.mu or owns n alone.
+func (n *Node) adopt(cfg InstanceConfig) (policyChanged, primaryChanged bool, err error) {
+	if cfg.Policy != "" && cfg.Policy != n.policyName {
+		spec, err := policy.Builtin(cfg.Policy)
+		if err != nil {
+			return false, false, err
+		}
+		prog, err := policy.Compile(spec, nil)
+		if err != nil {
+			return false, false, err
+		}
+		n.prog, n.policyName, policyChanged = prog, spec.Name, true
+	}
+	shard := n.shards.adopt(cfg)
+	primary := cfg.primaryOf(shard)
+	primaryChanged = primary != n.primary
+	n.peers, n.primary = cfg.group(shard), primary
+	return policyChanged, primaryChanged, nil
 }
 
-// requestPolicyChangeVia additionally records which monitor triggered the
+// requestPolicyChangeVia asks the Wiera server to change the policy (the
+// change_policy response, Sec 4.3), naming the monitor that triggered the
 // change ("latency", "primary", "slo", ...) so the server's change log can
-// attribute every switch to its cause.
+// attribute every switch to its cause. Without a server the change applies
+// locally, as a config one epoch on (single-node tests).
 func (n *Node) requestPolicyChangeVia(what, to, via string) error {
 	if n.serverDst == "" {
+		cfg := n.shards.config().clone()
 		switch what {
 		case "consistency":
-			return n.commitChange(CommitChangeMsg{Epoch: n.epoch + 1, PolicyName: to})
+			cfg.Policy = to
 		case "primary_instance":
-			n.mu.Lock()
-			n.primary = to
-			n.mu.Unlock()
-			return nil
+			i := slices.IndexFunc(cfg.Members, func(m PeerInfo) bool { return m.Name == to })
+			if i < 0 {
+				return fmt.Errorf("wiera: %q is not a member", to)
+			}
+			cfg.PrimaryRegion = cfg.Members[i].Region
 		default:
 			return fmt.Errorf("wiera: unknown change_policy target %q", what)
 		}
+		cfg.Map.Epoch++
+		return n.install(cfg)
 	}
 	return n.callPeer(context.Background(), n.serverDst, MethodRequestChange, ChangeRequestMsg{
 		InstanceID: n.instanceID, What: what, To: to, From: n.name, Via: via,

@@ -10,6 +10,7 @@ package wiera
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/flight"
 	"repro/internal/object"
@@ -57,12 +58,9 @@ const (
 	MethodRepairPush    = "wiera.repairPush"
 
 	// Control plane: server -> node.
-	MethodSetPeers      = "wiera.setPeers"
-	MethodSetPrimary    = "wiera.setPrimary"
-	MethodSetRing       = "wiera.setRing"
+	MethodSetConfig     = "wiera.setConfig"
 	MethodRingDrain     = "wiera.ringDrain"
 	MethodPrepareChange = "wiera.prepareChange"
-	MethodCommitChange  = "wiera.commitChange"
 	MethodPing          = "wiera.ping"
 
 	// Control plane: node -> server.
@@ -315,32 +313,61 @@ type RepairPushResponse struct {
 	Accepted int
 }
 
-// PeersMsg distributes the instance membership list (Sec 4.1 step 6).
-type PeersMsg struct {
-	Peers   []PeerInfo
-	Primary string
-}
-
 // PeerInfo names one member instance and its region.
 type PeerInfo struct {
 	Name   string
 	Region simnet.Region
 }
 
-// SetPrimaryMsg changes the primary instance.
-type SetPrimaryMsg struct {
-	Primary string
+// InstanceConfig is one epoch of an instance's configuration, the whole of
+// what the control plane decides for its members (Sec 4.1 step 6, Sec 4.4):
+// the shard map, the live members, the region whose workers lead their
+// shard groups, and the active global policy. Map.Epoch is the config's
+// epoch; every change stamps a new one, and a node installs only a config
+// newer than the one it holds. From it each node derives its shard, its
+// group peers (the members serving the same shard) and its group primary.
+//
+// During a rebalance the new map is first installed unsettled (Settled
+// false) with Prev carrying the outgoing map, so workers can pull
+// not-yet-migrated keys from their previous owners; once every moved key has
+// been streamed, a settled config drops the fallback path.
+type InstanceConfig struct {
+	Map           *ring.Map
+	Prev          *ring.Map // previous map during an unsettled rebalance (nil once settled)
+	Settled       bool
+	Members       []PeerInfo    // live members, including workers leaving mid-rebalance
+	PrimaryRegion simnet.Region // its worker k leads shard group k ("" = no primary)
+	Policy        string        // active global policy name
 }
 
-// RingMsg installs a shard map on a worker. During a rebalance the control
-// plane first installs the new map unsettled (Settled false) with Prev
-// carrying the outgoing map, so workers can pull not-yet-migrated keys from
-// their previous owners; once every moved key has been streamed, a second
-// settled RingMsg drops the fallback path.
-type RingMsg struct {
-	Map     *ring.Map
-	Prev    *ring.Map // previous map during an unsettled rebalance (nil once settled)
-	Settled bool
+// Epoch returns the config's epoch.
+func (c InstanceConfig) Epoch() int64 { return c.Map.Epoch }
+
+// clone returns a copy whose map and member list can be edited.
+func (c InstanceConfig) clone() InstanceConfig {
+	c.Map, c.Prev = c.Map.Clone(), c.Prev.Clone()
+	c.Members = slices.Clone(c.Members)
+	return c
+}
+
+// group lists the members serving shard, in member order.
+func (c InstanceConfig) group(shard int) []PeerInfo {
+	var out []PeerInfo
+	for _, m := range c.Members {
+		if c.Map.ShardOf(string(m.Region), m.Name) == shard {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// primaryOf names the leader of shard group k: the primary region's worker
+// k ("" when the instance has no primary or k is not a shard).
+func (c InstanceConfig) primaryOf(k int) string {
+	if ws := c.Map.Workers[string(c.PrimaryRegion)]; k >= 0 && k < len(ws) {
+		return ws[k]
+	}
+	return ""
 }
 
 // RingDrainRequest asks a worker to stream every key it no longer owns
@@ -462,17 +489,11 @@ func AsWrongShard(err error) *WrongShardError {
 
 // PrepareChangeMsg blocks new operations and drains queues ahead of a
 // consistency change (Sec 3.3.2: in-progress and queued operations are
-// applied first; new requests block until the change takes effect).
+// applied first; new requests block until the change takes effect). Epoch
+// is the epoch of the config that commits the change: installing it
+// reopens the gate.
 type PrepareChangeMsg struct {
 	Epoch int64
-}
-
-// CommitChangeMsg installs a new global policy body.
-type CommitChangeMsg struct {
-	Epoch      int64
-	PolicyName string // a builtin or previously registered policy name
-	PolicySrc  string // full source; used when PolicyName is empty
-	Primary    string // optional new primary ("" = keep)
 }
 
 // ChangeRequestMsg is a node asking the server for a policy change (the
@@ -536,8 +557,7 @@ type SpawnRequest struct {
 	LocalSrc   string            // local Tiera policy source
 	GlobalSrc  string            // global policy source
 	Params     map[string]string // as StartInstancesRequest.Params, validated again against this node's specs
-	Primary    string
-	Ring       RingMsg // the shard map the node starts on; it names the node
+	Config     InstanceConfig    // the config the node starts on; its map names the node
 }
 
 // SpawnResponse confirms the node is serving.

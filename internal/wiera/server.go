@@ -78,21 +78,18 @@ type instanceState struct {
 	id          string
 	globalSrc   string
 	params      Params
-	policyName  string // current data-plane policy
-	primary     string
-	epoch       int64
 	minReplicas int
-	nodes       []PeerInfo
 	plans       []regionPlan // for respawning failed replicas
-	changing    bool
 
-	// Every instance runs on a shard map; one worker per region is its
-	// one-shard case. Worker i across all regions forms shard group i: it
-	// receives its own membership list and primary, and the per-key policy
+	// cfg is the instance's config at its latest epoch: what GetInstances
+	// hands clients and what the next change copies. Every instance runs on
+	// a shard map; one worker per region is its one-shard case. Worker i
+	// across all regions forms shard group i, and the per-key policy
 	// machinery runs inside the group.
-	ringMap       *ring.Map
-	primaryRegion simnet.Region // region whose workers lead their groups
-	rebalancing   bool
+	cfg InstanceConfig
+	// busy marks the instance checked out by a change (checkout): one
+	// change at a time edits cfg.
+	busy bool
 
 	// autoctl is the instance's elastic autoscaler (nil unless the
 	// autoscale param asked for one). It consumes the aggregated stats
@@ -247,7 +244,8 @@ func (s *Server) handle(_ context.Context, method string, payload []byte) ([]byt
 
 // StartInstances implements Table 1 startInstances: parse the global
 // policy, spawn a Tiera instance in every declared region through that
-// region's Tiera server, distribute membership, and return the node list.
+// region's Tiera server, each on the instance's first config, and return
+// the node list.
 func (s *Server) StartInstances(req StartInstancesRequest) ([]PeerInfo, error) {
 	if req.InstanceID == "" {
 		return nil, errors.New("wiera: instance id required")
@@ -287,61 +285,54 @@ func (s *Server) StartInstances(req StartInstancesRequest) ([]PeerInfo, error) {
 	}
 
 	st := &instanceState{
-		id:         req.InstanceID,
-		globalSrc:  req.PolicySrc,
-		params:     params,
-		policyName: globalSpec.Name,
+		id:        req.InstanceID,
+		globalSrc: req.PolicySrc,
+		params:    params,
+		plans:     plans,
 		// Sec 4.4: "an application can specify the required number of
 		// replicas to be available at all times".
 		minReplicas: params.Ring.MinReplicas,
 	}
-	for i := range plans {
-		plans[i].Params = nodeParams(req.Params, params, globalSpec, plans[i].Local)
-		if plans[i].Primary {
-			st.primaryRegion = plans[i].Region
-		}
-	}
-	st.plans = plans
 	// Worker pools (sharding): N Tiera-backed workers per region on a
 	// consistent-hash ring. Worker k of every region forms shard group k,
-	// led by the primary region's worker k.
+	// led by the primary region's worker k. Every worker starts on the
+	// final config, which already names all of them.
 	workers := params.Ring.Workers
 	if workers == 0 {
 		workers = s.defaultWorkers
 	}
-	rm := &ring.Map{Vnodes: params.Ring.Vnodes, Workers: make(map[string][]string)}
-	for _, plan := range plans {
+	cfg := InstanceConfig{
+		Map:     &ring.Map{Vnodes: params.Ring.Vnodes, Workers: make(map[string][]string)},
+		Settled: true,
+		Policy:  globalSpec.Name,
+	}
+	for i := range plans {
+		plans[i].Params = nodeParams(req.Params, params, globalSpec, plans[i].Local)
+		if plans[i].Primary {
+			cfg.PrimaryRegion = plans[i].Region
+		}
 		for k := 0; k < workers; k++ {
-			rm.Workers[string(plan.Region)] = append(rm.Workers[string(plan.Region)], workerName(req.InstanceID, plan.Region, k))
+			w := PeerInfo{Name: workerName(req.InstanceID, plans[i].Region, k), Region: plans[i].Region}
+			cfg.Map.Workers[string(w.Region)] = append(cfg.Map.Workers[string(w.Region)], w.Name)
+			cfg.Members = append(cfg.Members, w)
 		}
 	}
-	s.nextRingEpoch(st.id, rm)
-	st.ringMap = rm
-	st.primary = groupPrimary(rm, st.primaryRegion, 0)
-
-	var nodes []PeerInfo
-	for _, plan := range plans {
-		for k, name := range rm.Workers[string(plan.Region)] {
-			node, err := s.spawn(name, plan, st, groupPrimary(rm, st.primaryRegion, k), RingMsg{Map: rm, Settled: true})
-			if err != nil {
-				s.teardown(nodes)
-				return nil, err
-			}
-			nodes = append(nodes, node)
+	s.nextRingEpoch(st.id, cfg.Map)
+	for i, w := range cfg.Members {
+		if err := s.spawn(st, cfg, w); err != nil {
+			s.teardown(cfg.Members[:i])
+			return nil, err
 		}
 	}
 	if st.minReplicas == 0 {
-		st.minReplicas = len(nodes)
+		st.minReplicas = len(cfg.Members)
 	}
-	st.nodes = nodes
+	st.cfg = cfg
 	s.mu.Lock()
 	s.instances[req.InstanceID] = st
 	s.mu.Unlock()
-	if err := s.broadcastPeers(st); err != nil {
-		return nil, err
-	}
 	s.startAutoscaler(st)
-	return nodes, nil
+	return slices.Clone(cfg.Members), nil
 }
 
 // startAutoscaler launches the instance's elastic controller when the
@@ -542,46 +533,31 @@ func workerName(instanceID string, region simnet.Region, k int) string {
 	return name
 }
 
-// groupPrimary names the leader of shard group k: the primary region's
-// worker k ("" when the instance has no primary).
-func groupPrimary(rm *ring.Map, primaryRegion simnet.Region, k int) string {
-	if ws := rm.Workers[string(primaryRegion)]; k >= 0 && k < len(ws) {
-		return ws[k]
+// spawn asks w's regional Tiera server to create w on cfg, which names it.
+func (s *Server) spawn(st *instanceState, cfg InstanceConfig, w PeerInfo) error {
+	plan, ok := planForRegion(st.plans, w.Region)
+	if !ok {
+		return fmt.Errorf("wiera: no region plan for %s", w.Region)
 	}
-	return ""
-}
-
-// spawn asks the region's Tiera server to create the node. primaryName is
-// the primary of the node's shard group (its own name when it leads); rm is
-// the shard map the node starts on.
-func (s *Server) spawn(nodeName string, plan regionPlan, st *instanceState, primaryName string, rm RingMsg) (PeerInfo, error) {
 	s.mu.Lock()
-	tsEndpoint, ok := s.tieraServers[plan.Region]
+	tsEndpoint, ok := s.tieraServers[w.Region]
 	s.mu.Unlock()
 	if !ok {
-		return PeerInfo{}, fmt.Errorf("wiera: no Tiera server registered for region %s", plan.Region)
+		return fmt.Errorf("wiera: no Tiera server registered for region %s", w.Region)
 	}
 	payload, err := transport.Encode(SpawnRequest{
 		InstanceID: st.id,
-		NodeName:   nodeName,
+		NodeName:   w.Name,
 		LocalSrc:   policy.Print(plan.Local),
 		GlobalSrc:  st.globalSrc,
 		Params:     plan.Params,
-		Primary:    primaryName,
-		Ring:       rm,
+		Config:     cfg,
 	})
 	if err != nil {
-		return PeerInfo{}, err
+		return err
 	}
-	raw, err := s.ep.Call(context.Background(), tsEndpoint, MethodSpawn, payload)
-	if err != nil {
-		return PeerInfo{}, err
-	}
-	var resp SpawnResponse
-	if err := transport.Decode(raw, &resp); err != nil {
-		return PeerInfo{}, err
-	}
-	return resp.Node, nil
+	_, err = s.ep.Call(context.Background(), tsEndpoint, MethodSpawn, payload)
+	return err
 }
 
 // teardown stops nodes through their regions' Tiera servers. Each despawn
@@ -598,61 +574,64 @@ func (s *Server) teardown(nodes []PeerInfo) {
 	}
 }
 
-// broadcastPeers distributes the membership list and primary to all nodes
-// (Sec 4.1 step 6). Shard group k is the live members serving shard k, led
-// by the primary region's worker k.
-func (s *Server) broadcastPeers(st *instanceState) error {
-	s.mu.Lock()
-	rm := st.ringMap
-	nodes := append([]PeerInfo(nil), st.nodes...)
-	primaryRegion := st.primaryRegion
-	s.mu.Unlock()
-	for shard := 0; shard < rm.Shards(); shard++ {
-		var group []PeerInfo
-		for _, n := range nodes {
-			if rm.ShardOf(string(n.Region), n.Name) == shard {
-				group = append(group, n)
-			}
-		}
-		if err := s.sendPeers(group, groupPrimary(rm, primaryRegion, shard)); err != nil {
-			return err
-		}
-	}
-	return nil
+// push installs cfg on workers.
+func (s *Server) push(cfg InstanceConfig, workers []PeerInfo) error {
+	return s.callAll(workers, MethodSetConfig, cfg)
 }
 
-// sendPeers pushes one membership list to its members.
-func (s *Server) sendPeers(group []PeerInfo, primary string) error {
-	payload, err := transport.Encode(PeersMsg{Peers: group, Primary: primary})
-	if err != nil {
-		return err
-	}
-	for _, n := range group {
-		if _, err := s.ep.Call(context.Background(), n.Name, MethodSetPeers, payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// broadcastRing installs a shard map on the given workers.
-func (s *Server) broadcastRing(workers []PeerInfo, msg RingMsg) error {
+// callAll sends msg to every worker, also past a failure, and returns the
+// first failure.
+func (s *Server) callAll(workers []PeerInfo, method string, msg any) error {
 	payload, err := transport.Encode(msg)
 	if err != nil {
 		return err
 	}
+	var first error
 	for _, w := range workers {
-		if _, err := s.ep.Call(context.Background(), w.Name, MethodSetRing, payload); err != nil {
-			return err
+		if _, err := s.ep.Call(context.Background(), w.Name, method, payload); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
-// nextRingEpoch stamps m, a copy of instance id's current map or a new one,
-// with its next epoch: through the coordination service when one is
-// configured (the authoritative path), locally one past m's epoch
-// otherwise.
+// checkout hands one change at a time a copy of the instance's config to
+// edit: start-up aside, every change — respawn, drop, grow, shrink, settle,
+// primary move, policy commit — copies, edits, stamps, stores and pushes
+// the config between checkout and release. A second checkout in between
+// NACKs with ErrRebalanceInProgress, which the autoscaler and the change
+// monitors retry.
+func (s *Server) checkout(id string) (*instanceState, InstanceConfig, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, ok := s.instances[id]
+	if !ok {
+		return nil, InstanceConfig{}, fmt.Errorf("wiera: no instance %q", id)
+	}
+	if st.busy {
+		return nil, InstanceConfig{}, &ErrRebalanceInProgress{InstanceID: id}
+	}
+	st.busy = true
+	return st, st.cfg.clone(), nil
+}
+
+func (s *Server) release(st *instanceState) {
+	s.mu.Lock()
+	st.busy = false
+	s.mu.Unlock()
+}
+
+// store makes cfg the instance's config.
+func (s *Server) store(st *instanceState, cfg InstanceConfig) {
+	s.mu.Lock()
+	st.cfg = cfg
+	s.mu.Unlock()
+}
+
+// nextRingEpoch stamps m, the map of a copy of instance id's current config
+// or of a new one, with the config's next epoch: through the coordination
+// service when one is configured (the authoritative path), locally one past
+// m's epoch otherwise.
 func (s *Server) nextRingEpoch(id string, m *ring.Map) {
 	m.Epoch++
 	if s.coordDst == "" {
@@ -681,7 +660,7 @@ func (s *Server) StopInstances(instanceID string) error {
 		return fmt.Errorf("wiera: no instance %q", instanceID)
 	}
 	st.autoctl.Stop() // nil-safe; before teardown so no action races the shutdown
-	s.teardown(st.nodes)
+	s.teardown(st.cfg.Members)
 	return nil
 }
 
@@ -700,7 +679,7 @@ func (s *Server) InstanceView(instanceID string) ([]PeerInfo, *ring.Map, error) 
 	if !ok {
 		return nil, nil, fmt.Errorf("wiera: no instance %q", instanceID)
 	}
-	return append([]PeerInfo(nil), st.nodes...), st.ringMap.Clone(), nil
+	return slices.Clone(st.cfg.Members), st.cfg.Map.Clone(), nil
 }
 
 // Ring returns the instance's current shard map.
@@ -718,7 +697,7 @@ type InstanceHealth struct {
 	Nodes       int    `json:"nodes"`
 	Workers     int    `json:"workersPerRegion"` // shards per region
 	RingEpoch   int64  `json:"ringEpoch"`
-	Rebalancing bool   `json:"rebalancing"`
+	Rebalancing bool   `json:"rebalancing"` // a change holds the instance's checkout
 	Autoscaled  bool   `json:"autoscaled"`
 	Tenants     int    `json:"tenants"` // configured tenants incl. default (0 = tenancy off)
 }
@@ -730,9 +709,9 @@ func (s *Server) Health() []InstanceHealth {
 	out := make([]InstanceHealth, 0, len(s.instances))
 	for id, st := range s.instances {
 		out = append(out, InstanceHealth{
-			ID: id, Policy: st.policyName, Nodes: len(st.nodes),
-			Workers: st.ringMap.Shards(), RingEpoch: st.ringMap.Epoch,
-			Rebalancing: st.rebalancing, Autoscaled: st.autoctl != nil,
+			ID: id, Policy: st.cfg.Policy, Nodes: len(st.cfg.Members),
+			Workers: st.cfg.Map.Shards(), RingEpoch: st.cfg.Epoch(),
+			Rebalancing: st.busy, Autoscaled: st.autoctl != nil,
 			Tenants: len(st.params.Tenancy.Tenants),
 		})
 	}
@@ -774,88 +753,50 @@ func (s *Server) HeatTop(instanceID string, k int) ([]HeatKey, error) {
 	return out, nil
 }
 
-// beginRebalance checks out the instance for an exclusive membership change
-// and snapshots its map and live members.
-func (s *Server) beginRebalance(instanceID string) (*instanceState, *ring.Map, []PeerInfo, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.instances[instanceID]
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("wiera: no instance %q", instanceID)
-	}
-	if st.rebalancing {
-		// Typed NACK: membership changes are strictly serialized, so a
-		// caller (the autoscaler, or a second wieractl grow/shrink) can
-		// recognize the collision and retry after the settle.
-		return nil, nil, nil, &ErrRebalanceInProgress{InstanceID: instanceID}
-	}
-	st.rebalancing = true
-	return st, st.ringMap.Clone(), append([]PeerInfo(nil), st.nodes...), nil
-}
-
-func (s *Server) endRebalance(st *instanceState) {
-	s.mu.Lock()
-	st.rebalancing = false
-	s.mu.Unlock()
-}
-
 // AddWorker grows the instance's per-region worker pools by one shard and
 // rebalances online: stamp a new epoch, spawn the new workers on the new
 // map first (unsettled, so they pull not-yet-moved keys from the previous
 // owners), then let the old owners NACK and drain only the moved keys.
 // Returns how many keys moved.
 func (s *Server) AddWorker(instanceID string) (int, error) {
-	st, cur, old, err := s.beginRebalance(instanceID)
+	st, cfg, err := s.checkout(instanceID)
 	if err != nil {
 		return 0, err
 	}
-	defer s.endRebalance(st)
-
-	s.mu.Lock()
-	primaryRegion := st.primaryRegion
-	s.mu.Unlock()
+	defer s.release(st)
 
 	// One new worker per region; worker k of every region is shard group k.
+	cur, old := cfg.Map, cfg.Members
 	newShard := cur.Shards()
 	next := cur.Clone()
+	var added []PeerInfo
 	for _, region := range cur.Regions() {
-		next.Workers[region] = append(next.Workers[region], workerName(instanceID, simnet.Region(region), newShard))
+		w := PeerInfo{Name: workerName(instanceID, simnet.Region(region), newShard), Region: simnet.Region(region)}
+		next.Workers[region] = append(next.Workers[region], w.Name)
+		added = append(added, w)
 	}
+	cfg.Map, cfg.Prev, cfg.Settled = next, cur, false
+	cfg.Members = slices.Concat(old, added)
 	s.nextRingEpoch(instanceID, next)
 
 	// 1) The new workers start on the new map, with the old map as fallback:
 	//    a client routed by the new map is never refused — the new owner
 	//    pulls the key from its previous owner on demand.
-	unsettled := RingMsg{Map: next, Prev: cur}
-	lead := groupPrimary(next, primaryRegion, newShard)
-	var added []PeerInfo
-	for _, region := range cur.Regions() {
-		plan, ok := planForRegion(st.plans, simnet.Region(region))
-		if !ok {
-			s.teardown(added)
-			return 0, fmt.Errorf("wiera: no region plan for %s", region)
-		}
-		node, err := s.spawn(next.Workers[region][newShard], plan, st, lead, unsettled)
-		if err != nil {
-			s.teardown(added)
+	for i, w := range added {
+		if err := s.spawn(st, cfg, w); err != nil {
+			s.teardown(added[:i])
 			return 0, err
 		}
-		added = append(added, node)
-	}
-	if err := s.sendPeers(added, lead); err != nil {
-		return 0, err
 	}
 
 	// 2) Publish to clients: GetInstances now hands out the new map.
-	all := append(old, added...)
+	s.store(st, cfg)
 	s.mu.Lock()
-	st.ringMap = next
-	st.nodes = all
-	st.minReplicas = len(all)
+	st.minReplicas = len(cfg.Members)
 	s.mu.Unlock()
 
 	// 3) The previous owners install the map and start NACKing moved keys.
-	if err := s.broadcastRing(old, unsettled); err != nil {
+	if err := s.push(cfg, old); err != nil {
 		return 0, err
 	}
 
@@ -867,22 +808,20 @@ func (s *Server) AddWorker(instanceID string) (int, error) {
 	}
 
 	// 5) Settle: drop the previous-owner fallback everywhere.
-	if err := s.broadcastRing(all, RingMsg{Map: next, Settled: true}); err != nil {
-		return moved, err
-	}
-	return moved, nil
+	return moved, s.settle(st, cfg)
 }
 
 // RemoveWorker shrinks the pools by one shard (the highest index): the
 // remaining workers take over its key ranges, the leaving workers drain
 // everything they hold to the new owners, then shut down.
 func (s *Server) RemoveWorker(instanceID string) (int, error) {
-	st, cur, nodes, err := s.beginRebalance(instanceID)
+	st, cfg, err := s.checkout(instanceID)
 	if err != nil {
 		return 0, err
 	}
-	defer s.endRebalance(st)
+	defer s.release(st)
 
+	cur := cfg.Map
 	if cur.Shards() < 2 {
 		return 0, fmt.Errorf("wiera: instance %q has no worker to remove", instanceID)
 	}
@@ -891,41 +830,55 @@ func (s *Server) RemoveWorker(instanceID string) (int, error) {
 	for _, region := range next.Regions() {
 		next.Workers[region] = next.Workers[region][:leavingShard]
 	}
-	s.nextRingEpoch(instanceID, next)
 	var leaving, remaining []PeerInfo
-	for _, n := range nodes {
+	for _, n := range cfg.Members {
 		if cur.ShardOf(string(n.Region), n.Name) == leavingShard {
 			leaving = append(leaving, n)
 		} else {
 			remaining = append(remaining, n)
 		}
 	}
+	// The leaving workers stay members until they have drained: under the
+	// new map their shard index is -1, so they form a group of their own
+	// (their queued fan-outs still reach each other) and NACK every op.
+	cfg.Map, cfg.Prev, cfg.Settled = next, cur, false
+	s.nextRingEpoch(instanceID, next)
 
 	// Remaining workers first (unsettled: misses fall back to the leaving
-	// owners), then clients, then the leaving workers — whose shard index
-	// under the new map is -1, so they NACK every op and drain everything.
-	unsettled := RingMsg{Map: next, Prev: cur}
-	if err := s.broadcastRing(remaining, unsettled); err != nil {
+	// owners), then clients, then the leaving workers, which drain
+	// everything.
+	if err := s.push(cfg, remaining); err != nil {
 		return 0, err
 	}
+	s.store(st, cfg)
 	s.mu.Lock()
-	st.ringMap = next
-	st.nodes = remaining
 	st.minReplicas = len(remaining)
-	st.promote()
 	s.mu.Unlock()
-	if err := s.broadcastRing(leaving, unsettled); err != nil {
+	if err := s.push(cfg, leaving); err != nil {
 		return 0, err
 	}
 	moved, err := s.drain(leaving)
 	if err != nil {
 		return moved, err
 	}
-	if err := s.broadcastRing(remaining, RingMsg{Map: next, Settled: true}); err != nil {
+	cfg.Members = remaining
+	if err := s.settle(st, cfg); err != nil {
 		return moved, err
 	}
 	s.teardown(leaving)
 	return moved, nil
+}
+
+// settle ends a rebalance: cfg, without the previous-owner fallback, under
+// a fresh epoch, on every member.
+func (s *Server) settle(st *instanceState, cfg InstanceConfig) error {
+	cfg.Map, cfg.Prev, cfg.Settled = cfg.Map.Clone(), nil, true
+	s.nextRingEpoch(st.id, cfg.Map)
+	if err := s.push(cfg, cfg.Members); err != nil {
+		return err
+	}
+	s.store(st, cfg)
+	return nil
 }
 
 // drain has each worker, one at a time, stream the keys it no longer owns
@@ -950,18 +903,18 @@ func (s *Server) drain(workers []PeerInfo) (int, error) {
 	return moved, nil
 }
 
-// promote replaces a primary that left the membership: the primary region's
-// live shard-0 worker, else the first live member in declaration order,
-// whose region then leads every shard group. The caller holds Server.mu.
-func (st *instanceState) promote() {
-	if st.primary == "" || len(st.nodes) == 0 || sliceHas(st.nodes, st.primary) {
+// promote moves the primary to a live region when the primary region's
+// shard-0 worker left the membership: the region of the first live shard-0
+// worker in declaration order, else of the first live member, then leads
+// every shard group.
+func (c *InstanceConfig) promote() {
+	if c.PrimaryRegion == "" || len(c.Members) == 0 || sliceHas(c.Members, c.primaryOf(0)) {
 		return
 	}
-	if w := groupPrimary(st.ringMap, st.primaryRegion, 0); sliceHas(st.nodes, w) {
-		st.primary = w
-		return
-	}
-	st.primary, st.primaryRegion = st.nodes[0].Name, st.nodes[0].Region
+	i := max(0, slices.IndexFunc(c.Members, func(m PeerInfo) bool {
+		return c.Map.ShardOf(string(m.Region), m.Name) == 0
+	}))
+	c.PrimaryRegion = c.Members[i].Region
 }
 
 func sliceHas(nodes []PeerInfo, name string) bool {
@@ -974,97 +927,49 @@ func sliceHas(nodes []PeerInfo, name string) bool {
 }
 
 // ApplyChange executes a change_policy request from a node: a consistency
-// swap (prepare on all nodes, then commit) or a primary move.
+// swap (freeze every member, then commit the config naming the new policy)
+// or a primary move (commit the config naming the target's region).
 func (s *Server) ApplyChange(req ChangeRequestMsg) error {
-	s.mu.Lock()
-	st, ok := s.instances[req.InstanceID]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("wiera: no instance %q", req.InstanceID)
-	}
-	if st.changing {
-		s.mu.Unlock()
-		return nil // a change is already in flight; drop duplicates
-	}
-	switch req.What {
-	case "consistency":
-		if st.policyName == req.To {
-			s.mu.Unlock()
-			return nil
-		}
-	case "primary_instance":
-		if st.primary == req.To {
-			s.mu.Unlock()
-			return nil
-		}
-	default:
-		s.mu.Unlock()
+	if req.What != "consistency" && req.What != "primary_instance" {
 		return fmt.Errorf("wiera: unknown change target %q", req.What)
 	}
-	st.changing = true
-	nodes := append([]PeerInfo(nil), st.nodes...)
-	rm := st.ringMap
-	epoch := st.epoch + 1
-	s.mu.Unlock()
+	st, cfg, err := s.checkout(req.InstanceID)
+	if err != nil {
+		return err
+	}
+	defer s.release(st)
 
-	defer func() {
-		s.mu.Lock()
-		st.changing = false
-		s.mu.Unlock()
-	}()
-
-	switch req.What {
-	case "consistency":
+	if req.What == "consistency" {
+		if cfg.Policy == req.To {
+			return nil
+		}
 		// Validate the target policy before disturbing the fleet.
 		if _, err := policy.Builtin(req.To); err != nil {
 			return err
 		}
-		prepare, err := transport.Encode(PrepareChangeMsg{Epoch: epoch})
-		if err != nil {
-			return err
-		}
-		for _, n := range nodes {
-			if _, err := s.ep.Call(context.Background(), n.Name, MethodPrepareChange, prepare); err != nil {
-				return err
-			}
-		}
-		commit, err := transport.Encode(CommitChangeMsg{Epoch: epoch, PolicyName: req.To})
-		if err != nil {
-			return err
-		}
-		for _, n := range nodes {
-			if _, err := s.ep.Call(context.Background(), n.Name, MethodCommitChange, commit); err != nil {
-				return err
-			}
-		}
-		s.mu.Lock()
-		st.policyName = req.To
-		st.epoch = epoch
-		s.logChangeLocked(req)
-		s.mu.Unlock()
-		return nil
-	default: // primary_instance: the target's region leads every shard group
-		i := slices.IndexFunc(nodes, func(n PeerInfo) bool { return n.Name == req.To })
+		cfg.Policy = req.To
+		s.nextRingEpoch(st.id, cfg.Map)
+		_ = s.callAll(cfg.Members, MethodPrepareChange, PrepareChangeMsg{Epoch: cfg.Epoch()})
+	} else { // primary_instance: the target's region leads every shard group
+		i := slices.IndexFunc(cfg.Members, func(n PeerInfo) bool { return n.Name == req.To })
 		if i < 0 {
 			return fmt.Errorf("wiera: %q is not a member of instance %q", req.To, req.InstanceID)
 		}
-		region := nodes[i].Region
-		for _, n := range nodes {
-			msg, err := transport.Encode(SetPrimaryMsg{Primary: groupPrimary(rm, region, rm.ShardOf(string(n.Region), n.Name))})
-			if err != nil {
-				return err
-			}
-			if _, err := s.ep.Call(context.Background(), n.Name, MethodSetPrimary, msg); err != nil {
-				return err
-			}
+		if cfg.PrimaryRegion == cfg.Members[i].Region {
+			return nil
 		}
-		s.mu.Lock()
-		st.primary, st.primaryRegion = req.To, region
-		st.epoch = epoch
-		s.logChangeLocked(req)
-		s.mu.Unlock()
-		return nil
+		cfg.PrimaryRegion = cfg.Members[i].Region
+		s.nextRingEpoch(st.id, cfg.Map)
 	}
+	// A member the prepare or the push cannot reach is down: the heartbeat
+	// replaces it, on the config stored here. The push reopens every gate
+	// the prepare froze.
+	_ = s.push(cfg, cfg.Members)
+	s.mu.Lock()
+	st.cfg = cfg
+	s.logChangeLocked(req)
+	s.mu.Unlock()
+	return nil
 }
 
 func (s *Server) logChangeLocked(req ChangeRequestMsg) {
@@ -1089,10 +994,11 @@ func (s *Server) CurrentPolicy(instanceID string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("wiera: no instance %q", instanceID)
 	}
-	return st.policyName, nil
+	return st.cfg.Policy, nil
 }
 
-// CurrentPrimary returns the instance's current primary node name.
+// CurrentPrimary returns the instance's current primary node name: the
+// primary region's shard-0 worker.
 func (s *Server) CurrentPrimary(instanceID string) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1100,7 +1006,7 @@ func (s *Server) CurrentPrimary(instanceID string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("wiera: no instance %q", instanceID)
 	}
-	return st.primary, nil
+	return st.cfg.primaryOf(0), nil
 }
 
 // Start launches the heartbeat loop (Sec 4.1: the TSM "periodically sends
@@ -1172,76 +1078,91 @@ func (s *Server) HeartbeatOnce() {
 	}
 }
 
+// checkInstance pings the instance's members and, when some are down,
+// replaces them under one new config: dead workers are respawned in their
+// own regions and shards while fewer than minReplicas are live, and the
+// rest leave the membership. The pings run before the checkout, so a
+// healthy instance never holds off a change; when a change in flight owns
+// the config, the next round retries.
 func (s *Server) checkInstance(id string) {
 	s.mu.Lock()
 	st, ok := s.instances[id]
-	if !ok || st.rebalancing {
-		// A rebalance in flight owns the membership; skip this round.
-		s.mu.Unlock()
-		return
+	var members []PeerInfo
+	if ok {
+		members = slices.Clone(st.cfg.Members)
 	}
-	nodes := append([]PeerInfo(nil), st.nodes...)
-	minReplicas := st.minReplicas
-	rm := st.ringMap.Clone()
-	primaryRegion := st.primaryRegion
 	s.mu.Unlock()
 
 	ping, _ := transport.Encode(PingMsg{})
-	var live, dead []PeerInfo
-	for _, n := range nodes {
+	var down []PeerInfo
+	for _, n := range members {
 		if _, err := s.ep.Call(context.Background(), n.Name, MethodPing, ping); err != nil {
+			down = append(down, n)
+		}
+	}
+	if len(down) == 0 {
+		return
+	}
+	st, cfg, err := s.checkout(id)
+	if err != nil {
+		return
+	}
+	defer s.release(st)
+
+	var live, dead []PeerInfo
+	for _, n := range cfg.Members {
+		if sliceHas(down, n.Name) {
 			dead = append(dead, n)
 		} else {
 			live = append(live, n)
 		}
 	}
 	if len(dead) == 0 {
-		return
+		return // a change since the pings already replaced them
 	}
-	// Respawn failed workers in their own regions and shards while fewer
-	// than minReplicas are live; the rest leave the membership.
+	// A respawned worker takes the dead one's place in the map.
+	replaced := make(map[string]PeerInfo) // respawned name -> dead worker
+	var respawned []PeerInfo
 	for _, d := range dead {
-		if len(live) >= minReplicas {
-			break
-		}
-		region := string(d.Region)
-		plan, ok := planForRegion(st.plans, d.Region)
-		shard := rm.ShardOf(region, d.Name)
-		if !ok || shard < 0 {
+		shard := cfg.Map.ShardOf(string(d.Region), d.Name)
+		if len(live)+len(respawned) >= st.minReplicas || shard < 0 {
 			continue
 		}
-		// The new name replaces the dead one in the map.
-		rm.Workers[region][shard] = respawnName(d.Name)
-		node, err := s.spawn(rm.Workers[region][shard], plan, st, groupPrimary(rm, primaryRegion, shard), RingMsg{Map: rm, Settled: true})
-		if err != nil {
-			rm.Workers[region][shard] = d.Name
+		w := PeerInfo{Name: respawnName(d.Name), Region: d.Region}
+		cfg.Map.Workers[string(w.Region)][shard] = w.Name
+		replaced[w.Name] = d
+		respawned = append(respawned, w)
+	}
+	cfg.Members = slices.Concat(live, respawned)
+	cfg.promote()
+	s.nextRingEpoch(id, cfg.Map)
+	failed := false
+	for _, w := range respawned {
+		shard := cfg.Map.ShardOf(string(w.Region), w.Name)
+		if err := s.spawn(st, cfg, w); err != nil {
+			// It leaves the membership, and the dead name goes back.
+			cfg.Map.Workers[string(w.Region)][shard] = replaced[w.Name].Name
+			cfg.Members = slices.DeleteFunc(cfg.Members, func(m PeerInfo) bool { return m.Name == w.Name })
+			failed = true
 			continue
 		}
 		// Bootstrap from a live member of the same shard group (the others
 		// hold different key ranges).
-		if i := slices.IndexFunc(live, func(n PeerInfo) bool { return rm.ShardOf(string(n.Region), n.Name) == shard }); i >= 0 {
-			if n := lookupNode(node.Name); n != nil {
+		if i := slices.IndexFunc(live, func(n PeerInfo) bool { return cfg.Map.ShardOf(string(n.Region), n.Name) == shard }); i >= 0 {
+			if n := lookupNode(w.Name); n != nil {
 				_ = n.SyncFrom(live[i].Name)
 			}
 		}
-		live = append(live, node)
+	}
+	if failed {
+		// The spawned workers hold the config stamped above; the edited one
+		// needs an epoch of its own.
+		cfg.promote()
+		s.nextRingEpoch(id, cfg.Map)
 	}
 	s.teardown(dead)
-	s.commitMembership(st, live, rm)
-}
-
-// commitMembership installs the live members and the patched map under a
-// fresh epoch, so nodes and clients holding the old map refresh their
-// routing, and promotes a new primary if the old one left.
-func (s *Server) commitMembership(st *instanceState, live []PeerInfo, rm *ring.Map) {
-	s.nextRingEpoch(st.id, rm)
-	s.mu.Lock()
-	st.nodes = live
-	st.ringMap = rm
-	st.promote()
-	s.mu.Unlock()
-	_ = s.broadcastPeers(st)
-	_ = s.broadcastRing(live, RingMsg{Map: rm, Settled: true})
+	s.store(st, cfg)
+	_ = s.push(cfg, cfg.Members)
 }
 
 func planForRegion(plans []regionPlan, region simnet.Region) (regionPlan, bool) {
@@ -1385,8 +1306,7 @@ func (ts *TieraServer) Spawn(req SpawnRequest) (*Node, error) {
 		Params:     params,
 		CoordDst:   ts.coordDst,
 		ServerDst:  ts.serverDst,
-		Primary:    req.Primary,
-		Ring:       req.Ring,
+		Config:     req.Config,
 		ExtraTiers: extraTiers,
 	})
 	if err != nil {

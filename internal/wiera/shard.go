@@ -10,12 +10,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// shardManager is a node's view of the keyspace partition: the current
-// (and, mid-rebalance, previous) shard map, the node's own shard index,
-// ownership checks for incoming operations, and the drain that streams
-// moved keys to their new owners when the map changes. A node gets its map
-// with its spawn; an instance of one worker per region runs on a one-shard
-// map, whose only shard owns every key.
+// shardManager is a node's view of the keyspace partition: the installed
+// instance config with its current (and, mid-rebalance, previous) shard
+// map, the node's own shard index, ownership checks for incoming
+// operations, and the drain that streams moved keys to their new owners
+// when the map changes. A node gets its config with its spawn; an instance
+// of one worker per region runs on a one-shard map, whose only shard owns
+// every key.
 //
 // The rebalance protocol leans on three local rules:
 //
@@ -32,11 +33,11 @@ import (
 type shardManager struct {
 	n *Node
 
-	mu      sync.Mutex
-	cur     *ring.Table // the installed map
-	prev    *ring.Table // outgoing map during an unsettled rebalance
-	settled bool
-	shard   int // this node's shard under cur; -1 when leaving the pool
+	mu    sync.Mutex
+	cfg   InstanceConfig // the installed config
+	cur   *ring.Table    // cfg.Map
+	prev  *ring.Table    // cfg.Prev during an unsettled rebalance
+	shard int            // this node's shard under cur; -1 when leaving the pool
 
 	// migMu serializes whole drains: a re-sent RingDrain waits for the
 	// running pass and then finds nothing left to move (idempotence).
@@ -54,9 +55,9 @@ type shardManager struct {
 	wrongShard *telemetry.Counter
 }
 
-// newShardManager wires the ring_* telemetry families and installs the map
-// the node was spawned with.
-func newShardManager(n *Node, msg RingMsg) *shardManager {
+// newShardManager wires the ring_* telemetry families. The node adopts the
+// config it was spawned with before it serves.
+func newShardManager(n *Node) *shardManager {
 	reg := n.fabric.Metrics()
 	region := string(n.region)
 	gauge := func(name, help string) *telemetry.Gauge {
@@ -81,37 +82,29 @@ func newShardManager(n *Node, msg RingMsg) *shardManager {
 		wrongShard: counter("ring_wrong_shard_total",
 			"Operations NACKed because this worker does not own the key."),
 	}
-	m.adopt(msg)
-	m.publishGauges()
 	return m
 }
 
-// install adopts a shard map pushed by the control plane. Stale epochs are
-// ignored so reordered control RPCs cannot roll the node backwards.
-func (m *shardManager) install(msg RingMsg) {
-	if msg.Map == nil {
-		return
-	}
+// adopt makes cfg the installed config and returns the node's shard under
+// it. Node.install decides whether cfg is new enough.
+func (m *shardManager) adopt(cfg InstanceConfig) int {
 	m.mu.Lock()
-	if msg.Map.Epoch < m.cur.Epoch() {
-		m.mu.Unlock()
-		return
+	defer m.mu.Unlock()
+	m.cfg = cfg
+	m.cur = ring.NewTable(cfg.Map)
+	m.prev = nil
+	if !cfg.Settled && cfg.Prev != nil {
+		m.prev = ring.NewTable(cfg.Prev)
 	}
-	m.adopt(msg)
-	m.mu.Unlock()
-	m.publishGauges()
+	m.shard = cfg.Map.ShardOf(string(m.n.region), m.n.name)
+	return m.shard
 }
 
-// adopt makes msg's map the current one; the caller holds mu or owns m
-// alone.
-func (m *shardManager) adopt(msg RingMsg) {
-	m.cur = ring.NewTable(msg.Map)
-	m.prev = nil
-	if !msg.Settled && msg.Prev != nil {
-		m.prev = ring.NewTable(msg.Prev)
-	}
-	m.settled = msg.Settled
-	m.shard = msg.Map.ShardOf(string(m.n.region), m.n.name)
+// config returns the installed config.
+func (m *shardManager) config() InstanceConfig {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.cfg
 }
 
 // publishGauges sets the ring_* gauges from the installed map.
@@ -129,7 +122,7 @@ func (m *shardManager) publishGauges() {
 func (m *shardManager) view() (cur, prev *ring.Table, shard int, settled bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.cur, m.prev, m.shard, m.settled
+	return m.cur, m.prev, m.shard, m.cfg.Settled
 }
 
 func (m *shardManager) ownShard() int {
@@ -364,7 +357,7 @@ func (m *shardManager) updateOwnershipGauges() {
 	m.bytesG.Set(float64(bytes))
 }
 
-// ringEpoch reports the installed map's epoch.
+// ringEpoch reports the installed config's epoch.
 func (m *shardManager) ringEpoch() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -3,6 +3,7 @@ package wiera
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -187,9 +188,9 @@ func (s *Server) CollectStats(instanceID string) (*InstanceStats, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("wiera: no instance %q", instanceID)
 	}
-	nodes := append([]PeerInfo(nil), st.nodes...)
+	nodes := slices.Clone(st.cfg.Members)
 	out := &InstanceStats{
-		InstanceID: instanceID, Policy: st.policyName, Primary: st.primary,
+		InstanceID: instanceID, Policy: st.cfg.Policy, Primary: st.cfg.primaryOf(0),
 		RTTms: make(map[string]float64),
 	}
 	s.mu.Unlock()

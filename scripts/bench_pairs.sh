@@ -10,10 +10,12 @@
 # side is built and run by its own bench/run.sh, exactly as the driver runs
 # it: pair i is `--workload W --seed i --seconds 15 --trace 0` on both sides,
 # odd pairs parent first, even pairs change first, never two runs at once.
-# Nothing under bench/ and not BENCHMARK.json is touched; the runs' last
-# stdout lines (and full result files) are kept in .bench_build/pairs/<workload>/
-# and summarised by scripts/benchpairs (medians, quartiles, wins, verdict
-# under the bound).
+# Nothing under bench/ and not BENCHMARK.json is touched; each run's stdout,
+# stderr, last stdout line, exit status and full result file are kept in
+# .bench_build/pairs/<workload>/ and summarised by scripts/benchpairs
+# (medians, quartiles, wins, verdict under the bound). A run that exits
+# non-zero or reports `correct: false` is recorded as a failed run and the
+# series goes on; the BENCH file counts failed runs per side.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,13 +51,23 @@ for dir in "$parent_dir" "$PWD"; do
 done
 
 # one <side> <checkout> <pair>: a run's stdout ends with its one-line JSON.
+# Its exit status goes next to it, and a failure stops nothing.
 one() {
 	wait_quiet
 	echo "== $workload pair $3/$pairs: $1 ==" >&2
-	(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$3" --seconds 15 --trace 0) |
-		tail -n 1 >"$runs_dir/$1_$3.json"
+	local base="$runs_dir/$1_$3" result="$2/.bench_build/results/$workload.json" status=0
+	rm -f "$result" # a failed run must not leave an earlier run's result to copy
+	(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$3" --seconds 15 --trace 0) \
+		>"$base.out" 2> >(tee "$base.err" >&2) || status=$?
+	tail -n 1 "$base.out" >"$base.json"
+	echo "$status" >"$base.exit"
 	# The full result keeps the run's environment: load at start, noisy flag.
-	cp "$2/.bench_build/results/$workload.json" "$runs_dir/$1_$3.full.json"
+	if [ -f "$result" ]; then
+		cp "$result" "$base.full.json"
+	fi
+	if [ "$status" -ne 0 ]; then
+		echo "== $workload pair $3/$pairs: $1 exited $status; recorded as failed ==" >&2
+	fi
 }
 
 for i in $(seq 1 "$pairs"); do

@@ -14,6 +14,12 @@
 //	unresolved  neither, and a side's interquartile range is wider than the
 //	            bound: the runs spread too widely to call it unchanged
 //	unchanged   none of the above
+//	incomplete  some runs lack the metric; the spreads cover the runs that
+//	            have it, and each side says how many that is
+//
+// A failed run — one that exited non-zero (its <side>_<i>.exit holds the
+// status), printed no parsable result, or reported correct: false — is
+// counted per side and contributes no metric values.
 package main
 
 import (
@@ -24,6 +30,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // manifest is the part of BENCHMARK.json the verdicts need.
@@ -47,6 +55,7 @@ type run struct {
 }
 
 type spread struct {
+	Runs   int     `json:"runs"` // runs that reported the metric
 	Median float64 `json:"median"`
 	Q1     float64 `json:"q1"`
 	Q3     float64 `json:"q3"`
@@ -65,9 +74,10 @@ type metricRow struct {
 }
 
 type sideTotals struct {
-	Attempted int  `json:"attempted"`
-	Failed    int  `json:"failed"`
-	Correct   bool `json:"all_correct"`
+	Attempted  int  `json:"attempted"`
+	Failed     int  `json:"failed"`
+	Correct    bool `json:"all_correct"`
+	FailedRuns int  `json:"failed_runs"`
 }
 
 type workloadRows struct {
@@ -110,26 +120,25 @@ func fold(benchmark, dir string, pairs int, workload, parent, out string) error 
 	sides := map[string][]run{}
 	for _, side := range []string{"parent", "change"} {
 		for i := 1; i <= pairs; i++ {
-			var r run
-			if err := readJSON(filepath.Join(dir, fmt.Sprintf("%s_%d.json", side, i)), &r); err != nil {
-				return err
-			}
-			sides[side] = append(sides[side], r)
+			sides[side] = append(sides[side], readRun(filepath.Join(dir, fmt.Sprintf("%s_%d", side, i))))
 		}
 	}
 	rows := workloadRows{Pairs: pairs, Parent: totals(sides["parent"]), Change: totals(sides["change"]),
 		Metrics: map[string]metricRow{}}
 	for _, m := range man.EndToEnd {
 		p, c := values(sides["parent"], m.Name), values(sides["change"], m.Name)
-		if len(p) != pairs || len(c) != pairs {
+		row := metricRow{Unit: m.Unit, Better: m.Better, Bound: m.Bound, Parent: spreadOf(p), Change: spreadOf(c)}
+		if row.Parent.Runs+row.Change.Runs == 0 {
 			continue // the workload does not report this metric
 		}
-		row := metricRow{Unit: m.Unit, Better: m.Better, Bound: m.Bound, Parent: spreadOf(p), Change: spreadOf(c)}
 		sign := 1.0 // positive gain = better
 		if m.Better == "lower" {
 			sign = -1
 		}
 		for i := range p {
+			if math.IsNaN(p[i]) || math.IsNaN(c[i]) {
+				continue
+			}
 			switch gain := sign * (c[i] - p[i]); {
 			case gain > 0:
 				row.Wins++
@@ -143,6 +152,8 @@ func fold(benchmark, dir string, pairs int, workload, parent, out string) error 
 		allowed := m.Bound * math.Abs(row.Parent.Median)
 		widest := math.Max(row.Parent.Q3-row.Parent.Q1, row.Change.Q3-row.Change.Q1)
 		switch {
+		case row.Parent.Runs < pairs || row.Change.Runs < pairs:
+			row.Verdict = "incomplete"
 		case 10*row.Wins >= 9*pairs && gain > row.Parent.Q3-row.Parent.Q1:
 			row.Verdict = "improved"
 		case -gain > allowed:
@@ -182,30 +193,62 @@ func readJSON(path string, v any) error {
 	return nil
 }
 
+// readRun reads one run's <base>.json and <base>.exit (absent = 0). A run
+// that failed keeps its op counts but no metrics.
+func readRun(base string) run {
+	var r run
+	if err := readJSON(base+".json", &r); err != nil {
+		fmt.Fprintln(os.Stderr, "benchpairs:", err)
+		return run{}
+	}
+	if raw, err := os.ReadFile(base + ".exit"); err == nil {
+		if status, err := strconv.Atoi(strings.TrimSpace(string(raw))); err != nil || status != 0 {
+			r.Correct = false
+		}
+	}
+	if !r.Correct {
+		r.Metrics = nil
+	}
+	return r
+}
+
 func totals(runs []run) sideTotals {
 	t := sideTotals{Correct: true}
 	for _, r := range runs {
 		t.Attempted += r.Attempted
 		t.Failed += r.Failed
 		t.Correct = t.Correct && r.Correct
+		if !r.Correct {
+			t.FailedRuns++
+		}
 	}
 	return t
 }
 
+// values returns one value per run, NaN where the run lacks the metric.
 func values(runs []run, metric string) []float64 {
-	var out []float64
-	for _, r := range runs {
+	out := make([]float64, len(runs))
+	for i, r := range runs {
+		out[i] = math.NaN()
 		if m, ok := r.Metrics[metric]; ok {
-			out = append(out, m.Value)
+			out[i] = m.Value
 		}
 	}
 	return out
 }
 
-// spreadOf returns the median and quartiles of vs, interpolating linearly
-// between order statistics.
+// spreadOf returns the median and quartiles of the values in vs that are not
+// NaN, interpolating linearly between order statistics.
 func spreadOf(vs []float64) spread {
-	sorted := append([]float64(nil), vs...)
+	var sorted []float64
+	for _, v := range vs {
+		if !math.IsNaN(v) {
+			sorted = append(sorted, v)
+		}
+	}
+	if len(sorted) == 0 {
+		return spread{}
+	}
 	sort.Float64s(sorted)
 	at := func(q float64) float64 {
 		pos := q * float64(len(sorted)-1)
@@ -213,5 +256,5 @@ func spreadOf(vs []float64) spread {
 		hi := int(math.Ceil(pos))
 		return sorted[lo] + (pos-float64(lo))*(sorted[hi]-sorted[lo])
 	}
-	return spread{Median: at(0.5), Q1: at(0.25), Q3: at(0.75)}
+	return spread{Runs: len(sorted), Median: at(0.5), Q1: at(0.25), Q3: at(0.75)}
 }
